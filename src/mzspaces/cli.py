@@ -26,6 +26,7 @@ from .functionals import (
 )
 from .imagep import ImDCertificate, ObstructionReport, ZXPoly, charp_theorem_check, imd_decide
 from .mzdecide import (
+    DEFAULT_MAX_ORACLE_ROOTS,
     DEFAULT_MAX_SUBSET_ROOTS,
     SubspaceSpec,
     decide_mz,
@@ -72,10 +73,15 @@ def _roots_from_json(data) -> RootData:
     if not isinstance(data, list) or not data:
         raise DomainError("roots must be a nonempty array of [root, multiplicity] pairs")
     pairs = []
-    for item in data:
+    for i, item in enumerate(data):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise DomainError("each root entry must be a [root, multiplicity] pair")
-        pairs.append((parse_rational(item[0]), item[1]))
+        mult = item[1]
+        if not isinstance(mult, int) or isinstance(mult, bool):
+            raise DomainError(
+                f"roots[{i}] multiplicity must be a JSON integer, got {json.dumps(mult)}"
+            )
+        pairs.append((parse_rational(item[0]), mult))
     return RootData(pairs)
 
 
@@ -118,13 +124,19 @@ def _max_roots() -> int:
     return value
 
 
+def _max_oracle_roots() -> int:
+    """The oracle enumerates 2^r idempotents through `evaluate`, so it keeps
+    its own cap below the subset search's."""
+    return min(_max_roots(), DEFAULT_MAX_ORACLE_ROOTS)
+
+
 def _cmd_decide(args):
     data = _load_json_arg(args.spec)
     spec = normalize(_spec_from_json(data))
     verdict = decide_mz(spec, max_roots=_max_roots())
     payload = _verdict_payload(spec, verdict)
     if args.oracle:
-        payload["oracleIsMZ"] = oracle_decide_mz(spec, max_roots=_max_roots())
+        payload["oracleIsMZ"] = oracle_decide_mz(spec, max_roots=_max_oracle_roots())
         payload["oracleAgrees"] = payload["oracleIsMZ"] == verdict.is_mz
     return payload, data
 
@@ -132,7 +144,7 @@ def _cmd_decide(args):
 def _cmd_oracle(args):
     data = _load_json_arg(args.spec)
     spec = normalize(_spec_from_json(data))
-    return {"isMZ": oracle_decide_mz(spec, max_roots=_max_roots())}, data
+    return {"isMZ": oracle_decide_mz(spec, max_roots=_max_oracle_roots())}, data
 
 
 def _cmd_idempotents(args):

@@ -3,11 +3,26 @@ Mathieu-Zhao subspace of k[t], with checkable witnesses on rejection.
 
 The decision criterion: the kernel is Mathieu-Zhao exactly when every
 nonempty subset of the roots has some functional whose operator constant
-terms do not sum to zero over the subset.  A failing subset yields an
+terms do not sum to zero over the subset.  `decide_mz` reads the constant
+terms once, as one column per root with one entry per functional, and looks
+for a nonempty set of columns summing to the zero vector by meet in the
+middle (Horowitz-Sahni): it tabulates the subset sums of each half of the
+columns and matches every left sum against the negated right sums, so r
+roots and d functionals cost O(d * 2^(r/2)) instead of O(d * 2^r).  Of all
+balanced subsets the witness is the smallest, and among those the
+lexicographically first in root order.  A balanced subset yields an
 idempotent g in the kernel together with a multiplier b whose product b*g
-escapes it, which certifies that the kernel is not Mathieu-Zhao.  The
-independent oracle re-decides by enumerating every idempotent of the
-quotient ring and testing ideal containment directly.
+escapes it, which certifies that the kernel is not Mathieu-Zhao.
+
+The independent oracle re-decides by enumerating every idempotent of the
+quotient ring and testing ideal containment directly through `evaluate`.
+It stays exponential in r, so it has its own, lower root cap.
+
+`normalize` rejects dependent functionals by row-reducing their operator
+coefficient vectors.  In characteristic zero the moment matrix is that
+coefficient matrix times an invertible confluent Vandermonde matrix, so the
+two are row-equivalent and give the same relation; over a prime field the
+factorisation can be singular and the moment matrix is used instead.
 """
 
 from __future__ import annotations
@@ -23,11 +38,13 @@ from .functionals import (
     evaluate,
     largest_ideal_exponents,
 )
+from .linalg import left_dependency
 from .quotient import QuotientRing, crt_idempotents
 from .scalars import PrimeFieldScalar
 from .upoly import Poly, RootData
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
+DEFAULT_MAX_ORACLE_ROOTS = 12
 
 
 class SubspaceSpec:
@@ -97,7 +114,10 @@ def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     new_fns = tuple(
         FunctionalNF(new_roots, fn.zero_part, fn.parts) for fn in spec.functionals
     )
-    relation = dependency_relation(new_fns, new_roots.degree)
+    if _is_char_zero(spec):
+        relation = left_dependency(_coefficient_rows(new_fns, new_roots))
+    else:
+        relation = dependency_relation(new_fns, new_roots.degree)
     if relation is not None:
         raise DependentFunctionalsError(relation)
     return SubspaceSpec(new_fns, normalized=True)
@@ -108,19 +128,58 @@ def _require_normalized(spec: SubspaceSpec):
         raise DomainError("spec must be normalized first")
 
 
-def _require_char_zero(spec: SubspaceSpec):
-    for lam in spec.roots.roots:
-        if isinstance(lam, PrimeFieldScalar):
-            raise DomainError("decision procedure requires characteristic zero")
+def _coefficient_rows(functionals, roots: RootData):
+    """One row per functional: its operator coefficients root by root, in
+    root order, each operator padded to its root's multiplicity."""
+    return [[fn.operator_poly(lam).coefficient(k) for lam, mult in roots for k in range(mult)]
+            for fn in functionals]
+
+
+def _is_char_zero(spec: SubspaceSpec) -> bool:
+    scalars = list(spec.roots.roots)
     for fn in spec.functionals:
         for op in [fn.zero_part, *fn.parts.values()]:
-            if any(isinstance(c, PrimeFieldScalar) for c in op.coeffs):
-                raise DomainError("decision procedure requires characteristic zero")
+            scalars.extend(op.coeffs)
+    return not any(isinstance(c, PrimeFieldScalar) for c in scalars)
 
 
-def _nonempty_subsets(count: int):
-    for size in range(1, count + 1):
-        yield from combinations(range(count), size)
+def _require_char_zero(spec: SubspaceSpec):
+    if not _is_char_zero(spec):
+        raise DomainError("decision procedure requires characteristic zero")
+
+
+def _subset_sums(columns, offset: int, dim: int):
+    """(index tuple, sum vector) for every subset of the columns, the empty
+    one included; indices are shifted by offset, each tuple in increasing order."""
+    out = [((), (0,) * dim)]
+    for i, column in enumerate(columns, offset):
+        out += [(idx + (i,), tuple(a + b for a, b in zip(total, column)))
+                for idx, total in out]
+    return out
+
+
+def smallest_zero_sum_subset(columns):
+    """Indices of a nonempty set of columns (equal-length vectors) summing to
+    the zero vector: the smallest such set, the lexicographically first of
+    its size; None when there is none.  Meet in the middle over the two
+    halves of the columns."""
+    if not columns:
+        return None
+    dim = len(columns[0])
+    half = len(columns) // 2
+    right = {}
+    for idx, total in _subset_sums(columns[half:], half, dim):
+        firsts = right.setdefault(total, {})
+        size = len(idx)
+        if size not in firsts or idx < firsts[size]:
+            firsts[size] = idx
+    best = None
+    for idx, total in _subset_sums(columns[:half], 0, dim):
+        for tail in right.get(tuple(-v for v in total), {}).values():
+            found = idx + tail
+            if found and (best is None or (len(found), found) < (len(best), best)):
+                best = found
+    return best
 
 
 def _apply_all(spec: SubspaceSpec, g: Poly):
@@ -137,36 +196,29 @@ def decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> 
         raise DomainError(
             f"{len(roots)} roots exceed the subset enumeration cap {max_roots}"
         )
-    for subset in _nonempty_subsets(len(roots)):
-        balanced = True
-        for fn in spec.functionals:
-            total = 0
-            for i in subset:
-                total = total + fn.operator_poly(roots[i]).coefficient(0)
-            if total != 0:
-                balanced = False
-                break
-        if not balanced:
-            continue
-        subset_roots = tuple(roots[i] for i in subset)
-        ring = QuotientRing(spec.roots)
-        base = crt_idempotents(ring)
-        g = Poly()
-        for lam in subset_roots:
-            g = g + base[lam].rep
-        modulus = ring.modulus
-        for j in range(spec.roots.degree):
-            b = Poly.monomial(j)
-            values = _apply_all(spec, (b * g) % modulus)
-            if any(v != 0 for v in values):
-                return MZVerdict(False, subset_roots, g, b)
-        raise AssertionError(
-            "normalized spec must admit a multiplier for a kernel idempotent"
-        )
-    return MZVerdict(True)
+    columns = [tuple(fn.operator_poly(lam).coefficient(0) for fn in spec.functionals)
+               for lam in roots]
+    subset = smallest_zero_sum_subset(columns)
+    if subset is None:
+        return MZVerdict(True)
+    subset_roots = tuple(roots[i] for i in subset)
+    ring = QuotientRing(spec.roots)
+    base = crt_idempotents(ring)
+    g = Poly()
+    for lam in subset_roots:
+        g = g + base[lam].rep
+    modulus = ring.modulus
+    for j in range(spec.roots.degree):
+        b = Poly.monomial(j)
+        values = _apply_all(spec, (b * g) % modulus)
+        if any(v != 0 for v in values):
+            return MZVerdict(False, subset_roots, g, b)
+    raise AssertionError(
+        "normalized spec must admit a multiplier for a kernel idempotent"
+    )
 
 
-def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> bool:
+def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROOTS) -> bool:
     """Independent re-decision: enumerate all idempotents of the quotient
     ring and check that each one inside the kernel keeps its whole principal
     ideal inside the kernel."""
@@ -175,7 +227,7 @@ def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROO
     roots = spec.roots.roots
     if len(roots) > max_roots:
         raise DomainError(
-            f"{len(roots)} roots exceed the subset enumeration cap {max_roots}"
+            f"{len(roots)} roots exceed the oracle enumeration cap {max_roots}"
         )
     ring = QuotientRing(spec.roots)
     base = crt_idempotents(ring)

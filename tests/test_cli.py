@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from mzspaces.cli import main
+from mzspaces.mzdecide import DEFAULT_MAX_ORACLE_ROOTS
 
 SIGN_DIFFERENCE_SPEC = {
     "roots": [["1", 1], ["-1", 1]],
@@ -292,3 +293,35 @@ def test_stdout_is_byte_identical_across_runs():
     assert first.stdout == second.stdout
     assert first.stdout.strip().endswith(b"}")
     assert b"elapsed_ms=" in first.stderr
+
+
+@pytest.mark.parametrize("mult", ['"x"', "null", "1.7", "true"])
+def test_non_integer_multiplicity_is_a_domain_error(capsys, mult):
+    spec = ('{"roots": [["2", 1], ["1", %s]], "functionals": [{"parts": {"1": ["1"]}}]}'
+            % mult)
+    code, out, _ = _run(capsys, ["decide", "--spec", spec])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith("roots[1] multiplicity")
+
+
+def _wide_spec(count):
+    # Constant terms 1, 2, 4, ...: no subset sums to zero, so the kernel is
+    # Mathieu-Zhao and the subset search itself is cheap at any width.
+    roots = [str(k) for k in range(1, count + 1)]
+    return {
+        "roots": [[lam, 1] for lam in roots],
+        "functionals": [{"parts": {lam: [str(2 ** i)] for i, lam in enumerate(roots)}}],
+    }
+
+
+def test_oracle_cap_is_below_the_subset_cap(capsys):
+    spec = json.dumps(_wide_spec(DEFAULT_MAX_ORACLE_ROOTS + 1))
+    code, out, _ = _run(capsys, ["decide", "--spec", spec])
+    assert code == 0
+    assert out["isMZ"] is True
+    for argv in (["decide", "--oracle", "--spec", spec], ["oracle", "--spec", spec]):
+        code, out, _ = _run(capsys, argv)
+        assert code == 2
+        assert out["error"]["kind"] == "domain"
+        assert "oracle enumeration cap" in out["error"]["message"]

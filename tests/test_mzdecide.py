@@ -6,6 +6,9 @@ import pytest
 from mzspaces.errors import DependentFunctionalsError, DomainError
 from mzspaces.functionals import FunctionalNF, evaluate
 from mzspaces.mzdecide import (
+    DEFAULT_MAX_ORACLE_ROOTS,
+    DEFAULT_MAX_SUBSET_ROOTS,
+    MZVerdict,
     SubspaceSpec,
     decide_mz,
     normalize,
@@ -153,6 +156,63 @@ def test_root_cap_is_enforced():
     with pytest.raises(DomainError):
         oracle_decide_mz(spec, max_roots=2)
     assert decide_mz(spec, max_roots=3).is_mz in (True, False)
+
+
+def _simple_roots(count):
+    return [Fraction(k, 2) for k in range(1, count + 1)]
+
+
+def _constant_term_spec(lams, rows):
+    roots = RootData([(lam, 1) for lam in lams])
+    fns = [FunctionalNF(roots, parts={lam: Poly([c]) for lam, c in zip(lams, row)})
+           for row in rows]
+    return normalize(SubspaceSpec(fns))
+
+
+def test_oracle_has_its_own_lower_cap():
+    assert DEFAULT_MAX_ORACLE_ROOTS < DEFAULT_MAX_SUBSET_ROOTS
+    lams = _simple_roots(DEFAULT_MAX_ORACLE_ROOTS + 1)
+    spec = _constant_term_spec(lams, [[2 ** i for i in range(len(lams))]])
+    assert decide_mz(spec).is_mz
+    with pytest.raises(DomainError, match="oracle enumeration cap"):
+        oracle_decide_mz(spec)
+
+
+def test_no_zero_sum_subset_at_the_root_cap():
+    # Signed powers of two: no nonempty subset of them sums to zero.
+    lams = _simple_roots(DEFAULT_MAX_SUBSET_ROOTS)
+    spec = _constant_term_spec(lams, [[(-1) ** i * 2 ** i for i in range(len(lams))]])
+    assert decide_mz(spec) == MZVerdict(True)
+
+
+def test_planted_witness_at_the_root_cap():
+    # In both functionals the last 18 constant terms cancel and no other
+    # subset does: the first two roots carry terms too large to be balanced.
+    lams = _simple_roots(DEFAULT_MAX_SUBSET_ROOTS)
+    planted = range(2, DEFAULT_MAX_SUBSET_ROOTS)
+    rows = []
+    for scale in (1, 3):
+        row = [(-1) ** i * scale * 2 ** i for i in range(len(lams))]
+        row[0], row[1] = scale * 2 ** 40, 2 ** 41
+        row[-1] = -sum(row[i] for i in planted[:-1])
+        rows.append(row)
+    spec = _constant_term_spec(lams, rows)
+    verdict = decide_mz(spec)
+    assert not verdict.is_mz
+    assert verdict.witness_subset == tuple(lams[i] for i in planted)
+    _check_witness(spec, verdict)
+
+
+def test_normalize_uses_moments_in_positive_characteristic():
+    # Over F_2 the operators T and T^2 at a root act alike (n^2 = n), so the
+    # functionals are dependent although their coefficient vectors are not.
+    one, zero = PrimeFieldScalar(1, 2), PrimeFieldScalar(0, 2)
+    roots = RootData([(one, 3)])
+    f1 = FunctionalNF(roots, parts={one: Poly([zero, one])})
+    f2 = FunctionalNF(roots, parts={one: Poly([zero, zero, one])})
+    with pytest.raises(DependentFunctionalsError) as info:
+        normalize(SubspaceSpec([f1, f2]))
+    assert info.value.relation == (one, one)
 
 
 def test_decide_rejects_positive_characteristic():
