@@ -60,13 +60,19 @@ _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
 
 
-def _load_json_arg(text: str):
-    """Accept inline JSON (starts with { or [) or a file path."""
+def _load_json_arg(text: str, option: str):
+    """Accept inline JSON (starts with { or [) or a file path; an unreadable
+    path is a domain error naming the option."""
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
         return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"{option}: cannot read {text!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{option}: {text!r} is not UTF-8 text") from exc
 
 
 def _roots_from_json(data) -> RootData:
@@ -125,13 +131,14 @@ def _max_roots() -> int:
 
 
 def _max_oracle_roots() -> int:
-    """The oracle enumerates 2^r idempotents through `evaluate`, so it keeps
-    its own cap below the subset search's."""
+    """The oracle enumerates 2^r idempotents and tests each kernel one's
+    deg f shifts against a per-spec moment table, so it keeps its own cap
+    below the subset search's."""
     return min(_max_roots(), DEFAULT_MAX_ORACLE_ROOTS)
 
 
 def _cmd_decide(args):
-    data = _load_json_arg(args.spec)
+    data = _load_json_arg(args.spec, "--spec")
     spec = normalize(_spec_from_json(data))
     verdict = decide_mz(spec, max_roots=_max_roots())
     payload = _verdict_payload(spec, verdict)
@@ -142,7 +149,7 @@ def _cmd_decide(args):
 
 
 def _cmd_oracle(args):
-    data = _load_json_arg(args.spec)
+    data = _load_json_arg(args.spec, "--spec")
     spec = normalize(_spec_from_json(data))
     return {"isMZ": oracle_decide_mz(spec, max_roots=_max_oracle_roots())}, data
 
@@ -151,10 +158,10 @@ def _cmd_idempotents(args):
     if (args.roots is None) == (args.modulus is None):
         raise DomainError("give exactly one of --roots or --modulus")
     if args.roots is not None:
-        data = _load_json_arg(args.roots)
+        data = _load_json_arg(args.roots, "--roots")
         roots = _roots_from_json(data)
     else:
-        data = _load_json_arg(args.modulus)
+        data = _load_json_arg(args.modulus, "--modulus")
         roots = rational_roots(poly_from_json(data))
     ring = QuotientRing(roots)
     base = crt_idempotents(ring)
@@ -168,7 +175,7 @@ def _cmd_idempotents(args):
 
 
 def _cmd_moments(args):
-    data = _load_json_arg(args.input)
+    data = _load_json_arg(args.input, "--input")
     if not isinstance(data, dict):
         raise DomainError("input must be an object")
     if "values" in data:
@@ -195,7 +202,7 @@ def _cmd_moments(args):
 
 
 def _cmd_certify(args):
-    data = _load_json_arg(args.poly)
+    data = _load_json_arg(args.poly, "--poly")
     f = poly_from_json(data)
     if args.rule == "unit":
         cert = certify_unit_interval(f, args.m_min, args.search_bound)
@@ -212,9 +219,9 @@ def _cmd_certify(args):
 
 
 def _cmd_trace_test(args):
-    data = _load_json_arg(args.matrix)
-    if not isinstance(data, list):
-        raise DomainError("matrix must be an array of rows")
+    data = _load_json_arg(args.matrix, "--matrix")
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise DomainError("matrix must be an array of rows, each an array of rationals")
     matrix = MatrixQ([[parse_rational(v) for v in row] for row in data])
     report = trace_radical_test(matrix)
     payload = {
@@ -230,7 +237,7 @@ def _cmd_laurent(args):
     payload = {"lambda": format_rational(lam), "mzClass": laurent_mz_class(lam)}
     inputs = {"lambda": args.lam}
     if args.poly is not None:
-        data = _load_json_arg(args.poly)
+        data = _load_json_arg(args.poly, "--poly")
         g = laurent_from_json(data)
         payload["imageMember"] = laurent_image_membership(lam, g)
         payload["radicalVminus1Member"] = radical_vminus1_membership(g)
@@ -256,9 +263,9 @@ def _multipoly_from_json(data, label: str) -> MultiPolyQ:
 
 
 def _cmd_gvc_probe(args):
-    op_data = _load_json_arg(args.op)
-    p_data = _load_json_arg(args.p_poly)
-    q_data = _load_json_arg(args.q_poly)
+    op_data = _load_json_arg(args.op, "--op")
+    p_data = _load_json_arg(args.p_poly, "--p-poly")
+    q_data = _load_json_arg(args.q_poly, "--q-poly")
     op = ConstCoeffOp(_multipoly_from_json(op_data, "operator"))
     p_poly = _multipoly_from_json(p_data, "p-poly")
     q_poly = _multipoly_from_json(q_data, "q-poly")
@@ -297,7 +304,7 @@ def _certificate_payload(certificate: ImDCertificate):
 
 
 def _cmd_imagep(args):
-    data = _load_json_arg(args.input)
+    data = _load_json_arg(args.input, "--input")
     if args.mode == "decide":
         b = ZXPoly.from_json(data, args.n, args.p)
         _check_imagep_caps([b], args.p, args.n)
@@ -422,7 +429,7 @@ def main(argv=None) -> int:
         }
         print(json.dumps(error, indent=2))
         return 2
-    except (DomainError, FileNotFoundError) as exc:
+    except DomainError as exc:
         error = {"error": {"kind": "domain", "message": str(exc)}}
         print(json.dumps(error, indent=2))
         return 2

@@ -5,6 +5,20 @@ Every such functional is a combination of point evaluations composed with
 operator polynomials: at the root 0 the operator variable acts as d/dt, at a
 nonzero root it acts as t d/dt.  The operator polynomial attached to a root
 must have degree below that root's multiplicity.
+
+Since (t d/dt)^i t^n = n^i t^n and (d/dt)^i t^n vanishes at 0 unless i = n,
+the moments have the closed form
+
+    L(t^n) = sum over nonzero roots lam of P_lam(n) lam^n  +  n! [P_0]_n,
+
+so `to_moments` costs O(count * deg f) scalar operations and `evaluate` is
+the dot product of the coefficients with that table; no operator is ever
+applied to a polynomial.  `from_moments` inverts it in O(deg f ^ 2): the
+values are extended by the recurrence of f, projected onto each root by its
+CRT idempotent (L(t^n e_lam) = P_lam(n) lam^n, or n! [P_0]_n at 0), and each
+operator is read back by Newton interpolation at 0, 1, ..., mult - 1.  That
+needs characteristic zero: over a prime field n! and the node differences
+can vanish, and the moments need not determine the normal form.
 """
 
 from __future__ import annotations
@@ -13,9 +27,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError
-from .linalg import left_dependency, solve_linear_system
-from .scalars import format_rational, parse_rational
-from .upoly import Poly, RootData, apply_der_op, apply_euler_op, poly_from_json, poly_to_json
+from .linalg import left_dependency
+from .quotient import root_idempotent
+from .scalars import PrimeFieldScalar, format_rational, parse_rational
+from .upoly import Poly, RootData, poly_from_json, poly_to_json
 
 
 class FunctionalNF:
@@ -89,13 +104,28 @@ class MomentSeq:
         return f"MomentSeq({self.values!r})"
 
 
-def evaluate(functional: FunctionalNF, g: Poly):
-    """Apply the functional to a polynomial; exact scalar result."""
-    total = 0
-    if not functional.zero_part.is_zero:
-        total = total + apply_der_op(functional.zero_part, g)(0)
+def _moments(functional: FunctionalNF, count: int):
+    """[L(t^n) for n < count] by the closed form: a running power lam^n
+    times P_lam(n) by Horner at each nonzero root, n! [P_0]_n at 0."""
+    out = [0] * count
+    factorial_n = 1
+    for n, c in enumerate(functional.zero_part.coeffs[:count]):
+        if n:
+            factorial_n *= n
+        out[n] = c * factorial_n
     for lam, op in functional.parts.items():
-        total = total + apply_euler_op(op, g)(lam)
+        power = 1
+        for n in range(count):
+            out[n] = out[n] + op(n) * power
+            power = power * lam
+    return out
+
+
+def evaluate(functional: FunctionalNF, g: Poly):
+    """Apply the functional to a polynomial of any degree; exact scalar result."""
+    total = 0
+    for c, m in zip(g.coeffs, _moments(functional, len(g.coeffs))):
+        total = total + c * m
     return total
 
 
@@ -103,7 +133,7 @@ def to_moments(functional: FunctionalNF, count: int):
     """The first `count` values of n -> L(t^n)."""
     if count < 1:
         raise DomainError("moment count must be >= 1")
-    return tuple(evaluate(functional, Poly.monomial(n)) for n in range(count))
+    return tuple(_moments(functional, count))
 
 
 def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
@@ -111,32 +141,40 @@ def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
     values under the recurrence of the (fully split) characteristic polynomial."""
     if roots.poly() != moments.char_poly:
         raise DomainError("root data must split the characteristic polynomial exactly")
-    n_total = roots.degree
-    columns = []
-    labels = []
-    for lam, mult in roots:
-        for i in range(mult):
-            if lam == 0:
-                columns.append([1 if n == i else 0 for n in range(n_total)])
-            else:
-                columns.append([Fraction(n) ** i * Fraction(lam) ** n for n in range(n_total)])
-            labels.append((lam, i))
-    matrix = [[columns[c][r] for c in range(n_total)] for r in range(n_total)]
-    solution = solve_linear_system(matrix, list(moments.values))
-    if solution is None:
-        raise AssertionError("moment basis matrix is invertible for distinct roots")
-    zero_coeffs = {}
-    part_coeffs = {}
-    for (lam, i), value in zip(labels, solution):
-        if lam == 0:
-            zero_coeffs[i] = value * Fraction(1, factorial(i))
-        else:
-            part_coeffs.setdefault(lam, {})[i] = value
-    zero_part = Poly(tuple(zero_coeffs.get(i, 0) for i in range(roots.multiplicity(0))))
+    if any(isinstance(c, PrimeFieldScalar) for c in (*roots.roots, *moments.values)):
+        raise DomainError("moment inversion requires characteristic zero")
+    f = moments.char_poly.coeffs
+    n_total = len(f) - 1
+    values = [Fraction(v) for v in moments.values]
+    for k in range(n_total - 1):
+        values.append(-sum(f[i] * values[k + i] for i in range(n_total)))
+    zero_part = Poly()
     parts = {}
-    for lam, coeffs in part_coeffs.items():
-        parts[lam] = Poly(tuple(coeffs.get(i, 0) for i in range(roots.multiplicity(lam))))
+    for lam, mult in roots:
+        e = root_idempotent(moments.char_poly, lam, mult).coeffs
+        projected = [sum(c * values[n + k] for k, c in enumerate(e)) for n in range(mult)]
+        if lam == 0:
+            zero_part = Poly(tuple(v / factorial(n) for n, v in enumerate(projected)))
+        else:
+            inv = 1 / Fraction(lam)
+            scale = 1
+            for n in range(mult):
+                projected[n] *= scale
+                scale *= inv
+            parts[lam] = _newton_interpolate(projected)
     return FunctionalNF(roots, zero_part, parts)
+
+
+def _newton_interpolate(values) -> Poly:
+    """The polynomial of degree below len(values) taking values[n] at n."""
+    diffs = list(values)
+    for k in range(1, len(diffs)):
+        for j in range(len(diffs) - 1, k - 1, -1):
+            diffs[j] = (diffs[j] - diffs[j - 1]) / k
+    out = Poly()
+    for k in range(len(diffs) - 1, -1, -1):
+        out = out * Poly((-k, 1)) + Poly((diffs[k],))
+    return out
 
 
 def largest_ideal_exponents(functionals):
@@ -181,7 +219,12 @@ def functional_from_json(data, roots: RootData) -> FunctionalNF:
     if not isinstance(data, dict):
         raise DomainError("functional JSON must be an object with P0 and parts")
     zero_part = poly_from_json(data.get("P0", []))
+    raw_parts = data.get("parts") or {}
+    if not isinstance(raw_parts, dict):
+        raise DomainError(
+            "functional parts must be an object mapping roots to operator coefficients"
+        )
     parts = {}
-    for key, coeffs in (data.get("parts") or {}).items():
+    for key, coeffs in raw_parts.items():
         parts[parse_rational(key)] = poly_from_json(coeffs)
     return FunctionalNF(roots, zero_part, parts)

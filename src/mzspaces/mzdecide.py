@@ -15,8 +15,15 @@ idempotent g in the kernel together with a multiplier b whose product b*g
 escapes it, which certifies that the kernel is not Mathieu-Zhao.
 
 The independent oracle re-decides by enumerating every idempotent of the
-quotient ring and testing ideal containment directly through `evaluate`.
-It stays exponential in r, so it has its own, lower root cap.
+quotient ring and testing ideal containment: an idempotent e in the kernel
+must keep every shift t^j e mod f, j < deg f, in the kernel.  Each
+functional's first deg f moments are tabulated once per spec (the closed
+form in `functionals`), so a value is one dot product, and each shift comes
+from the previous one by one multiply-by-t-and-reduce step, O(deg f).  The
+multiplier search of `decide_mz` walks the same shifts.  The oracle stays
+exponential in r, so it has its own, lower root cap.  The witness
+idempotent is built for the balanced subset alone (or as 1 minus its
+complement's, when that is smaller).
 
 `normalize` rejects dependent functionals by row-reducing their operator
 coefficient vectors.  In characteristic zero the moment matrix is that
@@ -35,11 +42,11 @@ from .errors import DependentFunctionalsError, DomainError
 from .functionals import (
     FunctionalNF,
     dependency_relation,
-    evaluate,
     largest_ideal_exponents,
+    to_moments,
 )
 from .linalg import left_dependency
-from .quotient import QuotientRing, crt_idempotents
+from .quotient import QuotientRing, crt_idempotents, subset_idempotent
 from .scalars import PrimeFieldScalar
 from .upoly import Poly, RootData
 
@@ -182,8 +189,35 @@ def smallest_zero_sum_subset(columns):
     return best
 
 
-def _apply_all(spec: SubspaceSpec, g: Poly):
-    return [evaluate(fn, g) for fn in spec.functionals]
+def _moment_tables(spec: SubspaceSpec):
+    """Each functional's first deg f moments: enough to evaluate any
+    polynomial reduced mod f."""
+    return [to_moments(fn, spec.roots.degree) for fn in spec.functionals]
+
+
+def _in_kernel(tables, g: Poly) -> bool:
+    coeffs = g.coeffs
+    return all(sum(c * m for c, m in zip(coeffs, table)) == 0 for table in tables)
+
+
+def _times_t_mod(g: Poly, modulus: Poly) -> Poly:
+    """t * g mod the monic modulus, for g already reduced."""
+    coeffs = (0,) + g.coeffs
+    if len(coeffs) < len(modulus.coeffs):
+        return Poly(coeffs)
+    top = coeffs[-1]
+    return Poly(tuple(c - top * m for c, m in zip(coeffs[:-1], modulus.coeffs)))
+
+
+def _first_escaping_shift(tables, g: Poly, modulus: Poly):
+    """Smallest j < deg f with t^j * g mod f outside the kernel, or None;
+    g already reduced mod f."""
+    shifted = g
+    for j in range(modulus.degree):
+        if not _in_kernel(tables, shifted):
+            return j
+        shifted = _times_t_mod(shifted, modulus)
+    return None
 
 
 def decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> MZVerdict:
@@ -202,20 +236,13 @@ def decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> 
     if subset is None:
         return MZVerdict(True)
     subset_roots = tuple(roots[i] for i in subset)
-    ring = QuotientRing(spec.roots)
-    base = crt_idempotents(ring)
-    g = Poly()
-    for lam in subset_roots:
-        g = g + base[lam].rep
-    modulus = ring.modulus
-    for j in range(spec.roots.degree):
-        b = Poly.monomial(j)
-        values = _apply_all(spec, (b * g) % modulus)
-        if any(v != 0 for v in values):
-            return MZVerdict(False, subset_roots, g, b)
-    raise AssertionError(
-        "normalized spec must admit a multiplier for a kernel idempotent"
-    )
+    g = subset_idempotent(spec.roots, subset_roots)
+    j = _first_escaping_shift(_moment_tables(spec), g, spec.roots.poly())
+    if j is None:
+        raise AssertionError(
+            "normalized spec must admit a multiplier for a kernel idempotent"
+        )
+    return MZVerdict(False, subset_roots, g, Poly.monomial(j))
 
 
 def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROOTS) -> bool:
@@ -232,17 +259,14 @@ def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROO
     ring = QuotientRing(spec.roots)
     base = crt_idempotents(ring)
     modulus = ring.modulus
+    tables = _moment_tables(spec)
     for size in range(len(roots) + 1):
         for combo in combinations(range(len(roots)), size):
             e = Poly()
             for i in combo:
                 e = e + base[roots[i]].rep
-            if any(v != 0 for v in _apply_all(spec, e)):
-                continue
-            for j in range(spec.roots.degree):
-                shifted = (Poly.monomial(j) * e) % modulus
-                if any(v != 0 for v in _apply_all(spec, shifted)):
-                    return False
+            if _in_kernel(tables, e) and _first_escaping_shift(tables, e, modulus) is not None:
+                return False
     return True
 
 
@@ -262,9 +286,10 @@ def radical_probe(spec: SubspaceSpec, g: Poly, max_power: int) -> RadicalProbeRe
     if max_power < 1:
         raise DomainError("max_power must be >= 1")
     modulus = spec.roots.poly()
+    tables = _moment_tables(spec)
     power = Poly((1,))
     for m in range(1, max_power + 1):
         power = (power * g) % modulus
-        if any(v != 0 for v in _apply_all(spec, power)):
+        if not _in_kernel(tables, power):
             return RadicalProbeReport(checked=max_power, first_violation=m)
     return RadicalProbeReport(checked=max_power, first_violation=None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DomainError
+from .scalars import scalar_inverse
 from .upoly import Poly, RootData, extended_gcd
 
 
@@ -115,21 +116,70 @@ class Residue:
         return f"Residue({self.rep!r})"
 
 
+def _divide_by_root(coeffs, lam):
+    """Synthetic division of a coefficient list by t - lam: (quotient, remainder)."""
+    quotient = []
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * lam + c
+        quotient.append(acc)
+    remainder = quotient.pop() if quotient else 0
+    quotient.reverse()
+    return quotient, remainder
+
+
+def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
+    """The idempotent of k[t]/(modulus) that is 1 modulo (t - lam)^mult and 0
+    modulo the cofactor c = modulus / (t - lam)^mult; degree below the modulus.
+
+    It is c times the inverse of c modulo (t - lam)^mult.  That inverse is the
+    power series inverse, to order mult, of the Taylor expansion of c at lam,
+    so no Euclidean algorithm runs: mult synthetic divisions give c, mult more
+    its Taylor coefficients, and the rest costs O(mult^2) plus one product."""
+    cofactor = list(modulus.coeffs)
+    for _ in range(mult):
+        cofactor, rem = _divide_by_root(cofactor, lam)
+        if rem != 0:
+            raise AssertionError("modulus is divisible by each root factor")
+    taylor = []
+    work = cofactor
+    for _ in range(mult):
+        work, value = _divide_by_root(work, lam)
+        taylor.append(value)
+    inv_lead = scalar_inverse(taylor[0])
+    series = [inv_lead]
+    for k in range(1, mult):
+        acc = 0
+        for j in range(1, k + 1):
+            acc = acc + taylor[j] * series[k - j]
+        series.append(-acc * inv_lead)
+    shift = Poly((-lam, 1))
+    inverse = Poly()
+    for b in reversed(series):
+        inverse = inverse * shift + Poly((b,))
+    return inverse * Poly(cofactor)
+
+
 def crt_idempotents(ring: QuotientRing):
     """The orthogonal idempotent for each root: 1 at that root's factor, 0 at
     the others.  Returned as a root -> Residue map in root order."""
-    out = {}
     f = ring.modulus
-    for lam, mult in ring.roots:
-        factor = Poly((-lam, 1)) ** mult
-        cofactor, rem = divmod(f, factor)
-        if not rem.is_zero:
-            raise AssertionError("modulus is divisible by each root factor")
-        u, v, g = extended_gcd(factor, cofactor)
-        if g != Poly((1,)):
-            raise AssertionError("root factors are pairwise coprime")
-        out[lam] = ring.residue(v * cofactor)
-    return out
+    return {lam: ring.residue(root_idempotent(f, lam, mult)) for lam, mult in ring.roots}
+
+
+def subset_idempotent(roots: RootData, subset) -> Poly:
+    """The idempotent that is 1 at the roots in subset and 0 at the others:
+    the sum of their root idempotents, or 1 minus the sum over the other
+    roots when the subset holds more than half of them."""
+    f = roots.poly()
+    chosen = set(subset)
+    complement = len(chosen) * 2 > len(roots)
+    total = Poly((1,)) if complement else Poly()
+    for lam, mult in roots:
+        if (lam in chosen) != complement:
+            e = root_idempotent(f, lam, mult)
+            total = total - e if complement else total + e
+    return total
 
 
 def all_idempotents(ring: QuotientRing):

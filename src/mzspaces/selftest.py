@@ -23,7 +23,7 @@ from .probes import (
 )
 from .quotient import QuotientRing, all_idempotents, crt_idempotents
 from .scalars import padic_valuation
-from .upoly import LaurentPoly, Poly, RootData, extended_gcd
+from .upoly import LaurentPoly, Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,26 @@ def _check_extended_gcd(rng):
         assert g.lead == 1
 
 
-def _check_point_evaluation_laws(rng):
-    from .upoly import apply_der_op, apply_euler_op
+def evaluate_by_operators(functional: FunctionalNF, g: Poly):
+    """L(g) by applying each operator polynomial to g and evaluating at its
+    root: the reference for the closed form behind `evaluate`."""
+    total = apply_der_op(functional.zero_part, g)(0)
+    for lam, op in functional.parts.items():
+        total = total + apply_euler_op(op, g)(lam)
+    return total
 
+
+# Roots 0, 2 and -1/2, each with an operator of the top allowed degree.
+_FROZEN_ROOTS = RootData([(Fraction(0), 3), (Fraction(2), 2), (Fraction(-1, 2), 3)])
+_FROZEN_FUNCTIONAL = FunctionalNF(
+    _FROZEN_ROOTS,
+    Poly((Fraction(1), Fraction(-2), Fraction(3, 2))),
+    {Fraction(2): Poly((Fraction(1, 3), Fraction(1))),
+     Fraction(-1, 2): Poly((Fraction(-1), Fraction(0), Fraction(2)))},
+)
+
+
+def _check_point_evaluation_laws(rng):
     for _ in range(50):
         lam = random_nonzero_rational(rng, -4, 4, 2)
         i = rng.randint(1, 3)
@@ -169,6 +186,16 @@ def _check_moment_roundtrip(rng):
         values = to_moments(fn, roots.degree)
         back = from_moments(MomentSeq(values, roots.poly()), roots)
         assert back == fn
+
+
+def _check_closed_form_moments(rng):
+    count = _FROZEN_ROOTS.degree + 4
+    expected = tuple(evaluate_by_operators(_FROZEN_FUNCTIONAL, Poly.monomial(n))
+                     for n in range(count))
+    assert to_moments(_FROZEN_FUNCTIONAL, count) == expected
+    for _ in range(10):
+        g = random_poly(rng, count + 4)
+        assert evaluate(_FROZEN_FUNCTIONAL, g) == evaluate_by_operators(_FROZEN_FUNCTIONAL, g)
 
 
 def _check_kernel_law(rng):
@@ -271,6 +298,7 @@ _CHECKS = (
     ("extended-gcd", _check_extended_gcd),
     ("point-evaluation-laws", _check_point_evaluation_laws),
     ("idempotent-laws", _check_idempotent_laws),
+    ("closed-form-moments", _check_closed_form_moments),
     ("moment-roundtrip", _check_moment_roundtrip),
     ("kernel-law", _check_kernel_law),
     ("decision-agreement", _check_decision_agreement),

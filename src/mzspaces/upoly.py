@@ -186,13 +186,10 @@ class Poly:
         return f"Poly({text})"
 
 
-def eval_at(g: Poly, point):
-    """Substitute a scalar for the variable."""
-    return g(point)
-
-
 def apply_der_op(op_poly: Poly, g: Poly) -> Poly:
-    """Apply sum_i c_i (d/dt)^i to g, where op_poly = sum_i c_i T^i."""
+    """Apply sum_i c_i (d/dt)^i to g, where op_poly = sum_i c_i T^i.
+
+    `functionals.evaluate` uses the closed form instead; this is its reference."""
     total = Poly()
     work = g
     for c in op_poly.coeffs:
@@ -203,7 +200,9 @@ def apply_der_op(op_poly: Poly, g: Poly) -> Poly:
 
 
 def apply_euler_op(op_poly: Poly, g: Poly) -> Poly:
-    """Apply sum_i c_i (t d/dt)^i to g, where op_poly = sum_i c_i T^i."""
+    """Apply sum_i c_i (t d/dt)^i to g, where op_poly = sum_i c_i T^i.
+
+    `functionals.evaluate` uses the closed form instead; this is its reference."""
     total = Poly()
     work = g
     for c in op_poly.coeffs:

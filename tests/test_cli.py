@@ -325,3 +325,35 @@ def test_oracle_cap_is_below_the_subset_cap(capsys):
         assert code == 2
         assert out["error"]["kind"] == "domain"
         assert "oracle enumeration cap" in out["error"]["message"]
+
+
+def test_parts_given_as_a_list_is_a_domain_error(capsys):
+    spec = {"roots": [["1", 1]], "functionals": [{"parts": [["1"]]}]}
+    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(spec)])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert "parts" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [["decide", "--spec"], ["moments", "--input"]])
+def test_directory_argument_is_a_domain_error(tmp_path, capsys, argv):
+    code, out, _ = _run(capsys, argv + [str(tmp_path)])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith(argv[1] + ":")
+
+
+def test_non_utf8_file_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, _ = _run(capsys, ["decide", "--spec", str(path)])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith("--spec:")
+
+
+def test_matrix_rows_must_be_arrays(capsys):
+    code, out, _ = _run(capsys, ["trace-test", "--matrix", "[1,2]"])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert "matrix" in out["error"]["message"]

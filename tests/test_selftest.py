@@ -5,6 +5,7 @@ EXPECTED_CHECKS = {
     "extended-gcd",
     "point-evaluation-laws",
     "idempotent-laws",
+    "closed-form-moments",
     "moment-roundtrip",
     "kernel-law",
     "decision-agreement",
