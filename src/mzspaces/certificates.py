@@ -13,10 +13,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError, SearchExhaustedError
-from .scalars import PADIC_INF, is_prime, padic_valuation
+from .scalars import PADIC_INF, clear_denominators, is_prime, padic_valuation
 from .upoly import Poly
 
 DEFAULT_SEARCH_BOUND = 10**6
@@ -58,17 +58,50 @@ def _require_rational(f: Poly):
         raise DomainError("certificates need rational coefficients")
 
 
+def _int_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
-    """Exact termwise moment of f**power."""
+    """Exact termwise moment of f**power.
+
+    With D the common denominator of f, (D*f)**power has integer
+    coefficients c_i, expanded by square-and-multiply, and the moment is
+    sum c_i * i! / D**power (exponential rule) or
+    sum c_i * (L / (i + 1)) / (L * D**power) with L = lcm(1..N + 1), N the
+    degree of the expansion (unit rule): one division at the end.
+    """
     if power < 0:
         raise DomainError("power must be >= 0")
     _require_rational(f)
-    expanded = f**power
-    total = Fraction(0)
-    for i, c in enumerate(expanded.coeffs):
-        if c != 0:
-            total = total + c * rule.moment(i)
-    return total
+    d, base = clear_denominators(f.coeffs)
+    expanded = [1]
+    exponent = power
+    while exponent:
+        if exponent & 1:
+            expanded = _int_poly_mul(expanded, base)
+        exponent >>= 1
+        if exponent:
+            base = _int_poly_mul(base, base)
+    scale = d**power
+    if rule is MomentRule.EXPONENTIAL:
+        total = 0
+        weight = 1
+        for i, c in enumerate(expanded):
+            if i:
+                weight *= i
+            total += c * weight
+        return Fraction(total, scale)
+    lcm_all = lcm(*range(1, len(expanded) + 1))
+    total = sum(c * (lcm_all // (i + 1)) for i, c in enumerate(expanded) if c)
+    return Fraction(total, lcm_all * scale)
 
 
 def _denominators(f: Poly):

@@ -44,7 +44,7 @@ from .probes import (
     trace_radical_test,
 )
 from .quotient import QuotientRing, all_idempotents, crt_idempotents
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_exponents, parse_rational
 from .selftest import run_selftest
 from .upoly import (
     RootData,
@@ -58,6 +58,13 @@ MAX_ROOTS_ENV = "MZ_MAX_SUBSET_ROOTS"
 _IMAGEP_PRIMES = (2, 3, 5)
 _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
+# Work budgets of the probes, each chosen so that the capped case runs in
+# about a second on a 2-vCPU host: a dense 48x48 matrix with entries a/b,
+# |a|, b <= 9, takes 1.1 s in trace-test; m-max 40 takes 0.9 s for
+# p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
+# benchmark shape.
+_TRACE_MAX_DIMENSION = 48
+_GVC_MAX_M = 40
 
 
 def _load_json_arg(text: str, option: str):
@@ -222,6 +229,10 @@ def _cmd_trace_test(args):
     data = _load_json_arg(args.matrix, "--matrix")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise DomainError("matrix must be an array of rows, each an array of rationals")
+    if len(data) > _TRACE_MAX_DIMENSION:
+        raise DomainError(
+            f"--matrix dimension {len(data)} exceeds the cap {_TRACE_MAX_DIMENSION}"
+        )
     matrix = MatrixQ([[parse_rational(v) for v in row] for row in data])
     report = trace_radical_test(matrix)
     payload = {
@@ -250,10 +261,10 @@ def _multipoly_from_json(data, label: str) -> MultiPolyQ:
         raise DomainError(f"{label} must be a nonempty array of term objects")
     nvars = None
     terms = {}
-    for item in data:
+    for i, item in enumerate(data):
         if not isinstance(item, dict) or "exps" not in item or "c" not in item:
             raise DomainError(f"each {label} term needs exps and c fields")
-        exps = tuple(int(e) for e in item["exps"])
+        exps = parse_exponents(item["exps"], f"{label}[{i}].exps")
         if nvars is None:
             nvars = len(exps)
         elif len(exps) != nvars:
@@ -266,9 +277,11 @@ def _cmd_gvc_probe(args):
     op_data = _load_json_arg(args.op, "--op")
     p_data = _load_json_arg(args.p_poly, "--p-poly")
     q_data = _load_json_arg(args.q_poly, "--q-poly")
-    op = ConstCoeffOp(_multipoly_from_json(op_data, "operator"))
-    p_poly = _multipoly_from_json(p_data, "p-poly")
-    q_poly = _multipoly_from_json(q_data, "q-poly")
+    if args.m_max > _GVC_MAX_M:
+        raise DomainError(f"--m-max {args.m_max} exceeds the cap {_GVC_MAX_M}")
+    op = ConstCoeffOp(_multipoly_from_json(op_data, "--op"))
+    p_poly = _multipoly_from_json(p_data, "--p-poly")
+    q_poly = _multipoly_from_json(q_data, "--q-poly")
     report = gvc_probe(op, p_poly, q_poly, args.m_max)
     payload = {
         "mMax": report.m_max,
@@ -306,7 +319,7 @@ def _certificate_payload(certificate: ImDCertificate):
 def _cmd_imagep(args):
     data = _load_json_arg(args.input, "--input")
     if args.mode == "decide":
-        b = ZXPoly.from_json(data, args.n, args.p)
+        b = ZXPoly.from_json(data, args.n, args.p, "--input")
         _check_imagep_caps([b], args.p, args.n)
         result = imd_decide(b)
         if isinstance(result, ImDCertificate):
@@ -316,9 +329,9 @@ def _cmd_imagep(args):
         return payload, data
     if not isinstance(data, dict) or "f" not in data:
         raise DomainError("theorem input must be an object with f (and optional g)")
-    f = ZXPoly.from_json(data["f"], args.n, args.p)
+    f = ZXPoly.from_json(data["f"], args.n, args.p, "--input.f")
     if "g" in data:
-        g = ZXPoly.from_json(data["g"], args.n, args.p)
+        g = ZXPoly.from_json(data["g"], args.n, args.p, "--input.g")
     else:
         g = ZXPoly.one(args.n, args.p)
     _check_imagep_caps([f, g], args.p, args.n)
@@ -378,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("trace-test", help="nilpotency via power traces")
-    p.add_argument("--matrix", required=True, help="matrix JSON: rows of rationals")
+    p.add_argument("--matrix", required=True,
+                   help=f"matrix JSON: rows of rationals, dimension at most {_TRACE_MAX_DIMENSION}")
     p.set_defaults(handler=_cmd_trace_test)
 
     p = sub.add_parser("laurent", help="weighted-derivation image probes")
@@ -390,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, help="operator JSON: terms in derivative symbols")
     p.add_argument("--p-poly", required=True, dest="p_poly")
     p.add_argument("--q-poly", required=True, dest="q_poly")
-    p.add_argument("--m-max", type=int, default=12, dest="m_max")
+    p.add_argument("--m-max", type=int, default=12, dest="m_max",
+                   help=f"probe m = 1..m-max, at most {_GVC_MAX_M} (default 12)")
     p.set_defaults(handler=_cmd_gvc_probe)
 
     p = sub.add_parser("imagep", help="characteristic-p twisted-derivation image engine")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .scalars import is_prime
+from .scalars import is_prime, parse_exponents
 
 
 class ZXPoly:
@@ -159,16 +159,19 @@ class ZXPoly:
         return out
 
     @classmethod
-    def from_json(cls, data, nvars: int, modulus: int) -> "ZXPoly":
+    def from_json(cls, data, nvars: int, modulus: int, label: str = "polynomial") -> "ZXPoly":
+        """Terms {"zeta": [...], "x": [...], "c": int}; exponent errors name
+        label and the term index."""
         if not isinstance(data, list):
             raise DomainError("polynomial JSON must be a list of term objects")
         terms = {}
-        for item in data:
+        for i, item in enumerate(data):
             if not isinstance(item, dict) or not {"zeta", "x", "c"} <= set(item):
                 raise DomainError("each term needs zeta, x, and c fields")
-            if not isinstance(item["c"], int):
+            if not isinstance(item["c"], int) or isinstance(item["c"], bool):
                 raise DomainError("coefficients must be integers")
-            key = (tuple(item["zeta"]), tuple(item["x"]))
+            key = (parse_exponents(item["zeta"], f"{label}[{i}].zeta"),
+                   parse_exponents(item["x"], f"{label}[{i}].x"))
             terms[key] = terms.get(key, 0) + item["c"]
         return cls(nvars, modulus, terms)
 

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Optional
 
 from .errors import DomainError
+from .scalars import clear_denominators
 from .upoly import LaurentPoly
 
 
@@ -70,19 +72,32 @@ class TraceReport:
 
 def trace_radical_test(matrix: MatrixQ) -> TraceReport:
     """Power traces tr(C^m) for m = 1..n: all zero exactly when C is
-    nilpotent; then the least vanishing power is reported as witness."""
+    nilpotent; then the least vanishing power is reported as witness.
+
+    The powers are those of the integer matrix A = d*C, d the common
+    denominator of the entries, so tr(C^m) = tr(A^m) / d^m and no rational
+    arithmetic happens inside the loop.  Once a power vanishes, every later
+    trace is 0 and no further power is formed.
+    """
     n = matrix.dimension
-    powers = []
-    current = matrix
-    for _ in range(n):
-        powers.append(current)
-        current = current * matrix
-    traces = tuple(p.trace() for p in powers)
+    d, flat = clear_denominators([entry for row in matrix.rows for entry in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    cols = list(zip(*a))
+    power = a
+    traces = []
+    witness = None
+    for m in range(1, n + 1):
+        if m > 1:
+            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+        if not any(any(row) for row in power):
+            witness = m
+            break
+        traces.append(Fraction(sum(power[i][i] for i in range(n)), d**m))
+    traces = tuple(traces) + (Fraction(0),) * (n - len(traces))
     if any(t != 0 for t in traces):
         return TraceReport(in_radical=False, traces=traces, nilpotency_witness=None)
-    if not powers[-1].is_zero:
+    if witness is None:
         raise AssertionError("vanishing power traces force nilpotency in char 0")
-    witness = next(m + 1 for m, p in enumerate(powers) if p.is_zero)
     return TraceReport(in_radical=True, traces=traces, nilpotency_witness=witness)
 
 
@@ -265,10 +280,6 @@ class ConstCoeffOp:
         return f"ConstCoeffOp({self.symbol_poly!r})"
 
 
-def apply_op(op: ConstCoeffOp, f: MultiPolyQ) -> MultiPolyQ:
-    return op.apply(f)
-
-
 @dataclass(frozen=True)
 class GvcProbeReport:
     m_max: int
@@ -277,27 +288,73 @@ class GvcProbeReport:
     conclusion_transition: Optional[int]
 
 
+def _integer_terms(poly: MultiPolyQ) -> dict:
+    """The terms of a nonzero rational multiple of poly with integer
+    coefficients."""
+    _, ints = clear_denominators(list(poly.terms.values()))
+    return dict(zip(poly.terms, ints))
+
+
+def _int_multiply(f: dict, g: dict) -> dict:
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _int_apply(symbol, f: dict) -> dict:
+    """One application of the operator with (exponents, coefficient) terms
+    symbol: the derivative d^k sends x^e to e!/(e-k)! x^(e-k) per variable,
+    and perm(e, k) = e!/(e-k)! is 0 for k > e."""
+    out = {}
+    for exps, c in f.items():
+        for op_exps, op_c in symbol:
+            coef = op_c * c
+            for e, k in zip(exps, op_exps):
+                coef *= perm(e, k)
+            if coef:
+                key = tuple(e - k for e, k in zip(exps, op_exps))
+                out[key] = out.get(key, 0) + coef
+    return {e: c for e, c in out.items() if c}
+
+
+def _killed_by_power(symbol, f: dict, m: int) -> bool:
+    for _ in range(m):
+        if not f:
+            break
+        f = _int_apply(symbol, f)
+    return not f
+
+
 def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
               m_max: int) -> GvcProbeReport:
     """For m = 1..m_max, record whether op^m kills p^m (hypothesis) and
     whether op^m kills q*p^m (conclusion); the transition is the least m0
-    from which the conclusion holds through m_max."""
+    from which the conclusion holds through m_max.
+
+    Only vanishing is reported, and scaling op, p or q by a nonzero rational
+    does not change it, so each is scaled to integer coefficients once and
+    the powers and operator applications run on integer term dicts.
+    """
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
+    if op.nvars != p_poly.nvars:
+        raise DomainError("operator and polynomial variable counts differ")
+    if p_poly.nvars != q_poly.nvars:
+        raise DomainError("variable count mismatch")
+    symbol = tuple(_integer_terms(op.symbol_poly).items())
+    p_terms = _integer_terms(p_poly)
+    q_terms = _integer_terms(q_poly)
     hypothesis_violations = []
     conclusion_violations = []
-    p_power = MultiPolyQ.constant(p_poly.nvars, 1)
+    p_power = {(0,) * p_poly.nvars: 1}
     for m in range(1, m_max + 1):
-        p_power = p_power * p_poly
-        lhs = p_power
-        for _ in range(m):
-            lhs = op.apply(lhs)
-        if not lhs.is_zero:
+        p_power = _int_multiply(p_power, p_terms)
+        if not _killed_by_power(symbol, p_power, m):
             hypothesis_violations.append(m)
-        rhs = q_poly * p_power
-        for _ in range(m):
-            rhs = op.apply(rhs)
-        if not rhs.is_zero:
+        if not _killed_by_power(symbol, _int_multiply(q_terms, p_power), m):
             conclusion_violations.append(m)
     if not conclusion_violations:
         transition = 1

@@ -15,12 +15,19 @@ from .errors import DomainError
 PADIC_INF = math.inf
 
 _TRIAL_LIMIT = 10**6
-# Deterministic Miller-Rabin witness set, valid for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases: the first 13 primes decide primality for every
+# n < 3317044064679887385961981 (about 3.3e24), the least strong pseudoprime
+# to all of them.  Twelve bases (through 37) fail at 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: trial division to 10^6, then Miller-Rabin."""
+    """Primality by trial division to 10^6, then Miller-Rabin to the first
+    13 prime bases.  Those bases are proven to decide primality only for
+    n < 3.3e24; at and above that the answer means probable prime (the
+    pseudoprime 3317044064679887385961981 passes).  The certificate search
+    tests p = m*deg(f) + 1 from m = m_min on, which stays far below that
+    limit unless m_min itself is set near it."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -96,6 +103,25 @@ def parse_rational(text) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc
+
+
+def parse_exponents(value, where: str) -> tuple:
+    """A JSON array of nonnegative integers (booleans excluded) as a tuple;
+    anything else is a DomainError naming where the value sits."""
+    if not isinstance(value, list) or not all(
+        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value
+    ):
+        raise DomainError(
+            f"{where} must be an array of nonnegative integers, got {value!r}"
+        )
+    return tuple(value)
+
+
+def clear_denominators(values):
+    """(d, ints): d is the least common multiple of the denominators of the
+    rational values (1 for none) and ints lists d*v for each value v."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def format_rational(value) -> str:

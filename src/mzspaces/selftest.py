@@ -151,6 +151,37 @@ _FROZEN_FUNCTIONAL = FunctionalNF(
 )
 
 
+def traces_by_matrix_powers(matrix: MatrixQ):
+    """(power traces, least vanishing power or None) from the rational
+    MatrixQ power loop: the reference for `trace_radical_test`."""
+    powers = [matrix]
+    for _ in range(matrix.dimension - 1):
+        powers.append(powers[-1] * matrix)
+    witness = next((m + 1 for m, power in enumerate(powers) if power.is_zero), None)
+    return tuple(power.trace() for power in powers), witness
+
+
+def gvc_by_operator_application(op: ConstCoeffOp, p: MultiPolyQ, q: MultiPolyQ, m_max: int):
+    """(hypothesis violations, conclusion violations) by applying op m times
+    to the rational MultiPolyQ p^m and q*p^m: the reference for `gvc_probe`."""
+    violations = ([], [])
+    p_power = MultiPolyQ.constant(p.nvars, 1)
+    for m in range(1, m_max + 1):
+        p_power = p_power * p
+        for target, found in zip((p_power, q * p_power), violations):
+            for _ in range(m):
+                target = op.apply(target)
+            if not target.is_zero:
+                found.append(m)
+    return tuple(violations[0]), tuple(violations[1])
+
+
+def power_moment_by_expansion(rule: MomentRule, f: Poly, power: int) -> Fraction:
+    """The moment of f**power from `Poly.__pow__` and `rule.moment`, term by
+    term: the reference for `power_moment`."""
+    return sum((c * rule.moment(i) for i, c in enumerate((f**power).coeffs)), Fraction(0))
+
+
 def _check_point_evaluation_laws(rng):
     for _ in range(50):
         lam = random_nonzero_rational(rng, -4, 4, 2)
@@ -245,6 +276,32 @@ def _check_trace_probe(rng):
             assert not trace_radical_test(m).in_radical
 
 
+def _check_probe_kernels(rng):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # A rational nilpotent of index 3, conjugated by I + E_20/3, and a
+    # traceless non-nilpotent rational matrix.
+    strict = MatrixQ([[0, half, -1], [0, 0, Fraction(2, 3)], [0, 0, 0]])
+    conj = MatrixQ([[1, 0, 0], [0, 1, 0], [third, 0, 1]])
+    conj_inv = MatrixQ([[1, 0, 0], [0, 1, 0], [-third, 0, 1]])
+    for matrix, witness in ((conj * strict * conj_inv, 3),
+                            (MatrixQ([[half, 1], [third, -half]]), None)):
+        report = trace_radical_test(matrix)
+        assert (report.traces, report.nilpotency_witness) == traces_by_matrix_powers(matrix)
+        assert report.nilpotency_witness == witness
+    # (1/2) d1 d2 - (2/3) d1^2 on p = x/3 + (3/2) y^2, q = (5/7) x y: the
+    # hypothesis holds for every m, the conclusion fails for m = 1..3 only.
+    op = ConstCoeffOp(MultiPolyQ(2, {(1, 1): half, (2, 0): Fraction(-2, 3)}))
+    p = MultiPolyQ(2, {(1, 0): third, (0, 2): Fraction(3, 2)})
+    q = MultiPolyQ(2, {(1, 1): Fraction(5, 7)})
+    report = gvc_probe(op, p, q, 5)
+    assert (report.hypothesis_violations, report.conclusion_violations) == ((), (1, 2, 3))
+    assert gvc_by_operator_application(op, p, q, 5) == ((), (1, 2, 3))
+    f = Poly((Fraction(1, 3), Fraction(-1, 2), 1))
+    for rule in MomentRule:
+        for power in range(6):
+            assert power_moment(rule, f, power) == power_moment_by_expansion(rule, f, power)
+
+
 def _check_laurent_probe(rng):
     for _ in range(20):
         lam = rng.choice([Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(7, 3)])
@@ -304,6 +361,7 @@ _CHECKS = (
     ("decision-agreement", _check_decision_agreement),
     ("certificates", _check_certificates),
     ("trace-probe", _check_trace_probe),
+    ("probe-kernels", _check_probe_kernels),
     ("laurent-probe", _check_laurent_probe),
     ("gvc-probe", _check_gvc_probe),
     ("image-roundtrip", _check_image_roundtrip),

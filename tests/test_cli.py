@@ -357,3 +357,83 @@ def test_matrix_rows_must_be_arrays(capsys):
     assert code == 2
     assert out["error"]["kind"] == "domain"
     assert "matrix" in out["error"]["message"]
+
+
+GVC_TERMS = {
+    "--op": '[{"exps": [1, 1], "c": "1"}]',
+    "--p-poly": '[{"exps": [1, 0], "c": "1"}, {"exps": [0, 1], "c": "1"}]',
+    "--q-poly": '[{"exps": [1, 0], "c": "1"}]',
+}
+
+
+@pytest.mark.parametrize("exps", ["[1.5, 1]", "[true, 0]", "[-1, 1]", '"10"', "1", "null"])
+def test_gvc_probe_bad_exponents_are_domain_errors(capsys, exps):
+    terms = dict(GVC_TERMS)
+    terms["--p-poly"] = '[{"exps": [1, 0], "c": "1"}, {"exps": %s, "c": "1"}]' % exps
+    argv = ["gvc-probe"] + [item for pair in terms.items() for item in pair]
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith("--p-poly[1].exps must be an array")
+
+
+@pytest.mark.parametrize("term", [
+    '{"zeta": 1, "x": [1], "c": 1}',
+    '{"zeta": [1], "x": [1.5], "c": 1}',
+    '{"zeta": [true], "x": [1], "c": 1}',
+    '{"zeta": [1], "x": [-1], "c": 1}',
+])
+def test_imagep_bad_exponents_are_domain_errors(capsys, term):
+    field = "zeta" if '"zeta": [1]' not in term else "x"
+    code, out, _ = _run(capsys, [
+        "imagep", "decide", "--p", "3", "--n", "1",
+        "--input", '[{"zeta": [1], "x": [0], "c": 1}, %s]' % term,
+    ])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith(f"--input[1].{field} must be an array")
+    code, out, _ = _run(capsys, [
+        "imagep", "theorem", "--p", "3", "--n", "1",
+        "--input", '{"f": [{"zeta": [1], "x": [0], "c": 1}], "g": [%s]}' % term,
+    ])
+    assert code == 2
+    assert out["error"]["message"].startswith(f"--input.g[0].{field} must be an array")
+
+
+def test_imagep_boolean_coefficient_is_a_domain_error(capsys):
+    code, out, _ = _run(capsys, [
+        "imagep", "decide", "--p", "3", "--n", "1",
+        "--input", '[{"zeta": [1], "x": [0], "c": true}]',
+    ])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+
+
+def test_trace_test_dimension_cap(capsys):
+    def zero(n):
+        return json.dumps([["0"] * n for _ in range(n)])
+
+    code, out, _ = _run(capsys, ["trace-test", "--matrix", zero(48)])
+    assert code == 0
+    assert out["nilpotencyWitness"] == 1
+    code, out, _ = _run(capsys, ["trace-test", "--matrix", zero(49)])
+    assert code == 2
+    assert out["error"]["message"] == "--matrix dimension 49 exceeds the cap 48"
+
+
+def test_gvc_probe_m_max_cap(capsys):
+    argv = ["gvc-probe"] + [item for pair in GVC_TERMS.items() for item in pair]
+    code, out, _ = _run(capsys, argv + ["--m-max", "40"])
+    assert code == 0
+    assert out["conclusionViolations"] == [1]
+    code, out, _ = _run(capsys, argv + ["--m-max", "41"])
+    assert code == 2
+    assert out["error"]["message"] == "--m-max 41 exceeds the cap 40"
+
+
+@pytest.mark.parametrize("command, text", [("trace-test", "at most 48"),
+                                           ("gvc-probe", "at most 40")])
+def test_probe_caps_are_stated_in_help(capsys, command, text):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert text in " ".join(capsys.readouterr().out.split())

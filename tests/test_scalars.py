@@ -46,6 +46,15 @@ def test_is_prime_beyond_trial_division_limit():
         assert not is_prime(n), n
 
 
+def test_is_prime_rejects_the_twelve_base_strong_pseudoprime():
+    # The least strong pseudoprime to the prime bases 2..37 is composite and
+    # below the 3.3e24 limit of the 13-base set, so is_prime must reject it.
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+
+
 def test_padic_valuation_frozen_values():
     assert padic_valuation(12, 2) == 2
     assert padic_valuation(12, 3) == 1

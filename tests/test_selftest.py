@@ -11,6 +11,7 @@ EXPECTED_CHECKS = {
     "decision-agreement",
     "certificates",
     "trace-probe",
+    "probe-kernels",
     "laurent-probe",
     "gvc-probe",
     "image-roundtrip",
