@@ -1,179 +1,68 @@
 """Exact arithmetic for Mathieu-Zhao subspace decisions on k[t]/(f),
 with p-adic non-radical certificates, image-membership probes, and a
-characteristic-p twisted-derivation engine."""
+characteristic-p twisted-derivation engine.
 
-from .certificates import (
-    DEFAULT_SEARCH_BOUND,
-    MomentRule,
-    PAdicCertificate,
-    certify_exponential,
-    certify_unit_interval,
-    power_moment,
-)
-from .errors import (
-    DependentFunctionalsError,
-    DoesNotSplitError,
-    DomainError,
-    SearchExhaustedError,
-)
-from .functionals import (
-    FunctionalNF,
-    MomentSeq,
-    dependency_relation,
-    evaluate,
-    from_moments,
-    functional_from_json,
-    functional_to_json,
-    largest_ideal_exponents,
-    to_moments,
-)
-from .imagep import (
-    CorollaryReport,
-    ImDCertificate,
-    ObstructionReport,
-    TheoremReport,
-    ZXPoly,
-    apply_d,
-    charp_theorem_check,
-    corollary_check,
-    imd_decide,
-    j_ideal_witness,
-)
-from .mzdecide import (
-    DEFAULT_MAX_ORACLE_ROOTS,
-    DEFAULT_MAX_SUBSET_ROOTS,
-    MZVerdict,
-    RadicalProbeReport,
-    SubspaceSpec,
-    decide_mz,
-    normalize,
-    oracle_decide_mz,
-    radical_probe,
-    strong_radical_membership,
-)
-from .probes import (
-    ConstCoeffOp,
-    GvcProbeReport,
-    MatrixQ,
-    MultiPolyQ,
-    TraceReport,
-    gvc_probe,
-    laurent_apply_op,
-    laurent_image_membership,
-    laurent_mz_class,
-    laurent_preimage,
-    radical_vminus1_membership,
-    trace_radical_test,
-)
-from .quotient import (
-    QuotientRing,
-    Residue,
-    all_idempotents,
-    crt_idempotents,
-    idempotent_from_element,
-)
-from .scalars import (
-    PADIC_INF,
-    PrimeFieldScalar,
-    format_rational,
-    is_prime,
-    padic_abs,
-    padic_valuation,
-    parse_rational,
-)
-from .selftest import run_selftest
-from .upoly import (
-    NEG_INF,
-    LaurentPoly,
-    Poly,
-    RootData,
-    apply_der_op,
-    apply_euler_op,
-    extended_gcd,
-    laurent_from_json,
-    laurent_to_json,
-    poly_from_json,
-    poly_to_json,
-    rational_roots,
-)
+The public names are loaded lazily (PEP 562): `import mzspaces` runs no
+submodule, and the first access to a name imports the submodule that
+defines it, so `mz <subcommand>` pays only for the layers it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_MAX_ORACLE_ROOTS",
-    "DEFAULT_MAX_SUBSET_ROOTS",
-    "DEFAULT_SEARCH_BOUND",
-    "NEG_INF",
-    "PADIC_INF",
-    "ConstCoeffOp",
-    "CorollaryReport",
-    "DependentFunctionalsError",
-    "DoesNotSplitError",
-    "DomainError",
-    "FunctionalNF",
-    "GvcProbeReport",
-    "ImDCertificate",
-    "LaurentPoly",
-    "MatrixQ",
-    "MomentRule",
-    "MomentSeq",
-    "MultiPolyQ",
-    "MZVerdict",
-    "ObstructionReport",
-    "PAdicCertificate",
-    "Poly",
-    "PrimeFieldScalar",
-    "QuotientRing",
-    "RadicalProbeReport",
-    "Residue",
-    "RootData",
-    "SearchExhaustedError",
-    "SubspaceSpec",
-    "TheoremReport",
-    "TraceReport",
-    "ZXPoly",
-    "all_idempotents",
-    "apply_d",
-    "apply_der_op",
-    "apply_euler_op",
-    "certify_exponential",
-    "certify_unit_interval",
-    "charp_theorem_check",
-    "corollary_check",
-    "crt_idempotents",
-    "decide_mz",
-    "dependency_relation",
-    "evaluate",
-    "extended_gcd",
-    "format_rational",
-    "from_moments",
-    "functional_from_json",
-    "functional_to_json",
-    "gvc_probe",
-    "idempotent_from_element",
-    "imd_decide",
-    "is_prime",
-    "j_ideal_witness",
-    "largest_ideal_exponents",
-    "laurent_apply_op",
-    "laurent_from_json",
-    "laurent_image_membership",
-    "laurent_mz_class",
-    "laurent_preimage",
-    "laurent_to_json",
-    "normalize",
-    "oracle_decide_mz",
-    "padic_abs",
-    "padic_valuation",
-    "parse_rational",
-    "poly_from_json",
-    "poly_to_json",
-    "power_moment",
-    "radical_probe",
-    "radical_vminus1_membership",
-    "rational_roots",
-    "run_selftest",
-    "strong_radical_membership",
-    "to_moments",
-    "trace_radical_test",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys((
+        "DEFAULT_SEARCH_BOUND", "MomentRule", "PAdicCertificate",
+        "certify_exponential", "certify_unit_interval", "power_moment",
+    ), "certificates"),
+    **dict.fromkeys((
+        "DependentFunctionalsError", "DoesNotSplitError", "DomainError",
+        "SearchExhaustedError",
+    ), "errors"),
+    **dict.fromkeys((
+        "FunctionalNF", "MomentSeq", "dependency_relation", "evaluate", "from_moments",
+        "functional_from_json", "functional_to_json", "largest_ideal_exponents",
+        "to_moments",
+    ), "functionals"),
+    **dict.fromkeys((
+        "CorollaryReport", "ImDCertificate", "ObstructionReport", "TheoremReport",
+        "ZXPoly", "apply_d", "charp_theorem_check", "corollary_check", "imd_decide",
+        "j_ideal_witness",
+    ), "imagep"),
+    **dict.fromkeys((
+        "DEFAULT_MAX_ORACLE_ROOTS", "DEFAULT_MAX_SUBSET_ROOTS", "MZVerdict",
+        "RadicalProbeReport", "SubspaceSpec", "decide_mz", "normalize",
+        "oracle_decide_mz", "radical_probe", "strong_radical_membership",
+    ), "mzdecide"),
+    **dict.fromkeys((
+        "ConstCoeffOp", "GvcProbeReport", "MatrixQ", "MultiPolyQ", "TraceReport",
+        "gvc_probe", "laurent_apply_op", "laurent_image_membership", "laurent_mz_class",
+        "laurent_preimage", "radical_vminus1_membership", "trace_radical_test",
+    ), "probes"),
+    **dict.fromkeys((
+        "QuotientRing", "Residue", "all_idempotents", "crt_idempotents",
+        "idempotent_from_element",
+    ), "quotient"),
+    **dict.fromkeys((
+        "PADIC_INF", "PrimeFieldScalar", "format_rational", "is_prime", "padic_abs",
+        "padic_valuation", "parse_rational",
+    ), "scalars"),
+    "run_selftest": "selftest",
+    **dict.fromkeys((
+        "NEG_INF", "LaurentPoly", "Poly", "RootData", "apply_der_op", "apply_euler_op",
+        "extended_gcd", "laurent_from_json", "laurent_to_json", "poly_from_json",
+        "poly_to_json", "rational_roots",
+    ), "upoly"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # A relative import with a fromlist returns the submodule itself.
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value

@@ -11,7 +11,7 @@ that motivated the prime search.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -34,23 +34,23 @@ class MomentRule(enum.Enum):
         return Fraction(factorial(i))
 
 
-@dataclass(frozen=True)
-class PAdicCertificate:
+class PAdicCertificate(namedtuple("PAdicCertificate", "prime exponent valuation value")):
     """L(f^exponent) has the pinned valuation at the prime, hence is nonzero."""
 
-    prime: int
-    exponent: int
-    valuation: int
-    value: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value == 0:
+    def __new__(cls, prime: int, exponent: int, valuation: int, value: Fraction):
+        if value == 0:
             raise DomainError("certificate value must be nonzero")
-        actual = padic_valuation(self.value, self.prime)
-        if actual is PADIC_INF or actual != self.valuation:
-            raise DomainError(
-                f"claimed valuation {self.valuation} but value has {actual}"
-            )
+        actual = padic_valuation(value, prime)
+        if actual is PADIC_INF or actual != valuation:
+            raise DomainError(f"claimed valuation {valuation} but value has {actual}")
+        return super().__new__(cls, prime, exponent, valuation, value)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Route _make and _replace through the check in __new__."""
+        return cls(*iterable)
 
 
 def _require_rational(f: Poly):

@@ -1,8 +1,13 @@
 """Command line front end: JSON in, JSON out.
 
 Exit codes: 0 on success, 2 when the input is rejected (malformed JSON or a
-failed precondition), 1 on internal errors.  Output on stdout is
-byte-identical for identical inputs and seed; wall time goes to stderr.
+failed precondition), 1 on internal errors, and 141 (128 + SIGPIPE, with
+nothing on stderr) when stdout is closed before the report is written.
+Output on stdout is byte-identical for identical inputs and seed; wall time
+goes to stderr.
+
+Each handler imports the library modules it runs, so a call loads only
+those (and `mzspaces/__init__.py` imports nothing).
 """
 
 from __future__ import annotations
@@ -14,75 +19,51 @@ import os
 import sys
 import time
 
-from .certificates import certify_exponential, certify_unit_interval
 from .errors import DomainError
-from .functionals import (
-    FunctionalNF,
-    MomentSeq,
-    from_moments,
-    functional_from_json,
-    functional_to_json,
-    to_moments,
-)
-from .imagep import ImDCertificate, ObstructionReport, ZXPoly, charp_theorem_check, imd_decide
-from .mzdecide import (
-    DEFAULT_MAX_ORACLE_ROOTS,
-    DEFAULT_MAX_SUBSET_ROOTS,
-    SubspaceSpec,
-    decide_mz,
-    normalize,
-    oracle_decide_mz,
-)
-from .probes import (
-    ConstCoeffOp,
-    MatrixQ,
-    MultiPolyQ,
-    gvc_probe,
-    laurent_image_membership,
-    laurent_mz_class,
-    radical_vminus1_membership,
-    trace_radical_test,
-)
-from .quotient import QuotientRing, all_idempotents, crt_idempotents
-from .scalars import format_rational, parse_exponents, parse_rational
-from .selftest import run_selftest
-from .upoly import (
-    RootData,
-    laurent_from_json,
-    poly_from_json,
-    poly_to_json,
-    rational_roots,
-)
 
 MAX_ROOTS_ENV = "MZ_MAX_SUBSET_ROOTS"
 _IMAGEP_PRIMES = (2, 3, 5)
 _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
-# Work budgets of the probes, each chosen so that the capped case runs in
-# about a second on a 2-vCPU host: a dense 48x48 matrix with entries a/b,
-# |a|, b <= 9, takes 1.1 s in trace-test; m-max 40 takes 0.9 s for
-# p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
-# benchmark shape.
+# Work budgets of the probes and of moments, each chosen so that the capped
+# case runs in about a second on a 2-vCPU host: a dense 48x48 matrix with
+# entries a/b, |a|, b <= 9, takes 1.1 s in trace-test; m-max 40 takes 0.9 s
+# for p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
+# benchmark shape; --count 1500 takes 1.1 s on a degree-48 functional with
+# 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and 0.8 s with 8 roots of
+# multiplicity 6.
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
+_MOMENTS_MAX_COUNT = 1500
 
 
 def _load_json_arg(text: str, option: str):
     """Accept inline JSON (starts with { or [) or a file path; an unreadable
-    path is a domain error naming the option."""
+    path, or an integer too long for the interpreter to read, is a domain
+    error naming the option."""
     stripped = text.strip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
     try:
+        if stripped.startswith("{") or stripped.startswith("["):
+            return json.loads(stripped)
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"{option}: cannot read {text!r}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{option}: {text!r} is not UTF-8 text") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # the only other ValueError json raises
+        raise DomainError(
+            f"{option}: an integer exceeds {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's limit for string-to-integer conversion"
+        ) from exc
 
 
 def _roots_from_json(data) -> RootData:
+    from .scalars import parse_rational
+    from .upoly import RootData
+
     if not isinstance(data, list) or not data:
         raise DomainError("roots must be a nonempty array of [root, multiplicity] pairs")
     pairs = []
@@ -99,6 +80,9 @@ def _roots_from_json(data) -> RootData:
 
 
 def _spec_from_json(data) -> SubspaceSpec:
+    from .functionals import functional_from_json
+    from .mzdecide import SubspaceSpec
+
     if not isinstance(data, dict):
         raise DomainError("spec must be an object with functionals and roots")
     if "roots" not in data or "functionals" not in data:
@@ -111,10 +95,15 @@ def _spec_from_json(data) -> SubspaceSpec:
 
 
 def _roots_to_json(roots: RootData):
+    from .scalars import format_rational
+
     return [[format_rational(lam), mult] for lam, mult in roots]
 
 
 def _verdict_payload(spec: SubspaceSpec, verdict):
+    from .scalars import format_rational
+    from .upoly import poly_to_json
+
     payload = {"isMZ": verdict.is_mz}
     if not verdict.is_mz:
         payload["witnessSubset"] = [format_rational(lam) for lam in verdict.witness_subset]
@@ -125,6 +114,8 @@ def _verdict_payload(spec: SubspaceSpec, verdict):
 
 
 def _max_roots() -> int:
+    from .mzdecide import DEFAULT_MAX_SUBSET_ROOTS
+
     raw = os.environ.get(MAX_ROOTS_ENV)
     if raw is None:
         return DEFAULT_MAX_SUBSET_ROOTS
@@ -141,10 +132,14 @@ def _max_oracle_roots() -> int:
     """The oracle enumerates 2^r idempotents and tests each kernel one's
     deg f shifts against a per-spec moment table, so it keeps its own cap
     below the subset search's."""
+    from .mzdecide import DEFAULT_MAX_ORACLE_ROOTS
+
     return min(_max_roots(), DEFAULT_MAX_ORACLE_ROOTS)
 
 
 def _cmd_decide(args):
+    from .mzdecide import decide_mz, normalize, oracle_decide_mz
+
     data = _load_json_arg(args.spec, "--spec")
     spec = normalize(_spec_from_json(data))
     verdict = decide_mz(spec, max_roots=_max_roots())
@@ -156,12 +151,18 @@ def _cmd_decide(args):
 
 
 def _cmd_oracle(args):
+    from .mzdecide import normalize, oracle_decide_mz
+
     data = _load_json_arg(args.spec, "--spec")
     spec = normalize(_spec_from_json(data))
     return {"isMZ": oracle_decide_mz(spec, max_roots=_max_oracle_roots())}, data
 
 
 def _cmd_idempotents(args):
+    from .quotient import QuotientRing, all_idempotents, crt_idempotents
+    from .scalars import format_rational
+    from .upoly import poly_from_json, poly_to_json, rational_roots
+
     if (args.roots is None) == (args.modulus is None):
         raise DomainError("give exactly one of --roots or --modulus")
     if args.roots is not None:
@@ -182,6 +183,16 @@ def _cmd_idempotents(args):
 
 
 def _cmd_moments(args):
+    from .functionals import (
+        MomentSeq,
+        from_moments,
+        functional_from_json,
+        functional_to_json,
+        to_moments,
+    )
+    from .scalars import format_rational, parse_rational
+    from .upoly import poly_from_json, rational_roots
+
     data = _load_json_arg(args.input, "--input")
     if not isinstance(data, dict):
         raise DomainError("input must be an object")
@@ -192,6 +203,8 @@ def _cmd_moments(args):
             roots = rational_roots(poly_from_json(data["charPoly"]))
         else:
             raise DomainError("moment input needs roots or charPoly")
+        if not isinstance(data["values"], list):
+            raise DomainError("values must be an array of rationals")
         values = [parse_rational(v) for v in data["values"]]
         fn = from_moments(MomentSeq(values, roots.poly()), roots)
         payload = dict(functional_to_json(fn))
@@ -201,6 +214,8 @@ def _cmd_moments(args):
         if "roots" not in data:
             raise DomainError("functional input needs a roots array")
         roots = _roots_from_json(data["roots"])
+        if args.count is not None and args.count > _MOMENTS_MAX_COUNT:
+            raise DomainError(f"--count {args.count} exceeds the cap {_MOMENTS_MAX_COUNT}")
         fn = functional_from_json(data, roots)
         count = args.count if args.count is not None else roots.degree
         values = to_moments(fn, count)
@@ -209,6 +224,10 @@ def _cmd_moments(args):
 
 
 def _cmd_certify(args):
+    from .certificates import certify_exponential, certify_unit_interval
+    from .scalars import format_rational
+    from .upoly import poly_from_json
+
     data = _load_json_arg(args.poly, "--poly")
     f = poly_from_json(data)
     if args.rule == "unit":
@@ -226,6 +245,9 @@ def _cmd_certify(args):
 
 
 def _cmd_trace_test(args):
+    from .probes import MatrixQ, trace_radical_test
+    from .scalars import format_rational, parse_rational
+
     data = _load_json_arg(args.matrix, "--matrix")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise DomainError("matrix must be an array of rows, each an array of rationals")
@@ -244,6 +266,10 @@ def _cmd_trace_test(args):
 
 
 def _cmd_laurent(args):
+    from .probes import laurent_image_membership, laurent_mz_class, radical_vminus1_membership
+    from .scalars import format_rational, parse_rational
+    from .upoly import laurent_from_json
+
     lam = parse_rational(args.lam)
     payload = {"lambda": format_rational(lam), "mzClass": laurent_mz_class(lam)}
     inputs = {"lambda": args.lam}
@@ -257,6 +283,9 @@ def _cmd_laurent(args):
 
 
 def _multipoly_from_json(data, label: str) -> MultiPolyQ:
+    from .probes import MultiPolyQ
+    from .scalars import parse_exponents, parse_rational
+
     if not isinstance(data, list) or not data:
         raise DomainError(f"{label} must be a nonempty array of term objects")
     nvars = None
@@ -274,6 +303,8 @@ def _multipoly_from_json(data, label: str) -> MultiPolyQ:
 
 
 def _cmd_gvc_probe(args):
+    from .probes import ConstCoeffOp, gvc_probe
+
     op_data = _load_json_arg(args.op, "--op")
     p_data = _load_json_arg(args.p_poly, "--p-poly")
     q_data = _load_json_arg(args.q_poly, "--q-poly")
@@ -317,6 +348,8 @@ def _certificate_payload(certificate: ImDCertificate):
 
 
 def _cmd_imagep(args):
+    from .imagep import ImDCertificate, ZXPoly, charp_theorem_check, imd_decide
+
     data = _load_json_arg(args.input, "--input")
     if args.mode == "decide":
         b = ZXPoly.from_json(data, args.n, args.p, "--input")
@@ -349,6 +382,8 @@ def _cmd_imagep(args):
 
 
 def _cmd_selftest(args):
+    from .selftest import run_selftest
+
     passed, results = run_selftest(args.seed)
     payload = {"seed": args.seed, "passed": passed, "checks": results}
     return payload, {"seed": args.seed}
@@ -380,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="convert between functionals and moment values")
     p.add_argument("--input", required=True,
                    help="JSON with values+roots (to functional) or P0/parts+roots (to moments)")
-    p.add_argument("--count", type=int, help="number of moments to emit")
+    p.add_argument("--count", type=int,
+                   help=f"number of moments to emit, at most {_MOMENTS_MAX_COUNT}")
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("certify", help="p-adic non-radical certificate search")
@@ -428,6 +464,20 @@ def _digest(inputs) -> str:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again, and exit as if killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
@@ -458,7 +508,7 @@ def main(argv=None) -> int:
     report = dict(payload)
     report["command"] = args.command
     report["inputsDigest"] = _digest(inputs)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2), flush=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     if args.command == "selftest" and not payload["passed"]:

@@ -12,8 +12,7 @@ Termination is forced because the top x-degree strictly drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .errors import DomainError
 from .scalars import is_prime, parse_exponents
@@ -183,11 +182,10 @@ def apply_d(index: int, q: ZXPoly) -> ZXPoly:
     return q.partial_x(index) - q.shift_zeta(index)
 
 
-@dataclass(frozen=True)
-class ImDCertificate:
+class ImDCertificate(namedtuple("ImDCertificate", "preimages")):
     """Preimages q_1..q_n with sum_i (d/dx_i - zeta_i)(q_i) equal to the input."""
 
-    preimages: tuple
+    __slots__ = ()
 
     def reconstruct(self) -> ZXPoly:
         total = ZXPoly.zero(self.preimages[0].nvars, self.preimages[0].modulus)
@@ -196,14 +194,11 @@ class ImDCertificate:
         return total
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(namedtuple(
+        "ObstructionReport", "x_degree zeta_exps x_exps coefficient")):
     """A top-layer term with unit coefficient: proof of non-membership."""
 
-    x_degree: int
-    zeta_exps: tuple
-    x_exps: tuple
-    coefficient: int
+    __slots__ = ()
 
 
 def _accumulate(store, key, delta, modulus):
@@ -260,7 +255,7 @@ def imd_decide(b: ZXPoly, var_order=None):
     return certificate
 
 
-def j_ideal_witness(b: ZXPoly) -> Optional[ImDCertificate]:
+def j_ideal_witness(b: ZXPoly) -> ImDCertificate | None:
     """Direct certificate when every term carries some zeta exponent >= p,
     via the operator identity (d/dx_i - zeta_i)^p = -zeta_i^p.  Returns None
     (no claim) when some term has all zeta exponents below p."""
@@ -282,16 +277,14 @@ def j_ideal_witness(b: ZXPoly) -> Optional[ImDCertificate]:
     return certificate
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(namedtuple(
+        "CorollaryReport",
+        "power_member obstruction certificate coefficients_in_ideal counterexample_x_exps")):
     """p-th power membership forces every x-coefficient of f into the zeta
-    ideal; the check reports a counterexample if one ever appeared."""
+    ideal; the check reports a counterexample if one ever appeared.  The
+    fields other than power_member may be None."""
 
-    power_member: bool
-    obstruction: Optional[ObstructionReport]
-    certificate: Optional[ImDCertificate]
-    coefficients_in_ideal: Optional[bool]
-    counterexample_x_exps: Optional[tuple]
+    __slots__ = ()
 
 
 def _coefficients_in_ideal(f: ZXPoly):
@@ -323,16 +316,15 @@ def corollary_check(f: ZXPoly) -> CorollaryReport:
     )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(namedtuple(
+        "TheoremReport",
+        "hypothesis_holds obstruction hypothesis_certificate conclusion_holds "
+        "boundary_certificates")):
     """If f^p is in the image, then g f^m is for every m >= p^2; checked at
-    the boundary powers p^2 and p^2 + 1."""
+    the boundary powers p^2 and p^2 + 1.  The fields other than
+    hypothesis_holds may be None."""
 
-    hypothesis_holds: bool
-    obstruction: Optional[ObstructionReport]
-    hypothesis_certificate: Optional[ImDCertificate]
-    conclusion_holds: Optional[bool]
-    boundary_certificates: Optional[tuple]
+    __slots__ = ()
 
 
 def charp_theorem_check(f: ZXPoly, g: ZXPoly) -> TheoremReport:

@@ -34,9 +34,8 @@ factorisation can be singular and the moment matrix is used instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import Optional
 
 from .errors import DependentFunctionalsError, DomainError
 from .functionals import (
@@ -86,21 +85,21 @@ class SubspaceSpec:
                 f"normalized={self.normalized})")
 
 
-@dataclass(frozen=True)
-class MZVerdict:
-    is_mz: bool
-    witness_subset: Optional[tuple] = None
-    witness_idempotent: Optional[Poly] = None
-    witness_multiplier: Optional[Poly] = None
+class MZVerdict(namedtuple(
+        "MZVerdict", "is_mz witness_subset witness_idempotent witness_multiplier",
+        defaults=(None, None, None))):
+    """The verdict; a negative one carries the witness subset (a tuple of
+    roots), its idempotent and a multiplier that pushes it out of the kernel."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RadicalProbeReport:
+class RadicalProbeReport(namedtuple("RadicalProbeReport", "checked first_violation")):
     """Bounded evidence only: a violation disproves membership in the radical;
-    a clean run claims nothing beyond the checked powers."""
+    a clean run claims nothing beyond the checked powers.  first_violation is
+    None or the least violating power."""
 
-    checked: int
-    first_violation: Optional[int]
+    __slots__ = ()
 
     @property
     def no_violation(self) -> bool:

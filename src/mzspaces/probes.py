@@ -6,10 +6,9 @@ coefficient differential operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import perm
-from typing import Optional
 
 from .errors import DomainError
 from .scalars import clear_denominators
@@ -63,11 +62,11 @@ class MatrixQ:
         return f"MatrixQ({self.rows!r})"
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    in_radical: bool
-    traces: tuple
-    nilpotency_witness: Optional[int]
+class TraceReport(namedtuple("TraceReport", "in_radical traces nilpotency_witness")):
+    """traces is a tuple of Fractions; nilpotency_witness is the least
+    vanishing power, or None."""
+
+    __slots__ = ()
 
 
 def trace_radical_test(matrix: MatrixQ) -> TraceReport:
@@ -116,7 +115,7 @@ def laurent_image_membership(lam, g: LaurentPoly) -> bool:
     return g.coefficient(-int(lam) - 1) == 0
 
 
-def laurent_preimage(lam, g: LaurentPoly) -> Optional[LaurentPoly]:
+def laurent_preimage(lam, g: LaurentPoly) -> LaurentPoly | None:
     """A termwise preimage under the weighted derivation, or None exactly
     when membership fails."""
     lam = Fraction(lam)
@@ -280,12 +279,13 @@ class ConstCoeffOp:
         return f"ConstCoeffOp({self.symbol_poly!r})"
 
 
-@dataclass(frozen=True)
-class GvcProbeReport:
-    m_max: int
-    hypothesis_violations: tuple
-    conclusion_violations: tuple
-    conclusion_transition: Optional[int]
+class GvcProbeReport(namedtuple(
+        "GvcProbeReport",
+        "m_max hypothesis_violations conclusion_violations conclusion_transition")):
+    """The violations are tuples of powers m; conclusion_transition is an
+    int or None."""
+
+    __slots__ = ()
 
 
 def _integer_terms(poly: MultiPolyQ) -> dict:

@@ -8,6 +8,7 @@ valuation of 0 is the distinguished sentinel PADIC_INF, never an integer.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -97,6 +98,8 @@ def parse_rational(text) -> Fraction:
     """Parse a "num/den" (or plain integer) string; DomainError on garbage."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise DomainError(f"not a rational: the boolean {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     try:
@@ -125,8 +128,16 @@ def clear_denominators(values):
 
 
 def format_rational(value) -> str:
-    """Canonical "num/den" string; denominator 1 is dropped."""
-    return str(Fraction(value))
+    """Canonical "num/den" string; denominator 1 is dropped.  A numerator or
+    denominator longer than the interpreter's integer-to-string limit is a
+    DomainError; the limit is not raised."""
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise DomainError(
+            f"a result exceeds {sys.get_int_max_str_digits()} digits, the interpreter's "
+            "limit for integer-to-string conversion"
+        ) from exc
 
 
 def scalar_inverse(c):

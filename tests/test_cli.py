@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -141,6 +142,12 @@ def test_moments_from_functional(capsys):
 def test_moments_input_must_be_recognizable(capsys):
     code, out, _ = _run(capsys, ["moments", "--input", '{"nothing": 1}'])
     assert code == 2
+
+
+def test_moment_values_must_be_an_array(capsys):
+    code, out, _ = _run(capsys, ["moments", "--input", '{"values": 5, "roots": [["1", 1]]}'])
+    assert code == 2
+    assert out["error"]["message"] == "values must be an array of rationals"
 
 
 def test_certify_unit_interval(capsys):
@@ -432,8 +439,58 @@ def test_gvc_probe_m_max_cap(capsys):
 
 
 @pytest.mark.parametrize("command, text", [("trace-test", "at most 48"),
-                                           ("gvc-probe", "at most 40")])
+                                           ("gvc-probe", "at most 40"),
+                                           ("moments", "at most 1500")])
 def test_probe_caps_are_stated_in_help(capsys, command, text):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     assert text in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--rule", "unit", "--poly", "[true, 1]"],
+    ["gvc-probe", "--op", '[{"exps": [1, 1], "c": true}]',
+     "--p-poly", '[{"exps": [1, 0], "c": "1"}]', "--q-poly", '[{"exps": [1, 0], "c": "1"}]'],
+    ["moments", "--input", '{"values": ["1", false], "roots": [["1", 1], ["2", 1]]}'],
+])
+def test_boolean_rational_is_a_domain_error(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert "boolean" in out["error"]["message"]
+
+
+ONE_OVER_997 = '{"roots": [["1/997", 1]], "P0": [], "parts": {"1/997": ["1"]}}'
+
+
+def test_moments_count_cap(capsys):
+    code, out, _ = _run(capsys, ["moments", "--input", ONE_OVER_997, "--count", "1501"])
+    assert code == 2
+    assert out["error"]["message"] == "--count 1501 exceeds the cap 1500"
+
+
+def test_moments_beyond_the_digit_limit_is_a_domain_error(capsys):
+    # (1/997)^n has more than 4300 digits in its denominator from n = 1433 on.
+    code, out, _ = _run(capsys, ["moments", "--input", ONE_OVER_997, "--count", "1500"])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert f"exceeds {sys.get_int_max_str_digits()} digits" in out["error"]["message"]
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mzspaces", "selftest", "--seed", "7"],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_json_integer_beyond_the_digit_limit_is_a_domain_error(capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, _ = _run(capsys, ["certify", "--rule", "unit", "--poly", f"[{digits}, 1]"])
+    assert code == 2
+    assert out["error"]["message"].startswith("--poly: an integer exceeds")

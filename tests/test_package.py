@@ -1,0 +1,106 @@
+"""The lazy package namespace and the immutable result records."""
+
+from fractions import Fraction
+
+import pytest
+
+import mzspaces
+from mzspaces.certificates import PAdicCertificate
+from mzspaces.errors import DomainError
+from mzspaces.imagep import CorollaryReport, ImDCertificate, ObstructionReport, TheoremReport
+from mzspaces.mzdecide import MZVerdict, RadicalProbeReport
+from mzspaces.probes import GvcProbeReport, TraceReport
+from mzspaces.upoly import Poly
+
+
+def test_every_exported_name_resolves():
+    for name in mzspaces.__all__:
+        value = getattr(mzspaces, name)
+        assert value is not None
+        assert name in vars(mzspaces)  # cached after the first access
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from mzspaces import *", namespace)
+    assert set(mzspaces.__all__) <= set(namespace)
+    assert namespace["decide_mz"] is mzspaces.mzdecide.decide_mz
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mzspaces.no_such_name
+    with pytest.raises(ImportError):
+        exec("from mzspaces import no_such_name", {})
+
+
+# (record, its repr, the same record with one field changed)
+RECORDS = [
+    (PAdicCertificate(prime=3, exponent=2, valuation=-1, value=Fraction(1, 12)),
+     "PAdicCertificate(prime=3, exponent=2, valuation=-1, value=Fraction(1, 12))",
+     PAdicCertificate(prime=3, exponent=2, valuation=-1, value=Fraction(5, 12))),
+    (MZVerdict(is_mz=True),
+     "MZVerdict(is_mz=True, witness_subset=None, witness_idempotent=None, "
+     "witness_multiplier=None)",
+     MZVerdict(False, (Fraction(1), Fraction(-1)), Poly((1,)), Poly((0, 1)))),
+    (RadicalProbeReport(checked=4, first_violation=None),
+     "RadicalProbeReport(checked=4, first_violation=None)",
+     RadicalProbeReport(checked=4, first_violation=2)),
+    (TraceReport(in_radical=True, traces=(Fraction(0), Fraction(0)), nilpotency_witness=2),
+     "TraceReport(in_radical=True, traces=(Fraction(0, 1), Fraction(0, 1)), "
+     "nilpotency_witness=2)",
+     TraceReport(in_radical=True, traces=(Fraction(0),), nilpotency_witness=1)),
+    (GvcProbeReport(m_max=10, hypothesis_violations=(), conclusion_violations=(1,),
+                    conclusion_transition=2),
+     "GvcProbeReport(m_max=10, hypothesis_violations=(), conclusion_violations=(1,), "
+     "conclusion_transition=2)",
+     GvcProbeReport(m_max=10, hypothesis_violations=(), conclusion_violations=(),
+                    conclusion_transition=None)),
+    (ImDCertificate(preimages=()), "ImDCertificate(preimages=())",
+     ImDCertificate(preimages=(None,))),
+    (ObstructionReport(x_degree=1, zeta_exps=(0,), x_exps=(1,), coefficient=1),
+     "ObstructionReport(x_degree=1, zeta_exps=(0,), x_exps=(1,), coefficient=1)",
+     ObstructionReport(x_degree=1, zeta_exps=(0,), x_exps=(1,), coefficient=2)),
+    (CorollaryReport(power_member=False, obstruction=None, certificate=None,
+                     coefficients_in_ideal=None, counterexample_x_exps=None),
+     "CorollaryReport(power_member=False, obstruction=None, certificate=None, "
+     "coefficients_in_ideal=None, counterexample_x_exps=None)",
+     CorollaryReport(power_member=True, obstruction=None, certificate=None,
+                     coefficients_in_ideal=True, counterexample_x_exps=None)),
+    (TheoremReport(hypothesis_holds=True, obstruction=None, hypothesis_certificate=None,
+                   conclusion_holds=True, boundary_certificates=()),
+     "TheoremReport(hypothesis_holds=True, obstruction=None, hypothesis_certificate=None, "
+     "conclusion_holds=True, boundary_certificates=())",
+     TheoremReport(hypothesis_holds=True, obstruction=None, hypothesis_certificate=None,
+                   conclusion_holds=False, boundary_certificates=())),
+]
+
+
+@pytest.mark.parametrize("record, text, other", RECORDS,
+                         ids=[type(record).__name__ for record, _, _ in RECORDS])
+def test_record_repr_equality_hash_and_immutability(record, text, other):
+    assert repr(record) == text
+    copy = type(record)(*record)
+    assert copy == record and not copy != record
+    assert hash(copy) == hash(record)
+    assert other != record
+    first = type(record)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
+
+
+def test_record_defaults_and_properties():
+    verdict = MZVerdict(False)
+    assert (verdict.witness_subset, verdict.witness_idempotent) == (None, None)
+    assert RadicalProbeReport(checked=3, first_violation=None).no_violation
+    assert not RadicalProbeReport(checked=3, first_violation=1).no_violation
+
+
+def test_certificate_replace_keeps_the_valuation_check():
+    cert = PAdicCertificate(prime=3, exponent=1, valuation=-1, value=Fraction(11, 6))
+    with pytest.raises(DomainError):
+        cert._replace(valuation=-2)
+    assert cert._replace(exponent=2).exponent == 2
