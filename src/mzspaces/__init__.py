@@ -40,8 +40,7 @@ _EXPORTS = {
         "laurent_preimage", "radical_vminus1_membership", "trace_radical_test",
     ), "probes"),
     **dict.fromkeys((
-        "QuotientRing", "Residue", "all_idempotents", "crt_idempotents",
-        "idempotent_from_element",
+        "all_idempotents", "crt_idempotents", "idempotent_from_element",
     ), "quotient"),
     **dict.fromkeys((
         "PADIC_INF", "PrimeFieldScalar", "format_rational", "is_prime", "padic_abs",

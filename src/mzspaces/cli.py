@@ -31,10 +31,12 @@ _IMAGEP_MAX_DEGREE = 24
 # for p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
 # benchmark shape; --count 1500 takes 1.1 s on a degree-48 functional with
 # 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and 0.8 s with 8 roots of
-# multiplicity 6.
+# multiplicity 6.  `idempotents --all` prints 2^r polynomials; at r = 12
+# that is 0.95 s and 1.1 MB, and each further root doubles both.
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
 _MOMENTS_MAX_COUNT = 1500
+_IDEMPOTENTS_MAX_ROOTS = 12
 
 
 def _load_json_arg(text: str, option: str):
@@ -159,7 +161,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_idempotents(args):
-    from .quotient import QuotientRing, all_idempotents, crt_idempotents
+    from .quotient import all_idempotents, crt_idempotents
     from .scalars import format_rational
     from .upoly import poly_from_json, poly_to_json, rational_roots
 
@@ -171,14 +173,17 @@ def _cmd_idempotents(args):
     else:
         data = _load_json_arg(args.modulus, "--modulus")
         roots = rational_roots(poly_from_json(data))
-    ring = QuotientRing(roots)
-    base = crt_idempotents(ring)
+    if args.all and len(roots) > _IDEMPOTENTS_MAX_ROOTS:
+        raise DomainError(
+            f"--all with {len(roots)} roots exceeds the cap {_IDEMPOTENTS_MAX_ROOTS}"
+        )
+    base = crt_idempotents(roots)
     payload = {
         "roots": _roots_to_json(roots),
-        "idempotents": {format_rational(lam): poly_to_json(e.rep) for lam, e in base.items()},
+        "idempotents": {format_rational(lam): poly_to_json(e) for lam, e in base.items()},
     }
     if args.all:
-        payload["allIdempotents"] = [poly_to_json(e.rep) for e in all_idempotents(ring)]
+        payload["allIdempotents"] = [poly_to_json(e) for e in all_idempotents(roots)]
     return payload, data
 
 
@@ -409,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("idempotents", help="orthogonal idempotents of k[t]/(f)")
     p.add_argument("--roots", help="roots JSON: [[root, multiplicity], ...]")
     p.add_argument("--modulus", help="polynomial JSON; must split over Q")
-    p.add_argument("--all", action="store_true", help="include all subset sums")
+    p.add_argument("--all", action="store_true",
+                   help=f"include all 2^r subset sums, for at most {_IDEMPOTENTS_MAX_ROOTS} roots")
     p.set_defaults(handler=_cmd_idempotents)
 
     p = sub.add_parser("moments", help="convert between functionals and moment values")

@@ -198,14 +198,10 @@ def largest_ideal_exponents(functionals):
     return out
 
 
-def moment_matrix(functionals, count: int):
-    """Rows of L_i(t^j) for j < count; the rank witness for independence."""
-    return [list(to_moments(fn, count)) for fn in functionals]
-
-
 def dependency_relation(functionals, count: int):
-    """Coefficients of a vanishing combination of the functionals, or None."""
-    return left_dependency(moment_matrix(functionals, count))
+    """Coefficients of a vanishing combination of the functionals, or None:
+    a left dependency of the moment rows L_i(t^j), j < count."""
+    return left_dependency([list(to_moments(fn, count)) for fn in functionals])
 
 
 def functional_to_json(fn: FunctionalNF):

@@ -35,7 +35,6 @@ factorisation can be singular and the moment matrix is used instead.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
 
 from .errors import DependentFunctionalsError, DomainError
 from .functionals import (
@@ -45,7 +44,7 @@ from .functionals import (
     to_moments,
 )
 from .linalg import left_dependency
-from .quotient import QuotientRing, crt_idempotents, subset_idempotent
+from .quotient import all_idempotents, subset_idempotent
 from .scalars import PrimeFieldScalar
 from .upoly import Poly, RootData
 
@@ -250,22 +249,15 @@ def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROO
     ideal inside the kernel."""
     _require_normalized(spec)
     _require_char_zero(spec)
-    roots = spec.roots.roots
-    if len(roots) > max_roots:
+    if len(spec.roots) > max_roots:
         raise DomainError(
-            f"{len(roots)} roots exceed the oracle enumeration cap {max_roots}"
+            f"{len(spec.roots)} roots exceed the oracle enumeration cap {max_roots}"
         )
-    ring = QuotientRing(spec.roots)
-    base = crt_idempotents(ring)
-    modulus = ring.modulus
+    modulus = spec.roots.poly()
     tables = _moment_tables(spec)
-    for size in range(len(roots) + 1):
-        for combo in combinations(range(len(roots)), size):
-            e = Poly()
-            for i in combo:
-                e = e + base[roots[i]].rep
-            if _in_kernel(tables, e) and _first_escaping_shift(tables, e, modulus) is not None:
-                return False
+    for e in all_idempotents(spec.roots):
+        if _in_kernel(tables, e) and _first_escaping_shift(tables, e, modulus) is not None:
+            return False
     return True
 
 

@@ -1,6 +1,7 @@
-"""Quotient rings k[t]/(f) for split moduli f, and their idempotents.
+"""Idempotents of k[t]/(f) for split moduli f.
 
-The modulus is always reconstructed from root data, so f = prod (t - root)^mult
+Elements of the quotient are plain polynomials of degree below deg f.  The
+modulus is always reconstructed from root data, so f = prod (t - root)^mult
 holds exactly by construction.
 """
 
@@ -11,109 +12,6 @@ from itertools import combinations
 from .errors import DomainError
 from .scalars import scalar_inverse
 from .upoly import Poly, RootData, extended_gcd
-
-
-class QuotientRing:
-    __slots__ = ("roots", "modulus")
-
-    def __init__(self, roots: RootData):
-        self.roots = roots
-        self.modulus = roots.poly()
-
-    @property
-    def dimension(self) -> int:
-        return self.roots.degree
-
-    def residue(self, poly: Poly) -> "Residue":
-        return Residue(self, poly)
-
-    def constant(self, scalar) -> "Residue":
-        return Residue(self, Poly((scalar,)))
-
-    @property
-    def zero(self) -> "Residue":
-        return Residue(self, Poly())
-
-    @property
-    def one(self) -> "Residue":
-        return Residue(self, Poly((1,)))
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientRing):
-            return NotImplemented
-        return self.roots == other.roots
-
-    def __repr__(self):
-        return f"QuotientRing({self.roots!r})"
-
-
-class Residue:
-    """Class of a polynomial mod the ring modulus; rep kept reduced."""
-
-    __slots__ = ("ring", "rep")
-
-    def __init__(self, ring: QuotientRing, poly: Poly):
-        self.ring = ring
-        self.rep = poly % ring.modulus
-
-    def _coerce(self, other):
-        if isinstance(other, Residue):
-            if other.ring != self.ring:
-                raise DomainError("residues from different rings")
-            return other
-        if isinstance(other, Poly):
-            return Residue(self.ring, other)
-        return Residue(self.ring, Poly((other,)))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Residue(self.ring, self.rep + other.rep)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Residue(self.ring, self.rep - other.rep)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return Residue(self.ring, -self.rep)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Residue(self.ring, self.rep * other.rep)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise DomainError("residue powers must be >= 0")
-        out = self.ring.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    def __eq__(self, other):
-        if isinstance(other, (Residue, Poly, int)):
-            other = self._coerce(other)
-            return self.ring == other.ring and self.rep == other.rep
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.roots, self.rep))
-
-    def __repr__(self):
-        return f"Residue({self.rep!r})"
 
 
 def _divide_by_root(coeffs, lam):
@@ -160,11 +58,11 @@ def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
     return inverse * Poly(cofactor)
 
 
-def crt_idempotents(ring: QuotientRing):
+def crt_idempotents(roots: RootData):
     """The orthogonal idempotent for each root: 1 at that root's factor, 0 at
-    the others.  Returned as a root -> Residue map in root order."""
-    f = ring.modulus
-    return {lam: ring.residue(root_idempotent(f, lam, mult)) for lam, mult in ring.roots}
+    the others.  Returned as a root -> Poly map in root order."""
+    f = roots.poly()
+    return {lam: root_idempotent(f, lam, mult) for lam, mult in roots}
 
 
 def subset_idempotent(roots: RootData, subset) -> Poly:
@@ -182,34 +80,28 @@ def subset_idempotent(roots: RootData, subset) -> Poly:
     return total
 
 
-def all_idempotents(ring: QuotientRing):
-    """All 2^(number of roots) idempotents: subset sums of the root
-    idempotents, in increasing-size then lexicographic-by-root order."""
-    base = crt_idempotents(ring)
-    roots = ring.roots.roots
-    out = []
-    for size in range(len(roots) + 1):
-        for combo in combinations(range(len(roots)), size):
-            total = ring.zero
-            for i in combo:
-                total = total + base[roots[i]]
-            out.append(total)
-    return out
+def all_idempotents(roots: RootData):
+    """All 2^(number of roots) idempotents, generated as subset sums of the
+    root idempotents in increasing-size then lexicographic-by-root order."""
+    base = list(crt_idempotents(roots).values())
+    for size in range(len(base) + 1):
+        for combo in combinations(base, size):
+            yield sum(combo, Poly())
 
 
-def poly_at_residue(p: Poly, a: Residue) -> Residue:
-    """Substitute a residue for the variable of p."""
-    acc = a.ring.zero
+def _at(p: Poly, a: Poly, f: Poly) -> Poly:
+    """p(a) mod f, by Horner's rule."""
+    acc = Poly()
     for c in reversed(p.coeffs):
-        acc = acc * a + c
+        acc = (acc * a + Poly((c,))) % f
     return acc
 
 
-def idempotent_from_element(ring: QuotientRing, element: Residue, annihilator: Poly,
-                            min_power: int) -> Residue:
-    """An idempotent e that is a power-combination of the element with
-    exponents >= min_power and satisfies element**n * e = element**n for the
-    construction's n.
+def idempotent_from_element(roots: RootData, element: Poly, annihilator: Poly,
+                            min_power: int) -> Poly:
+    """An idempotent e of k[t]/(f) that is a power-combination of the element
+    with exponents >= min_power and satisfies element**n * e = element**n
+    mod f for the construction's n.
 
     The annihilator must be a nonzero polynomial vanishing at the element.
     """
@@ -217,18 +109,17 @@ def idempotent_from_element(ring: QuotientRing, element: Residue, annihilator: P
         raise DomainError("annihilator polynomial must be nonzero")
     if min_power < 1:
         raise DomainError("min_power must be >= 1")
-    if element.ring != ring:
-        raise DomainError("element does not live in the given ring")
-    if not poly_at_residue(annihilator, element).is_zero:
+    f = roots.poly()
+    if not _at(annihilator, element, f).is_zero:
         raise DomainError("annihilator does not vanish at the element")
     shifted = annihilator * Poly.monomial(min_power)
     n = shifted.low_order
     tail = Poly(shifted.coeffs[n:])
-    u, v, g = extended_gcd(Poly.monomial(n), tail)
+    u, _, g = extended_gcd(Poly.monomial(n), tail)
     if g != Poly((1,)):
         raise AssertionError("t^n and the unit-at-0 tail are coprime")
-    e_poly = Poly.monomial(n) * u
-    e = poly_at_residue(e_poly, element)
-    if e * e != e or (element**n) * e != element**n:
+    e = _at(Poly.monomial(n) * u, element, f)
+    power = _at(Poly.monomial(n), element, f)
+    if (e * e) % f != e or (power * e) % f != power:
         raise AssertionError("idempotent construction identities failed")
     return e

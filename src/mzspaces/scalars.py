@@ -94,6 +94,20 @@ def padic_abs(value, p: int) -> Fraction:
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
+_ECHO_LIMIT = 40
+
+
+def _shown(value) -> str:
+    """repr(value) for a rejection message, or only its type and length once
+    that is longer than _ECHO_LIMIT, so an error never repeats a huge input."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    if isinstance(value, str):
+        return f"a {len(value)}-character string"
+    return f"a {type(value).__name__} {len(text)} characters long"
+
+
 def parse_rational(text) -> Fraction:
     """Parse a "num/den" (or plain integer) string; DomainError on garbage."""
     if isinstance(text, Fraction):
@@ -105,7 +119,7 @@ def parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational: {text!r}") from exc
+        raise DomainError(f"not a rational: {_shown(text)}") from exc
 
 
 def parse_exponents(value, where: str) -> tuple:

@@ -439,15 +439,20 @@ def laurent_to_json(p: LaurentPoly):
 
 
 def laurent_from_json(data) -> LaurentPoly:
-    from .scalars import parse_rational
+    """Keys are exponents written as ASCII -?[0-9]+; int() alone would also
+    take "1_0" or " -2 "."""
+    from .scalars import _shown, parse_rational
 
     if not isinstance(data, dict):
         raise DomainError("Laurent JSON must map exponent strings to rationals")
     out = {}
     for key, c in data.items():
+        digits = key[1:] if key.startswith("-") else key
+        if not (digits.isascii() and digits.isdigit()):
+            raise DomainError(f"bad Laurent exponent {_shown(key)}: not an integer -?[0-9]+")
         try:
             exp = int(key)
-        except ValueError as exc:
-            raise DomainError(f"bad Laurent exponent {key!r}") from exc
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise DomainError(f"bad Laurent exponent {_shown(key)}: too many digits") from exc
         out[exp] = parse_rational(c)
     return LaurentPoly(out)

@@ -111,6 +111,25 @@ def test_idempotents_nonsplit_modulus_rejected(capsys):
     assert "split" in out["error"]["message"]
 
 
+def _simple_roots(count):
+    return json.dumps([[str(i), 1] for i in range(count)])
+
+
+def test_idempotents_all_cap(capsys, monkeypatch):
+    code, out, _ = _run(capsys, ["idempotents", "--roots", _simple_roots(12), "--all"])
+    assert code == 0
+    assert len(out["allIdempotents"]) == 2 ** 12
+
+    def never(*_args):
+        raise AssertionError("the cap must be checked before any enumeration")
+
+    monkeypatch.setattr("mzspaces.quotient.crt_idempotents", never)
+    monkeypatch.setattr("mzspaces.quotient.all_idempotents", never)
+    code, out, _ = _run(capsys, ["idempotents", "--roots", _simple_roots(13), "--all"])
+    assert code == 2
+    assert out["error"]["message"] == "--all with 13 roots exceeds the cap 12"
+
+
 def test_idempotents_needs_exactly_one_source(capsys):
     code, out, _ = _run(capsys, ["idempotents"])
     assert code == 2
@@ -440,7 +459,8 @@ def test_gvc_probe_m_max_cap(capsys):
 
 @pytest.mark.parametrize("command, text", [("trace-test", "at most 48"),
                                            ("gvc-probe", "at most 40"),
-                                           ("moments", "at most 1500")])
+                                           ("moments", "at most 1500"),
+                                           ("idempotents", "at most 12 roots")])
 def test_probe_caps_are_stated_in_help(capsys, command, text):
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -461,6 +481,25 @@ def test_boolean_rational_is_a_domain_error(capsys, argv):
 
 
 ONE_OVER_997 = '{"roots": [["1/997", 1]], "P0": [], "parts": {"1/997": ["1"]}}'
+
+
+def test_oversized_rational_error_names_only_its_length(capsys):
+    digits = "9" * 5000
+    for lam in (digits, digits + "/0", "x" * 5000):
+        code, out, _ = _run(capsys, ["laurent", "--lam", lam])
+        assert code == 2
+        assert out["error"]["message"] == f"not a rational: a {len(lam)}-character string"
+        assert len(json.dumps(out, indent=2)) < 200
+    code, out, _ = _run(capsys, ["laurent", "--lam", "1/0"])
+    assert out["error"]["message"] == "not a rational: '1/0'"
+
+
+@pytest.mark.parametrize("key", ["1_0", " -2 "])
+def test_laurent_exponent_keys_must_be_plain_integers(capsys, key):
+    code, out, _ = _run(capsys, ["laurent", "--lam", "1", "--poly", json.dumps({key: "1"})])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith(f"bad Laurent exponent {key!r}")
 
 
 def test_moments_count_cap(capsys):

@@ -16,7 +16,7 @@ from mzspaces.errors import DomainError
 from mzspaces.functionals import FunctionalNF, MomentSeq, evaluate, from_moments, to_moments
 from mzspaces.linalg import solve_linear_system
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
-from mzspaces.quotient import QuotientRing, crt_idempotents, subset_idempotent
+from mzspaces.quotient import crt_idempotents, subset_idempotent
 from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.selftest import evaluate_by_operators
 from mzspaces.upoly import Poly, RootData, extended_gcd
@@ -148,11 +148,10 @@ def _egcd_idempotent(f, lam, mult):
 
 
 def _check_idempotents(roots):
-    ring = QuotientRing(roots)
-    idem = crt_idempotents(ring)
+    idem = crt_idempotents(roots)
     assert list(idem) == list(roots.roots)
     for lam, mult in roots:
-        assert idem[lam].rep == _egcd_idempotent(ring.modulus, lam, mult)
+        assert idem[lam] == _egcd_idempotent(roots.poly(), lam, mult)
 
 
 @SETTINGS
@@ -176,8 +175,8 @@ def test_crt_idempotents_match_extended_gcd_on_f5_pair():
 @given(root_data(max_roots=6), st.data())
 def test_subset_idempotent_is_the_sum_over_the_subset(roots, data):
     subset = data.draw(st.lists(st.sampled_from(roots.roots), unique=True))
-    idem = crt_idempotents(QuotientRing(roots))
-    assert subset_idempotent(roots, subset) == sum((idem[lam].rep for lam in subset), Poly())
+    idem = crt_idempotents(roots)
+    assert subset_idempotent(roots, subset) == sum((idem[lam] for lam in subset), Poly())
 
 
 # --- the oracle and the witness multiplier against the shift loop ---------
@@ -230,7 +229,7 @@ def test_witness_multiplier_matches_shift_loop(spec):
     verdict = decide_mz(spec)
     if verdict.is_mz:
         return
-    idem = crt_idempotents(QuotientRing(spec.roots))
-    g = sum((idem[lam].rep for lam in verdict.witness_subset), Poly())
+    idem = crt_idempotents(spec.roots)
+    g = sum((idem[lam] for lam in verdict.witness_subset), Poly())
     assert verdict.witness_idempotent == g
     assert verdict.witness_multiplier == Poly.monomial(_shift_loop_escape(spec, g))

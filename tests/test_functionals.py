@@ -16,7 +16,7 @@ from mzspaces.functionals import (
     largest_ideal_exponents,
     to_moments,
 )
-from mzspaces.quotient import QuotientRing, crt_idempotents
+from mzspaces.quotient import crt_idempotents
 from mzspaces.selftest import random_functional, random_root_data
 from mzspaces.upoly import Poly, RootData
 
@@ -87,16 +87,15 @@ def test_functional_kills_multiples_of_char_poly():
 def test_value_on_crt_idempotent_is_constant_term():
     # L(g_lam) recovers P_lam(0) for every root, including 0.
     roots = _roots((0, 2), (1, 1), (-1, 1))
-    ring = QuotientRing(roots)
-    idem = crt_idempotents(ring)
+    idem = crt_idempotents(roots)
     fn = FunctionalNF(
         roots,
         zero_part=Poly([Fraction(5, 3), 1]),
         parts={Fraction(1): Poly([-2]), Fraction(-1): Poly([Fraction(7, 2)])},
     )
-    assert evaluate(fn, idem[Fraction(0)].rep) == Fraction(5, 3)
-    assert evaluate(fn, idem[Fraction(1)].rep) == -2
-    assert evaluate(fn, idem[Fraction(-1)].rep) == Fraction(7, 2)
+    assert evaluate(fn, idem[Fraction(0)]) == Fraction(5, 3)
+    assert evaluate(fn, idem[Fraction(1)]) == -2
+    assert evaluate(fn, idem[Fraction(-1)]) == Fraction(7, 2)
 
 
 def test_from_moments_frozen_symmetric_pair():

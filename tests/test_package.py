@@ -1,6 +1,10 @@
-"""The lazy package namespace and the immutable result records."""
+"""The lazy package namespace, the immutable result records, and the library
+names the benchmark tracer rebinds."""
 
+import importlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +108,22 @@ def test_certificate_replace_keeps_the_valuation_check():
     with pytest.raises(DomainError):
         cert._replace(valuation=-2)
     assert cert._replace(exponent=2).exponent == 2
+
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no bench/ in this checkout")
+def test_every_traced_name_resolves():
+    # The benchmark's tracer rebinds these names; a rename or deletion in the
+    # library should fail here rather than in a benchmark run.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.TRACED:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), (module_name, attr)
+        else:
+            assert callable(getattr(module, attr, None)), (module_name, attr)

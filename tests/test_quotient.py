@@ -5,50 +5,45 @@ import pytest
 
 from mzspaces.errors import DomainError
 from mzspaces.quotient import (
-    QuotientRing,
+    _at,
     all_idempotents,
     crt_idempotents,
     idempotent_from_element,
-    poly_at_residue,
     subset_idempotent,
 )
 from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.upoly import Poly, RootData
 
 
-def _ring(*pairs):
-    return QuotientRing(RootData([(Fraction(a), m) for a, m in pairs]))
+def _roots(*pairs):
+    return RootData([(Fraction(a), m) for a, m in pairs])
 
 
 def test_crt_idempotents_frozen_two_simple_roots():
     # Modulus t(t-1): the idempotents are 1-t at 0 and t at 1.
-    ring = _ring((0, 1), (1, 1))
-    idem = crt_idempotents(ring)
-    assert idem[Fraction(0)].rep == Poly([1, -1])
-    assert idem[Fraction(1)].rep == Poly([0, 1])
+    idem = crt_idempotents(_roots((0, 1), (1, 1)))
+    assert idem[Fraction(0)] == Poly([1, -1])
+    assert idem[Fraction(1)] == Poly([0, 1])
 
 
 def test_crt_idempotents_frozen_single_root():
     # One primary component: the only idempotent is 1.
-    ring = _ring((2, 3))
-    idem = crt_idempotents(ring)
-    assert idem[Fraction(2)].rep == Poly([1])
+    idem = crt_idempotents(_roots((2, 3)))
+    assert idem[Fraction(2)] == Poly([1])
 
 
 def test_crt_idempotents_frozen_double_root():
     # Modulus t^2(t-1): 1-t^2 at the double root 0, t^2 at 1.
-    ring = _ring((0, 2), (1, 1))
-    idem = crt_idempotents(ring)
-    assert idem[Fraction(0)].rep == Poly([1, 0, -1])
-    assert idem[Fraction(1)].rep == Poly([0, 0, 1])
+    idem = crt_idempotents(_roots((0, 2), (1, 1)))
+    assert idem[Fraction(0)] == Poly([1, 0, -1])
+    assert idem[Fraction(1)] == Poly([0, 0, 1])
 
 
 def test_crt_idempotents_frozen_symmetric_pair():
     # Modulus t^2-1: (1+t)/2 at 1 and (1-t)/2 at -1.
-    ring = _ring((1, 1), (-1, 1))
-    idem = crt_idempotents(ring)
-    assert idem[Fraction(1)].rep == Poly([Fraction(1, 2), Fraction(1, 2)])
-    assert idem[Fraction(-1)].rep == Poly([Fraction(1, 2), Fraction(-1, 2)])
+    idem = crt_idempotents(_roots((1, 1), (-1, 1)))
+    assert idem[Fraction(1)] == Poly([Fraction(1, 2), Fraction(1, 2)])
+    assert idem[Fraction(-1)] == Poly([Fraction(1, 2), Fraction(-1, 2)])
 
 
 def test_subset_idempotent_small_and_complement_sized():
@@ -56,12 +51,12 @@ def test_subset_idempotent_small_and_complement_sized():
     # and five roots go through 1 minus the complement's sum.
     roots = RootData([(Fraction(0), 2), (Fraction(1), 1), (Fraction(-1), 3),
                       (Fraction(2), 1), (Fraction(1, 2), 2)])
-    idem = crt_idempotents(QuotientRing(roots))
+    idem = crt_idempotents(roots)
     lams = roots.roots
     for subset in (lams[1:2], lams[:3:2], lams[1:], lams):
         expected = Poly()
         for lam in subset:
-            expected = expected + idem[lam].rep
+            expected = expected + idem[lam]
         assert subset_idempotent(roots, subset) == expected
     assert subset_idempotent(roots, lams) == Poly([1])
 
@@ -78,82 +73,76 @@ def _random_root_data(rng, max_roots=3, max_mult=3):
 def test_crt_idempotent_laws_random():
     rng = random.Random(61803)
     for _ in range(100):
-        ring = QuotientRing(_random_root_data(rng))
-        idem = crt_idempotents(ring)
+        roots = _random_root_data(rng)
+        f = roots.poly()
+        idem = crt_idempotents(roots)
+        assert list(idem) == list(roots.roots)
         items = list(idem.items())
-        total = ring.zero
+        total = Poly()
         for lam, e in items:
-            assert e * e == e
+            assert e.degree < f.degree
+            assert (e * e) % f == e
             total = total + e
             # g_lam acts as 1 at lam: it is 1 + (t-lam)-multiple of high order.
-            shifted = e.rep(lam)
-            assert shifted == 1
-        assert total == ring.one
+            assert e(lam) == 1
+        assert total == Poly([1])
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                assert (items[i][1] * items[j][1]).is_zero
+                assert ((items[i][1] * items[j][1]) % f).is_zero
 
 
 def test_all_idempotents_counts_and_laws():
     rng = random.Random(271828)
     for _ in range(25):
-        ring = QuotientRing(_random_root_data(rng))
-        every = all_idempotents(ring)
-        count = len(ring.roots)
+        roots = _random_root_data(rng)
+        f = roots.poly()
+        every = list(all_idempotents(roots))
+        count = len(roots)
         assert len(every) == 2 ** count
         seen = set()
         for e in every:
-            assert e * e == e
-            seen.add(e.rep.coeffs)
+            assert (e * e) % f == e
+            seen.add(e.coeffs)
         assert len(seen) == 2 ** count
         assert every[0].is_zero
-        assert every[-1] == ring.one
+        assert every[-1] == Poly([1])
+        # Size-then-lexicographic order: the root idempotents follow zero.
+        assert every[1:count + 1] == list(crt_idempotents(roots).values())
 
 
-def test_residue_reduction_and_arithmetic():
-    ring = _ring((0, 1), (1, 1))  # modulus t^2 - t
-    t = Poly.variable()
-    a = ring.residue(t ** 5)
-    assert a.rep == Poly([0, 1])  # t^5 = t mod t^2-t
-    assert (a * a).rep == a.rep
-    b = ring.residue(t + Poly([3]))
-    assert (a + b).rep == Poly([3, 2])
-    assert (b ** 2).rep == ring.residue((t + Poly([3])) ** 2).rep
-
-
-def test_poly_at_residue_is_evaluation_homomorphism():
+def test_horner_mod_f_is_evaluation_homomorphism():
     rng = random.Random(1414)
-    ring = _ring((0, 2), (3, 1))
+    f = _roots((0, 2), (3, 1)).poly()
     t = Poly.variable()
     for _ in range(40):
         p = Poly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))])
         q = Poly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))])
-        a = ring.residue(t ** rng.randint(0, 2) + Poly([rng.randint(-2, 2)]))
-        assert poly_at_residue(p * q, a) == poly_at_residue(p, a) * poly_at_residue(q, a)
-        assert poly_at_residue(p + q, a) == poly_at_residue(p, a) + poly_at_residue(q, a)
+        a = t ** rng.randint(0, 2) + Poly([rng.randint(-2, 2)])
+        assert _at(p * q, a, f) == (_at(p, a, f) * _at(q, a, f)) % f
+        assert _at(p + q, a, f) == _at(p, a, f) + _at(q, a, f)
+        direct = sum(((a ** i).scale(c) for i, c in enumerate(p.coeffs)), Poly())
+        assert _at(p, a, f) == direct % f
 
 
 def test_idempotent_from_element_frozen_traces():
     # a = class of t in Q[t]/(t^2 - t), annihilated by q = t^2 - t.
-    ring = _ring((0, 1), (1, 1))
+    roots = _roots((0, 1), (1, 1))
     t = Poly.variable()
-    a = ring.residue(t)
     q = t ** 2 - t
-    e = idempotent_from_element(ring, a, q, 1)
-    assert e.rep == Poly([0, 1])  # the class of t is already idempotent
+    e = idempotent_from_element(roots, t, q, 1)
+    assert e == Poly([0, 1])  # the class of t is already idempotent
+    # The element need not be reduced: t^5 is t mod t^2 - t.
+    assert idempotent_from_element(roots, t ** 5, q, 1) == e
 
     # A nilpotent element must produce the zero idempotent.
-    ring2 = _ring((0, 2))
-    n = ring2.residue(t)
-    e2 = idempotent_from_element(ring2, n, t ** 2, 2)
+    e2 = idempotent_from_element(_roots((0, 2)), t, t ** 2, 2)
     assert e2.is_zero
 
     # A unit must produce 1.
-    ring3 = _ring((0, 1), (1, 1))
-    u = ring3.residue(t.scale(2) - Poly([Fraction(1, 2)]))
+    u = t.scale(2) - Poly([Fraction(1, 2)])
     ann = (t - Poly([Fraction(-1, 2)])) * (t - Poly([Fraction(3, 2)]))
-    e3 = idempotent_from_element(ring3, u, ann, 1)
-    assert e3 == ring3.one
+    e3 = idempotent_from_element(_roots((0, 1), (1, 1)), u, ann, 1)
+    assert e3 == Poly([1])
 
 
 def test_idempotent_from_element_laws_random():
@@ -161,47 +150,47 @@ def test_idempotent_from_element_laws_random():
     t = Poly.variable()
     for _ in range(80):
         roots = _random_root_data(rng)
-        ring = QuotientRing(roots)
+        f = roots.poly()
         r = Poly([Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
                   for _ in range(rng.randint(1, 4))])
-        a = ring.residue(r)
         # q(T) = prod over roots of (T - r(lam))^mult annihilates the class of r.
         q = Poly([1])
         for lam, mult in roots:
             q = q * (t - Poly([r(lam)])) ** mult
         min_power = max(mult for _, mult in roots)
-        e = idempotent_from_element(ring, a, q, min_power)
+        e = idempotent_from_element(roots, r, q, min_power)
         n = max(min_power, 1)
-        assert e * e == e
-        power = a ** n
-        assert power * e == power
+        assert e.degree < f.degree
+        assert (e * e) % f == e
+        power = (r ** n) % f
+        assert (power * e) % f == power
         # e generates the same ideal tail as a^n: e is a multiple of a^n.
         # (checked implicitly by construction; here verify e kills (1-e)a^n)
-        assert (ring.one - e) * power == ring.zero
+        assert ((Poly([1]) - e) * power % f).is_zero
 
 
 def test_idempotent_from_element_rejects_bad_annihilator():
-    ring = _ring((0, 1), (1, 1))
+    roots = _roots((0, 1), (1, 1))
     t = Poly.variable()
-    a = ring.residue(t)
-    with pytest.raises(DomainError):
-        idempotent_from_element(ring, a, t + Poly([5]), 1)  # does not vanish at a
-    with pytest.raises(DomainError):
-        idempotent_from_element(ring, a, Poly([]), 1)
-    with pytest.raises(DomainError):
-        idempotent_from_element(ring, a, t ** 2 - t, 0)
+    with pytest.raises(DomainError, match="does not vanish"):
+        idempotent_from_element(roots, t, t + Poly([5]), 1)
+    with pytest.raises(DomainError, match="nonzero"):
+        idempotent_from_element(roots, t, Poly([]), 1)
+    with pytest.raises(DomainError, match="min_power"):
+        idempotent_from_element(roots, t, t ** 2 - t, 0)
 
 
 def test_quotient_ring_over_prime_field():
     # Same machinery over F_5: modulus t(t-1) with scalars in the field.
     p5 = lambda r: PrimeFieldScalar(r, 5)
     roots = RootData([(p5(0), 1), (p5(1), 1)])
-    ring = QuotientRing(roots)
-    idem = crt_idempotents(ring)
+    f = roots.poly()
+    idem = crt_idempotents(roots)
     g0 = idem[p5(0)]
     g1 = idem[p5(1)]
-    assert g0 * g0 == g0
-    assert g1 * g1 == g1
-    assert (g0 * g1).is_zero
-    assert g0 + g1 == ring.one
-    assert g1.rep == Poly([p5(0), p5(1)])
+    assert (g0 * g0) % f == g0
+    assert (g1 * g1) % f == g1
+    assert ((g0 * g1) % f).is_zero
+    assert g0 + g1 == Poly([p5(1)])
+    assert g1 == Poly([p5(0), p5(1)])
+    assert list(all_idempotents(roots)) == [Poly(), g0, g1, Poly([p5(1)])]

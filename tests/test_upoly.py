@@ -278,3 +278,16 @@ def test_laurent_json_roundtrip():
     data = laurent_to_json(g)
     assert set(data) == {"-3", "0", "4"}
     assert laurent_from_json(data) == g
+    assert laurent_from_json({"-007": "1", "0": "2"}) == LaurentPoly({-7: 1, 0: 2})
+
+
+@pytest.mark.parametrize("key", ["1_0", " -2 ", "+3", "--1", "", "\u0663", "1e3"])
+def test_laurent_exponent_keys_are_ascii_integers(key):
+    with pytest.raises(DomainError, match="bad Laurent exponent"):
+        laurent_from_json({key: "1"})
+
+
+def test_laurent_exponent_error_does_not_repeat_a_huge_key():
+    with pytest.raises(DomainError) as info:
+        laurent_from_json({"1" * 5000: "1"})
+    assert str(info.value) == "bad Laurent exponent a 5000-character string: too many digits"
