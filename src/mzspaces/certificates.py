@@ -17,7 +17,7 @@ from math import factorial, lcm
 
 from .errors import DomainError, SearchExhaustedError
 from .scalars import PADIC_INF, clear_denominators, is_prime, padic_valuation
-from .upoly import Poly
+from .upoly import Poly, int_poly_mul
 
 DEFAULT_SEARCH_BOUND = 10**6
 
@@ -58,17 +58,6 @@ def _require_rational(f: Poly):
         raise DomainError("certificates need rational coefficients")
 
 
-def _int_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
     """Exact termwise moment of f**power.
 
@@ -86,10 +75,10 @@ def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
     exponent = power
     while exponent:
         if exponent & 1:
-            expanded = _int_poly_mul(expanded, base)
+            expanded = int_poly_mul(expanded, base)
         exponent >>= 1
         if exponent:
-            base = _int_poly_mul(base, base)
+            base = int_poly_mul(base, base)
     scale = d**power
     if rule is MomentRule.EXPONENTIAL:
         total = 0

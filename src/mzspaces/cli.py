@@ -26,23 +26,30 @@ _IMAGEP_PRIMES = (2, 3, 5)
 _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
 # Work budgets of the probes and of moments, each chosen so that the capped
-# case runs in about a second on a 2-vCPU host: a dense 48x48 matrix with
-# entries a/b, |a|, b <= 9, takes 1.1 s in trace-test; m-max 40 takes 0.9 s
-# for p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
-# benchmark shape; --count 1500 takes 1.1 s on a degree-48 functional with
-# 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and 0.8 s with 8 roots of
+# case runs in at most about a second on a 2-vCPU host: a dense 48x48 matrix
+# with entries a/b, |a|, b <= 9, takes 1.1 s in trace-test; m-max 40 takes
+# 0.9 s for p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
+# benchmark shape; --count 1500 takes 0.4 s on a degree-48 functional with
+# 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and 0.3 s with 8 roots of
 # multiplicity 6.  `idempotents --all` prints 2^r polynomials; at r = 12
-# that is 0.95 s and 1.1 MB, and each further root doubles both.
+# that is 0.95 s and 1.1 MB, and each further root doubles both.  The oracle
+# walks all 2^r subsets of the roots, one big-integer addition each; at its
+# cap (mzdecide.DEFAULT_MAX_ORACLE_ROOTS, 20 roots) a spec with no balanced
+# subset and 3 functionals takes 0.2-0.4 s, and the help text says so.
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
+# A JSON option that is not inline JSON is a path; a rejected one longer
+# than this is named by its length only.
+_PATH_ECHO_LIMIT = 256
+_ORACLE_COST = "at most 20 roots; about 0.4 s at 20 roots with 3 functionals"
 
 
 def _load_json_arg(text: str, option: str):
     """Accept inline JSON (starts with { or [) or a file path; an unreadable
     path, or an integer too long for the interpreter to read, is a domain
-    error naming the option."""
+    error naming the option and the path (only its length, when long)."""
     stripped = text.strip()
     try:
         if stripped.startswith("{") or stripped.startswith("["):
@@ -50,9 +57,14 @@ def _load_json_arg(text: str, option: str):
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DomainError(f"{option}: cannot read {text!r}: {exc.strerror}") from exc
+        from .scalars import _shown
+
+        shown = _shown(text, _PATH_ECHO_LIMIT)
+        raise DomainError(f"{option}: cannot read {shown}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise DomainError(f"{option}: {text!r} is not UTF-8 text") from exc
+        from .scalars import _shown
+
+        raise DomainError(f"{option}: {_shown(text, _PATH_ECHO_LIMIT)} is not UTF-8 text") from exc
     except json.JSONDecodeError:
         raise
     except ValueError as exc:  # the only other ValueError json raises
@@ -131,9 +143,8 @@ def _max_roots() -> int:
 
 
 def _max_oracle_roots() -> int:
-    """The oracle enumerates 2^r idempotents and tests each kernel one's
-    deg f shifts against a per-spec moment table, so it keeps its own cap
-    below the subset search's."""
+    """The oracle walks all 2^r subsets of the roots, so it keeps its own
+    cap, which MZ_MAX_SUBSET_ROOTS can only lower."""
     from .mzdecide import DEFAULT_MAX_ORACLE_ROOTS
 
     return min(_max_roots(), DEFAULT_MAX_ORACLE_ROOTS)
@@ -404,11 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide whether a spec's kernel is Mathieu-Zhao")
     p.add_argument("--spec", required=True, help="spec JSON (inline or file path)")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the idempotent-enumeration oracle")
+                   help=f"also run the independent idempotent oracle ({_ORACLE_COST})")
     p.set_defaults(handler=_cmd_decide)
 
-    p = sub.add_parser("oracle", help="idempotent-enumeration oracle only")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("oracle", help="idempotent oracle only",
+                       description=f"Independent idempotent oracle ({_ORACLE_COST}).")
+    p.add_argument("--spec", required=True, help="spec JSON (inline or file path)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("idempotents", help="orthogonal idempotents of k[t]/(f)")

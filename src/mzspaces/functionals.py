@@ -19,18 +19,35 @@ CRT idempotent (L(t^n e_lam) = P_lam(n) lam^n, or n! [P_0]_n at 0), and each
 operator is read back by Newton interpolation at 0, 1, ..., mult - 1.  That
 needs characteristic zero: over a prime field n! and the node differences
 can vanish, and the moments need not determine the normal form.
+
+With rational scalars both directions run on plain integers: every
+denominator is cleared once (`scalars.clear_denominators`), the arithmetic
+is on Python ints, and a Fraction, with its one normalising gcd, is built
+only for each value returned.  `integer_moments` puts the terms
+Q(n) a^n b^(N-n) of all roots a/b over one common denominator;
+`from_moments` uses the integer form of f, the integer idempotents of
+`quotient` and integer forward differences.  Prime-field scalars take the
+field-arithmetic closed form (`_moments_in_field`), which is also the
+integer kernel's test reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import DomainError
 from .linalg import left_dependency
-from .quotient import root_idempotent
-from .scalars import PrimeFieldScalar, format_rational, parse_rational
-from .upoly import Poly, RootData, poly_from_json, poly_to_json
+from .quotient import integer_idempotent
+from .scalars import _all_rational, clear_denominators, format_rational, parse_rational
+from .upoly import (
+    Poly,
+    RootData,
+    int_times_linear,
+    poly_from_json,
+    poly_to_json,
+    split_integer_form,
+)
 
 
 class FunctionalNF:
@@ -104,9 +121,56 @@ class MomentSeq:
         return f"MomentSeq({self.values!r})"
 
 
+def integer_moments(functional: FunctionalNF, count: int):
+    """(den, values): L(t^n) = values[n] / den for n < count, all integers,
+    for a functional with rational scalars.  With P_lam = Q / d (Q integer)
+    and lam = a/b, the term at a nonzero root is Q(n) a^n b^(N-n) over the
+    root's denominator d b^N, N = count - 1; den is the least common
+    multiple of those and of the denominator of P_0."""
+    if count == 0:
+        return 1, []
+    top = count - 1
+    zero_den, zero_ints = clear_denominators(functional.zero_part.coeffs)
+    parts = []
+    den = zero_den
+    for lam, op in functional.parts.items():
+        op_den, op_ints = clear_denominators(op.coeffs)
+        parts.append((lam.numerator, lam.denominator, op_den, op_ints))
+        den = lcm(den, op_den * lam.denominator**top)
+    out = [0] * count
+    factorial_n = 1
+    weight = den // zero_den
+    for n, c in enumerate(zero_ints[:count]):
+        if n:
+            factorial_n *= n
+        out[n] = c * factorial_n * weight
+    for a, b, op_den, op_ints in parts:
+        b_powers = [den // (op_den * b**top)]
+        for _ in range(top):
+            b_powers.append(b_powers[-1] * b)
+        power = 1
+        for n in range(count):
+            value = 0
+            for c in reversed(op_ints):
+                value = value * n + c
+            out[n] += value * power * b_powers[top - n]
+            power *= a
+    return den, out
+
+
 def _moments(functional: FunctionalNF, count: int):
-    """[L(t^n) for n < count] by the closed form: a running power lam^n
-    times P_lam(n) by Horner at each nonzero root, n! [P_0]_n at 0."""
+    """[L(t^n) for n < count] by the closed form: on integers for rational
+    scalars, one Fraction per value; otherwise in the scalars' field."""
+    ops = (functional.zero_part, *functional.parts.values())
+    if not _all_rational((*functional.roots.roots, *(c for op in ops for c in op.coeffs))):
+        return _moments_in_field(functional, count)
+    den, values = integer_moments(functional, count)
+    return [Fraction(v, den) for v in values]
+
+
+def _moments_in_field(functional: FunctionalNF, count: int):
+    """The closed form by field operations: a running power lam^n times
+    P_lam(n) by Horner at each nonzero root, n! [P_0]_n at 0."""
     out = [0] * count
     factorial_n = 1
     for n, c in enumerate(functional.zero_part.coeffs[:count]):
@@ -138,42 +202,59 @@ def to_moments(functional: FunctionalNF, count: int):
 
 def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
     """The unique functional in normal form whose moments extend the given
-    values under the recurrence of the (fully split) characteristic polynomial."""
+    values under the recurrence of the (fully split) characteristic polynomial.
+
+    Runs on integers: with F = B f the integer form of f (`split_integer_form`)
+    the recurrence extends the values, kept over one common denominator, to
+    2D - 1 terms; the denominator grows only by the factor of B that each new
+    term needs (about lcm(b)^n, not B^n).  The projection onto each root
+    uses its integer idempotent and Newton's forward differences are taken
+    on integers; each output coefficient is one Fraction."""
     if roots.poly() != moments.char_poly:
         raise DomainError("root data must split the characteristic polynomial exactly")
-    if any(isinstance(c, PrimeFieldScalar) for c in (*roots.roots, *moments.values)):
+    if not _all_rational((*roots.roots, *moments.values)):
         raise DomainError("moment inversion requires characteristic zero")
-    f = moments.char_poly.coeffs
+    lead, f = split_integer_form(roots)
     n_total = len(f) - 1
-    values = [Fraction(v) for v in moments.values]
+    values_den, values = clear_denominators(moments.values)
     for k in range(n_total - 1):
-        values.append(-sum(f[i] * values[k + i] for i in range(n_total)))
+        step = -sum(f[i] * values[k + i] for i in range(n_total))
+        grow = lead // gcd(step, lead)
+        if grow > 1:
+            values = [v * grow for v in values]
+            values_den *= grow
+        values.append(step * grow // lead)
     zero_part = Poly()
     parts = {}
     for lam, mult in roots:
-        e = root_idempotent(moments.char_poly, lam, mult).coeffs
+        e, num, den = integer_idempotent(f, lam, mult)
         projected = [sum(c * values[n + k] for k, c in enumerate(e)) for n in range(mult)]
+        den *= values_den
         if lam == 0:
-            zero_part = Poly(tuple(v / factorial(n) for n, v in enumerate(projected)))
+            zero_part = Poly(tuple(Fraction(v * num, den * factorial(n))
+                                   for n, v in enumerate(projected)))
         else:
-            inv = 1 / Fraction(lam)
-            scale = 1
-            for n in range(mult):
-                projected[n] *= scale
-                scale *= inv
-            parts[lam] = _newton_interpolate(projected)
+            a, b = lam.numerator, lam.denominator
+            scaled = [v * b**n * a ** (mult - 1 - n) for n, v in enumerate(projected)]
+            den *= a ** (mult - 1) * factorial(mult - 1)
+            parts[lam] = Poly(tuple(Fraction(c * num, den)
+                                    for c in _newton_interpolate(scaled)))
     return FunctionalNF(roots, zero_part, parts)
 
 
-def _newton_interpolate(values) -> Poly:
-    """The polynomial of degree below len(values) taking values[n] at n."""
+def _newton_interpolate(values):
+    """Integer coefficients c with sum_i c_i x^i = (len - 1)! P(x), P the
+    polynomial of degree below len(values) taking values[n] at n: forward
+    differences Delta^k values[0] = k! times P's Newton coefficients."""
     diffs = list(values)
+    top = len(diffs) - 1
     for k in range(1, len(diffs)):
-        for j in range(len(diffs) - 1, k - 1, -1):
-            diffs[j] = (diffs[j] - diffs[j - 1]) / k
-    out = Poly()
-    for k in range(len(diffs) - 1, -1, -1):
-        out = out * Poly((-k, 1)) + Poly((diffs[k],))
+        for j in range(top, k - 1, -1):
+            diffs[j] -= diffs[j - 1]
+    out = []
+    for k in range(top, -1, -1):
+        out = int_times_linear(out, k, 1)
+        out[0] += diffs[k] * (factorial(top) // factorial(k))
     return out
 
 

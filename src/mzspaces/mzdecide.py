@@ -14,16 +14,25 @@ lexicographically first in root order.  A balanced subset yields an
 idempotent g in the kernel together with a multiplier b whose product b*g
 escapes it, which certifies that the kernel is not Mathieu-Zhao.
 
-The independent oracle re-decides by enumerating every idempotent of the
-quotient ring and testing ideal containment: an idempotent e in the kernel
-must keep every shift t^j e mod f, j < deg f, in the kernel.  Each
-functional's first deg f moments are tabulated once per spec (the closed
-form in `functionals`), so a value is one dot product, and each shift comes
-from the previous one by one multiply-by-t-and-reduce step, O(deg f).  The
-multiplier search of `decide_mz` walks the same shifts.  The oracle stays
-exponential in r, so it has its own, lower root cap.  The witness
-idempotent is built for the balanced subset alone (or as 1 minus its
-complement's, when that is smaller).
+The independent oracle re-decides from the idempotents and the moments, not
+from the constant-term criterion.  Every idempotent of the quotient ring is
+a sum e_S of root idempotents e_i, and L is linear, so L(t^j e_S) is the sum
+over S of L(t^j e_i).  Per spec, each functional's moments L(t^n), n <
+2 deg f - 1, are tabulated once as integers (the closed form in
+`functionals`) and each root idempotent is built once on integers
+(`quotient.integer_idempotent`); then L(t^j g) = sum_n g_n M[n + j] is one
+integer dot product and no shift is reduced mod f.  The oracle computes
+L_k(e_i) once per root and functional, packs each root's values into one
+integer, and walks all 2^r subsets in Gray-code order, one big-integer
+addition per subset; only a subset whose sum vanishes (an idempotent in the
+kernel) gets the full check that all its shifts t^j e_S, j < deg f, stay in
+the kernel.  `decide --oracle` shares the tables and the idempotents with
+`decide_mz`, whose multiplier search is the same dot products on the
+witness idempotent, the sum over the balanced subset.  The walk stays
+exponential in r, so the oracle has its own root cap, equal to the subset
+search's (about 0.2-0.4 s at r = 20 with 3 functionals on a 2-vCPU host).
+Its test reference, `selftest.oracle_by_enumeration`, enumerates every
+idempotent and reduces every shift mod f.
 
 `normalize` rejects dependent functionals by row-reducing their operator
 coefficient vectors.  In characteristic zero the moment matrix is that
@@ -35,27 +44,30 @@ factorisation can be singular and the moment matrix is used instead.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
+from math import lcm
 
 from .errors import DependentFunctionalsError, DomainError
 from .functionals import (
     FunctionalNF,
     dependency_relation,
+    integer_moments,
     largest_ideal_exponents,
     to_moments,
 )
 from .linalg import left_dependency
-from .quotient import all_idempotents, subset_idempotent
+from .quotient import integer_idempotent
 from .scalars import PrimeFieldScalar
-from .upoly import Poly, RootData
+from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
-DEFAULT_MAX_ORACLE_ROOTS = 12
+DEFAULT_MAX_ORACLE_ROOTS = DEFAULT_MAX_SUBSET_ROOTS
 
 
 class SubspaceSpec:
     """Functionals sharing one root data; the subspace is their joint kernel."""
 
-    __slots__ = ("functionals", "roots", "normalized")
+    __slots__ = ("functionals", "roots", "normalized", "_kernel")
 
     def __init__(self, functionals, normalized: bool = False):
         functionals = tuple(functionals)
@@ -67,6 +79,7 @@ class SubspaceSpec:
         self.functionals = functionals
         self.roots = roots
         self.normalized = normalized
+        self._kernel = None
 
     @property
     def dimension(self) -> int:
@@ -198,24 +211,65 @@ def _in_kernel(tables, g: Poly) -> bool:
     return all(sum(c * m for c, m in zip(coeffs, table)) == 0 for table in tables)
 
 
-def _times_t_mod(g: Poly, modulus: Poly) -> Poly:
-    """t * g mod the monic modulus, for g already reduced."""
-    coeffs = (0,) + g.coeffs
-    if len(coeffs) < len(modulus.coeffs):
-        return Poly(coeffs)
-    top = coeffs[-1]
-    return Poly(tuple(c - top * m for c, m in zip(coeffs[:-1], modulus.coeffs)))
+class _KernelData:
+    """What `decide_mz` and the oracle read off a normalized rational spec,
+    each built once, on first use, and kept on the spec: every functional's
+    moments L(t^n) for n < 2 deg f - 1 as integers (a table's own
+    denominator is dropped, since only zero tests read it), and the root
+    idempotents of the integer modulus.  L(t^j g) = sum_n g_n M[n + j] for
+    deg g < deg f and j < deg f, so no shift is ever reduced mod f."""
+
+    __slots__ = ("roots", "functionals", "modulus", "_tables", "_idempotents")
+
+    def __init__(self, spec: SubspaceSpec):
+        self.roots = spec.roots
+        self.functionals = spec.functionals
+        self.modulus = split_integer_form(spec.roots)[1]
+        self._tables = None
+        self._idempotents = {}
+
+    @property
+    def tables(self):
+        if self._tables is None:
+            count = 2 * self.roots.degree - 1
+            self._tables = [integer_moments(fn, count)[1] for fn in self.functionals]
+        return self._tables
+
+    def idempotent(self, lam, mult):
+        """(coeffs, num, den) of the root's idempotent (`integer_idempotent`)."""
+        if lam not in self._idempotents:
+            self._idempotents[lam] = integer_idempotent(self.modulus, lam, mult)
+        return self._idempotents[lam]
+
+    def idempotent_vectors(self, subset):
+        """(den, vectors): the idempotents of the roots in subset as integer
+        coefficient lists of length deg f over one common denominator, so
+        that any sum of them is the subset sum's numerator."""
+        forms = [self.idempotent(lam, mult) for lam, mult in self.roots if lam in subset]
+        den = lcm(*(d for _, _, d in forms))
+        vectors = []
+        for coeffs, num, d in forms:
+            weight = num * (den // d)
+            vectors.append([c * weight for c in coeffs])
+        return den, vectors
+
+    def values(self, g, shift: int):
+        """[L(t^shift g) for each functional] up to the common scale of g and
+        of each table; g an integer coefficient list of length deg f."""
+        return [sum(c * m for c, m in zip(g, table[shift:])) for table in self.tables]
+
+    def first_escaping_shift(self, g):
+        """Smallest j < deg f with t^j g outside the kernel, or None."""
+        for j in range(self.roots.degree):
+            if any(self.values(g, j)):
+                return j
+        return None
 
 
-def _first_escaping_shift(tables, g: Poly, modulus: Poly):
-    """Smallest j < deg f with t^j * g mod f outside the kernel, or None;
-    g already reduced mod f."""
-    shifted = g
-    for j in range(modulus.degree):
-        if not _in_kernel(tables, shifted):
-            return j
-        shifted = _times_t_mod(shifted, modulus)
-    return None
+def _kernel_data(spec: SubspaceSpec) -> _KernelData:
+    if spec._kernel is None:
+        spec._kernel = _KernelData(spec)
+    return spec._kernel
 
 
 def decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> MZVerdict:
@@ -234,30 +288,61 @@ def decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> 
     if subset is None:
         return MZVerdict(True)
     subset_roots = tuple(roots[i] for i in subset)
-    g = subset_idempotent(spec.roots, subset_roots)
-    j = _first_escaping_shift(_moment_tables(spec), g, spec.roots.poly())
+    data = _kernel_data(spec)
+    den, vectors = data.idempotent_vectors(subset_roots)
+    g = [sum(column) for column in zip(*vectors)]
+    j = data.first_escaping_shift(g)
     if j is None:
         raise AssertionError(
             "normalized spec must admit a multiplier for a kernel idempotent"
         )
-    return MZVerdict(False, subset_roots, g, Poly.monomial(j))
+    witness = Poly(tuple(Fraction(c, den) for c in g))
+    return MZVerdict(False, subset_roots, witness, Poly.monomial(j))
+
+
+def _pack(rows):
+    """One integer per row (Kronecker substitution): entry k of a row sits
+    in the k-th base-2^B digit, B wide enough that every sum of rows keeps
+    each entry below 2^(B-1) in absolute value.  Signed digits of that size
+    are unique, so a sum of packed rows is 0 exactly when the same sum of
+    rows is the zero vector."""
+    bound = max(sum(abs(row[k]) for row in rows) for k in range(len(rows[0])))
+    width = bound.bit_length() + 1
+    return [sum(v << (width * k) for k, v in enumerate(row)) for row in rows]
 
 
 def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROOTS) -> bool:
-    """Independent re-decision: enumerate all idempotents of the quotient
-    ring and check that each one inside the kernel keeps its whole principal
-    ideal inside the kernel."""
+    """Independent re-decision by linearity: every idempotent of the
+    quotient ring is a sum of root idempotents e_i, so L(t^j e_S) is the sum
+    over S of L(t^j e_i).  The values L_k(e_i) are computed once per root
+    and functional and packed into one integer per root; a Gray-code walk
+    over the subsets then costs one addition per subset.  A subset whose
+    sum vanishes is an idempotent in the kernel, and it must keep all its
+    shifts t^j e_S, j < deg f, in the kernel."""
     _require_normalized(spec)
     _require_char_zero(spec)
     if len(spec.roots) > max_roots:
         raise DomainError(
             f"{len(spec.roots)} roots exceed the oracle enumeration cap {max_roots}"
         )
-    modulus = spec.roots.poly()
-    tables = _moment_tables(spec)
-    for e in all_idempotents(spec.roots):
-        if _in_kernel(tables, e) and _first_escaping_shift(tables, e, modulus) is not None:
-            return False
+    data = _kernel_data(spec)
+    _, vectors = data.idempotent_vectors(spec.roots.roots)
+    packed = _pack([data.values(e, 0) for e in vectors])
+    total = 0
+    chosen = 0
+    for step in range(1, 1 << len(vectors)):
+        bit = step & -step
+        k = bit.bit_length() - 1
+        if chosen & bit:
+            total -= packed[k]
+        else:
+            total += packed[k]
+        chosen ^= bit
+        if total == 0:
+            g = [sum(column) for column in
+                 zip(*(e for i, e in enumerate(vectors) if chosen >> i & 1))]
+            if data.first_escaping_shift(g) is not None:
+                return False
     return True
 
 

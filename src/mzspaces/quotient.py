@@ -3,15 +3,26 @@
 Elements of the quotient are plain polynomials of degree below deg f.  The
 modulus is always reconstructed from root data, so f = prod (t - root)^mult
 holds exactly by construction.
+
+The idempotent of a root is the cofactor times its inverse modulo the
+root's factor, a power series inverse, so no Euclidean algorithm runs.  When
+the modulus and the root are rational the whole construction runs on
+integers (`integer_idempotent`): exact divisions by b t - a, Taylor
+coefficients at the integer a, the series inverse scaled by powers of its
+constant term, one integer product, and a Fraction only for each output
+coefficient.  Other scalars (prime fields) take the same steps in their
+field; that path is also the integer kernel's test reference.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .errors import DomainError
-from .scalars import scalar_inverse
-from .upoly import Poly, RootData, extended_gcd
+from .scalars import _all_rational, clear_denominators, scalar_inverse
+from .upoly import Poly, RootData, extended_gcd, int_poly_mul, int_times_linear
 
 
 def _divide_by_root(coeffs, lam):
@@ -26,6 +37,62 @@ def _divide_by_root(coeffs, lam):
     return quotient, remainder
 
 
+def _divide_exactly(coeffs, a: int, b: int):
+    """The integer coefficient list divided by b*t - a, which must divide it."""
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        carry, rem = divmod(coeffs[k] + a * carry, b)
+        if rem:
+            raise AssertionError("modulus is divisible by each root factor")
+        quotient[k - 1] = carry
+    if coeffs[0] + a * carry:
+        raise AssertionError("modulus is divisible by each root factor")
+    return quotient
+
+
+def integer_idempotent(modulus, lam, mult: int):
+    """(coeffs, num, den): the root idempotent of lam, of multiplicity mult,
+    for the integer coefficient list modulus (any integer multiple of the
+    monic split modulus) is coeffs * num / den, coeffs an integer list of
+    length below that of modulus.
+
+    With lam = a/b in lowest terms, C = modulus / (b t - a)^mult is an
+    integer polynomial of degree n, b^n C(t/b) = T(b t - a) has integer
+    Taylor coefficients T_k at a, and the inverse of C modulo (t - lam)^mult
+    is b^n / g0^mult * W(b t - a) with g0 = T_0 and integers W_k =
+    -(sum_{j>=1} T_j W_{k-j}) / g0, W_0 = g0^(mult-1), each division exact.
+    The idempotent is C * W(b t - a) * b^n / g0^mult; the content of
+    W(b t - a), most of the size of g0^mult, is divided out before the
+    product, and num/den is returned in lowest terms."""
+    a, b = lam.numerator, lam.denominator
+    cofactor = modulus
+    for _ in range(mult):
+        cofactor = _divide_exactly(cofactor, a, b)
+    n = len(cofactor) - 1
+    work = [c * b ** (n - k) for k, c in enumerate(cofactor)]
+    taylor = []
+    for _ in range(mult):
+        work, value = _divide_by_root(work, a)
+        taylor.append(value)
+    g0 = taylor[0]
+    series = [g0 ** (mult - 1)]
+    for k in range(1, mult):
+        acc = 0
+        for j in range(1, k + 1):
+            acc += taylor[j] * series[k - j]
+        series.append(-acc // g0)
+    inverse = []
+    for w in reversed(series):
+        inverse = int_times_linear(inverse, a, b)
+        inverse[0] += w
+    content = gcd(*inverse)
+    num, den = b**n * content, g0**mult
+    common = gcd(num, den)
+    product = int_poly_mul(cofactor, [w // content for w in inverse])
+    return product, num // common, den // common
+
+
 def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
     """The idempotent of k[t]/(modulus) that is 1 modulo (t - lam)^mult and 0
     modulo the cofactor c = modulus / (t - lam)^mult; degree below the modulus.
@@ -33,7 +100,17 @@ def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
     It is c times the inverse of c modulo (t - lam)^mult.  That inverse is the
     power series inverse, to order mult, of the Taylor expansion of c at lam,
     so no Euclidean algorithm runs: mult synthetic divisions give c, mult more
-    its Taylor coefficients, and the rest costs O(mult^2) plus one product."""
+    its Taylor coefficients, and the rest costs O(mult^2) plus one product.
+    Rational input runs on integers (`integer_idempotent`)."""
+    if not _all_rational((*modulus.coeffs, lam)):
+        return _root_idempotent_in_field(modulus, lam, mult)
+    _, ints = clear_denominators(modulus.coeffs)
+    coeffs, num, den = integer_idempotent(ints, lam, mult)
+    return Poly(tuple(Fraction(c * num, den) for c in coeffs))
+
+
+def _root_idempotent_in_field(modulus: Poly, lam, mult: int) -> Poly:
+    """`root_idempotent` by field operations on the coefficients."""
     cofactor = list(modulus.coeffs)
     for _ in range(mult):
         cofactor, rem = _divide_by_root(cofactor, lam)
@@ -63,21 +140,6 @@ def crt_idempotents(roots: RootData):
     the others.  Returned as a root -> Poly map in root order."""
     f = roots.poly()
     return {lam: root_idempotent(f, lam, mult) for lam, mult in roots}
-
-
-def subset_idempotent(roots: RootData, subset) -> Poly:
-    """The idempotent that is 1 at the roots in subset and 0 at the others:
-    the sum of their root idempotents, or 1 minus the sum over the other
-    roots when the subset holds more than half of them."""
-    f = roots.poly()
-    chosen = set(subset)
-    complement = len(chosen) * 2 > len(roots)
-    total = Poly((1,)) if complement else Poly()
-    for lam, mult in roots:
-        if (lam in chosen) != complement:
-            e = root_idempotent(f, lam, mult)
-            total = total - e if complement else total + e
-    return total
 
 
 def all_idempotents(roots: RootData):

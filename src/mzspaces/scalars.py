@@ -97,14 +97,16 @@ def padic_abs(value, p: int) -> Fraction:
 _ECHO_LIMIT = 40
 
 
-def _shown(value) -> str:
+def _shown(value, limit: int = _ECHO_LIMIT) -> str:
     """repr(value) for a rejection message, or only its type and length once
-    that is longer than _ECHO_LIMIT, so an error never repeats a huge input."""
+    that is longer than limit, so an error never repeats a huge input."""
     text = repr(value)
-    if len(text) <= _ECHO_LIMIT:
+    if len(text) <= limit:
         return text
     if isinstance(value, str):
         return f"a {len(value)}-character string"
+    if isinstance(value, list):
+        return f"an array of {len(value)} entries"
     return f"a {type(value).__name__} {len(text)} characters long"
 
 
@@ -124,14 +126,21 @@ def parse_rational(text) -> Fraction:
 
 def parse_exponents(value, where: str) -> tuple:
     """A JSON array of nonnegative integers (booleans excluded) as a tuple;
-    anything else is a DomainError naming where the value sits."""
+    anything else is a DomainError naming where the value sits (and its
+    length, not the value, once that is long)."""
     if not isinstance(value, list) or not all(
         isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value
     ):
         raise DomainError(
-            f"{where} must be an array of nonnegative integers, got {value!r}"
+            f"{where} must be an array of nonnegative integers, got {_shown(value)}"
         )
     return tuple(value)
+
+
+def _all_rational(values) -> bool:
+    """True when every value is an int or a Fraction, so that the integer
+    kernels apply; prime-field scalars take the generic field arithmetic."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def clear_denominators(values):

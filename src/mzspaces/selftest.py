@@ -8,7 +8,15 @@ from fractions import Fraction
 
 from .certificates import MomentRule, certify_unit_interval, power_moment
 from .errors import DomainError
-from .functionals import FunctionalNF, MomentSeq, evaluate, from_moments, to_moments
+from .functionals import (
+    FunctionalNF,
+    MomentSeq,
+    _moments,
+    _moments_in_field,
+    evaluate,
+    from_moments,
+    to_moments,
+)
 from .imagep import ImDCertificate, ZXPoly, apply_d, imd_decide, j_ideal_witness
 from .mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from .probes import (
@@ -21,7 +29,12 @@ from .probes import (
     laurent_preimage,
     trace_radical_test,
 )
-from .quotient import all_idempotents, crt_idempotents
+from .quotient import (
+    _root_idempotent_in_field,
+    all_idempotents,
+    crt_idempotents,
+    root_idempotent,
+)
 from .scalars import padic_valuation
 from .upoly import LaurentPoly, Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
 
@@ -182,6 +195,21 @@ def power_moment_by_expansion(rule: MomentRule, f: Poly, power: int) -> Fraction
     return sum((c * rule.moment(i) for i, c in enumerate((f**power).coeffs)), Fraction(0))
 
 
+def oracle_by_enumeration(spec: SubspaceSpec) -> bool:
+    """Every idempotent e of k[t]/(f) from `all_idempotents`; one inside the
+    kernel must keep each shift t^j e mod f, j < deg f, inside it: the
+    reference for `oracle_decide_mz`."""
+    f = spec.roots.poly()
+    for e in all_idempotents(spec.roots):
+        if any(evaluate(fn, e) != 0 for fn in spec.functionals):
+            continue
+        for _ in range(spec.roots.degree):
+            if any(evaluate(fn, e) != 0 for fn in spec.functionals):
+                return False
+            e = (e * Poly.monomial(1)) % f
+    return True
+
+
 def _check_point_evaluation_laws(rng):
     for _ in range(50):
         lam = random_nonzero_rational(rng, -4, 4, 2)
@@ -225,6 +253,45 @@ def _check_closed_form_moments(rng):
     for _ in range(10):
         g = random_poly(rng, count + 4)
         assert evaluate(_FROZEN_FUNCTIONAL, g) == evaluate_by_operators(_FROZEN_FUNCTIONAL, g)
+
+
+# Roots 0, 2, -1/2 and 5/3, the int 2 among Fractions.  The constant terms
+# of the first two functionals both cancel over {2, -1/2} and over no other
+# subset; those of the first and the third never both cancel.
+_INTEGER_ROOTS = RootData([(Fraction(0), 3), (2, 2), (Fraction(-1, 2), 3),
+                           (Fraction(5, 3), 2)])
+_INTEGER_FUNCTIONALS = (
+    FunctionalNF(_INTEGER_ROOTS, Poly((1, Fraction(-2), Fraction(3, 2))),
+                 {2: Poly((1, Fraction(1, 3))), Fraction(-1, 2): Poly((-1, 0, 2)),
+                  Fraction(5, 3): Poly((Fraction(7, 2), -1))}),
+    FunctionalNF(_INTEGER_ROOTS, Poly((Fraction(-4, 9),)),
+                 {2: Poly((Fraction(3, 2),)), Fraction(-1, 2): Poly((Fraction(-3, 2), 1)),
+                  Fraction(5, 3): Poly((2, 0))}),
+    FunctionalNF(_INTEGER_ROOTS, Poly((Fraction(-4, 9),)),
+                 {2: Poly((Fraction(5, 2),)), Fraction(-1, 2): Poly((Fraction(-3, 2), 1)),
+                  Fraction(5, 3): Poly((2, 0))}),
+)
+
+
+def _check_integer_kernels(rng):
+    roots = _INTEGER_ROOTS
+    f = roots.poly()
+    assert f == roots._poly_in_field()
+    for lam, mult in roots:
+        assert root_idempotent(f, lam, mult) == _root_idempotent_in_field(f, lam, mult)
+    for fn in _INTEGER_FUNCTIONALS:
+        for count in (0, 1, roots.degree + 4):
+            assert _moments(fn, count) == _moments_in_field(fn, count)
+        assert evaluate(fn, Poly()) == 0
+        back = from_moments(MomentSeq(to_moments(fn, roots.degree), f), roots)
+        assert back == fn
+    first, second, third = _INTEGER_FUNCTIONALS
+    planted = normalize(SubspaceSpec((first, second)))
+    mz = normalize(SubspaceSpec((first, third)))
+    for spec, verdict in ((planted, False), (mz, True)):
+        assert decide_mz(spec).is_mz is verdict
+        assert oracle_decide_mz(spec) is verdict
+        assert oracle_by_enumeration(spec) is verdict
 
 
 def _check_kernel_law(rng):
@@ -355,6 +422,7 @@ _CHECKS = (
     ("idempotent-laws", _check_idempotent_laws),
     ("closed-form-moments", _check_closed_form_moments),
     ("moment-roundtrip", _check_moment_roundtrip),
+    ("integer-kernels", _check_integer_kernels),
     ("kernel-law", _check_kernel_law),
     ("decision-agreement", _check_decision_agreement),
     ("certificates", _check_certificates),

@@ -11,10 +11,10 @@ special case.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import DoesNotSplitError, DomainError
-from .scalars import scalar_inverse
+from .scalars import _all_rational, scalar_inverse
 
 NEG_INF = float("-inf")
 
@@ -232,6 +232,40 @@ def extended_gcd(a: Poly, b: Poly):
     return u0.scale(c), v0.scale(c), r0.scale(c)
 
 
+def int_poly_mul(a, b):
+    """Product of two integer coefficient lists (index = exponent)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def int_times_linear(coeffs, a: int, b: int):
+    """The integer coefficient list times b*t - a."""
+    out = [0] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] -= a * c
+        out[i + 1] += b * c
+    return out
+
+
+def split_integer_form(roots: RootData):
+    """(B, F) for rational roots: F = prod (b t - a)^mult over the roots a/b
+    in lowest terms, an integer coefficient list, and B = prod b^mult, its
+    leading coefficient, so that the modulus prod (t - a/b)^mult is F / B."""
+    scale, coeffs = 1, [1]
+    for lam, m in roots:
+        a, b = lam.numerator, lam.denominator
+        power = [comb(m, k) * b**k * (-a) ** (m - k) for k in range(m + 1)]
+        coeffs = int_poly_mul(coeffs, power)
+        scale *= b**m
+    return scale, coeffs
+
+
 class RootData:
     """Distinct roots with multiplicities >= 1; listed order is authoritative."""
 
@@ -265,6 +299,14 @@ class RootData:
         return 0
 
     def poly(self) -> Poly:
+        """prod (t - root)^mult.  Rational roots go through the integer form,
+        divided once per coefficient; other scalars multiply in their field."""
+        if not _all_rational(self.roots):
+            return self._poly_in_field()
+        scale, coeffs = split_integer_form(self)
+        return Poly(tuple(Fraction(c, scale) for c in coeffs))
+
+    def _poly_in_field(self) -> Poly:
         out = Poly((1,))
         for lam, m in self.pairs:
             out = out * Poly((-lam, 1)) ** m

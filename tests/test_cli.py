@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from mzspaces.cli import main
-from mzspaces.mzdecide import DEFAULT_MAX_ORACLE_ROOTS
+from mzspaces.mzdecide import DEFAULT_MAX_ORACLE_ROOTS, DEFAULT_MAX_SUBSET_ROOTS
 
 SIGN_DIFFERENCE_SPEC = {
     "roots": [["1", 1], ["-1", 1]],
@@ -341,12 +341,24 @@ def _wide_spec(count):
     }
 
 
-def test_oracle_cap_is_below_the_subset_cap(capsys):
-    spec = json.dumps(_wide_spec(DEFAULT_MAX_ORACLE_ROOTS + 1))
-    code, out, _ = _run(capsys, ["decide", "--spec", spec])
+def test_oracle_cap_is_the_subset_cap(capsys, monkeypatch):
+    assert DEFAULT_MAX_ORACLE_ROOTS == DEFAULT_MAX_SUBSET_ROOTS
+    at_cap = json.dumps(_wide_spec(DEFAULT_MAX_ORACLE_ROOTS))
+    code, out, _ = _run(capsys, ["decide", "--oracle", "--spec", at_cap])
+    assert code == 0
+    assert (out["isMZ"], out["oracleIsMZ"], out["oracleAgrees"]) == (True, True, True)
+    above = json.dumps(_wide_spec(DEFAULT_MAX_ORACLE_ROOTS + 1))
+    code, out, _ = _run(capsys, ["oracle", "--spec", above])
+    assert code == 2
+    assert out["error"]["message"] == (
+        f"{DEFAULT_MAX_ORACLE_ROOTS + 1} roots exceed the oracle enumeration cap "
+        f"{DEFAULT_MAX_ORACLE_ROOTS}")
+    # A raised MZ_MAX_SUBSET_ROOTS lets decide through but not the oracle.
+    monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", str(DEFAULT_MAX_ORACLE_ROOTS + 1))
+    code, out, _ = _run(capsys, ["decide", "--spec", above])
     assert code == 0
     assert out["isMZ"] is True
-    for argv in (["decide", "--oracle", "--spec", spec], ["oracle", "--spec", spec]):
+    for argv in (["decide", "--oracle", "--spec", above], ["oracle", "--spec", above]):
         code, out, _ = _run(capsys, argv)
         assert code == 2
         assert out["error"]["kind"] == "domain"
@@ -460,7 +472,9 @@ def test_gvc_probe_m_max_cap(capsys):
 @pytest.mark.parametrize("command, text", [("trace-test", "at most 48"),
                                            ("gvc-probe", "at most 40"),
                                            ("moments", "at most 1500"),
-                                           ("idempotents", "at most 12 roots")])
+                                           ("idempotents", "at most 12 roots"),
+                                           ("decide", "at most 20 roots; about 0.4 s"),
+                                           ("oracle", "at most 20 roots; about 0.4 s")])
 def test_probe_caps_are_stated_in_help(capsys, command, text):
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -492,6 +506,21 @@ def test_oversized_rational_error_names_only_its_length(capsys):
         assert len(json.dumps(out, indent=2)) < 200
     code, out, _ = _run(capsys, ["laurent", "--lam", "1/0"])
     assert out["error"]["message"] == "not a rational: '1/0'"
+
+
+def test_oversized_option_and_exponent_errors_name_only_their_length(capsys):
+    value = "x" * 5000
+    code, out, _ = _run(capsys, ["decide", "--spec", value])
+    assert code == 2
+    assert out["error"]["message"].startswith(
+        "--spec: cannot read a 5000-character string: ")
+    assert len(json.dumps(out, indent=2)) < 200
+    terms = dict(GVC_TERMS)
+    terms["--op"] = json.dumps([{"exps": [1.5] * 2000, "c": "1"}])
+    code, out, _ = _run(capsys, ["gvc-probe"] + [item for pair in terms.items() for item in pair])
+    assert code == 2
+    assert out["error"]["message"] == (
+        "--op[0].exps must be an array of nonnegative integers, got an array of 2000 entries")
 
 
 @pytest.mark.parametrize("key", ["1_0", " -2 "])

@@ -16,7 +16,7 @@ from mzspaces.errors import DomainError
 from mzspaces.functionals import FunctionalNF, MomentSeq, evaluate, from_moments, to_moments
 from mzspaces.linalg import solve_linear_system
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
-from mzspaces.quotient import crt_idempotents, subset_idempotent
+from mzspaces.quotient import crt_idempotents
 from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.selftest import evaluate_by_operators
 from mzspaces.upoly import Poly, RootData, extended_gcd
@@ -169,14 +169,6 @@ def test_crt_idempotents_match_extended_gcd_over_prime_fields(roots):
 def test_crt_idempotents_match_extended_gcd_on_f5_pair():
     p5 = lambda r: PrimeFieldScalar(r, 5)
     _check_idempotents(RootData([(p5(0), 1), (p5(1), 1)]))
-
-
-@SETTINGS
-@given(root_data(max_roots=6), st.data())
-def test_subset_idempotent_is_the_sum_over_the_subset(roots, data):
-    subset = data.draw(st.lists(st.sampled_from(roots.roots), unique=True))
-    idem = crt_idempotents(roots)
-    assert subset_idempotent(roots, subset) == sum((idem[lam] for lam in subset), Poly())
 
 
 # --- the oracle and the witness multiplier against the shift loop ---------

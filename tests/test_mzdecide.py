@@ -169,11 +169,11 @@ def _constant_term_spec(lams, rows):
     return normalize(SubspaceSpec(fns))
 
 
-def test_oracle_has_its_own_lower_cap():
-    assert DEFAULT_MAX_ORACLE_ROOTS < DEFAULT_MAX_SUBSET_ROOTS
+def test_oracle_cap_is_the_subset_cap():
+    assert DEFAULT_MAX_ORACLE_ROOTS == DEFAULT_MAX_SUBSET_ROOTS
     lams = _simple_roots(DEFAULT_MAX_ORACLE_ROOTS + 1)
     spec = _constant_term_spec(lams, [[2 ** i for i in range(len(lams))]])
-    assert decide_mz(spec).is_mz
+    assert decide_mz(spec, max_roots=len(lams)).is_mz
     with pytest.raises(DomainError, match="oracle enumeration cap"):
         oracle_decide_mz(spec)
 
@@ -183,6 +183,7 @@ def test_no_zero_sum_subset_at_the_root_cap():
     lams = _simple_roots(DEFAULT_MAX_SUBSET_ROOTS)
     spec = _constant_term_spec(lams, [[(-1) ** i * 2 ** i for i in range(len(lams))]])
     assert decide_mz(spec) == MZVerdict(True)
+    assert oracle_decide_mz(spec) is True
 
 
 def test_planted_witness_at_the_root_cap():
@@ -201,6 +202,7 @@ def test_planted_witness_at_the_root_cap():
     assert not verdict.is_mz
     assert verdict.witness_subset == tuple(lams[i] for i in planted)
     _check_witness(spec, verdict)
+    assert oracle_decide_mz(spec) is False
 
 
 def test_normalize_uses_moments_in_positive_characteristic():

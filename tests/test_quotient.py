@@ -9,7 +9,6 @@ from mzspaces.quotient import (
     all_idempotents,
     crt_idempotents,
     idempotent_from_element,
-    subset_idempotent,
 )
 from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.upoly import Poly, RootData
@@ -44,21 +43,6 @@ def test_crt_idempotents_frozen_symmetric_pair():
     idem = crt_idempotents(_roots((1, 1), (-1, 1)))
     assert idem[Fraction(1)] == Poly([Fraction(1, 2), Fraction(1, 2)])
     assert idem[Fraction(-1)] == Poly([Fraction(1, 2), Fraction(-1, 2)])
-
-
-def test_subset_idempotent_small_and_complement_sized():
-    # Five roots: subsets of one and two roots sum their idempotents; four
-    # and five roots go through 1 minus the complement's sum.
-    roots = RootData([(Fraction(0), 2), (Fraction(1), 1), (Fraction(-1), 3),
-                      (Fraction(2), 1), (Fraction(1, 2), 2)])
-    idem = crt_idempotents(roots)
-    lams = roots.roots
-    for subset in (lams[1:2], lams[:3:2], lams[1:], lams):
-        expected = Poly()
-        for lam in subset:
-            expected = expected + idem[lam]
-        assert subset_idempotent(roots, subset) == expected
-    assert subset_idempotent(roots, lams) == Poly([1])
 
 
 def _random_root_data(rng, max_roots=3, max_mult=3):

@@ -7,6 +7,7 @@ EXPECTED_CHECKS = {
     "idempotent-laws",
     "closed-form-moments",
     "moment-roundtrip",
+    "integer-kernels",
     "kernel-law",
     "decision-agreement",
     "certificates",
