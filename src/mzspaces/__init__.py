@@ -16,13 +16,16 @@ _EXPORTS = {
         "certify_exponential", "certify_unit_interval", "power_moment",
     ), "certificates"),
     **dict.fromkeys((
+        "format_rational", "functional_from_json", "functional_to_json",
+        "laurent_from_json", "parse_rational", "poly_from_json", "poly_to_json",
+    ), "cli"),
+    **dict.fromkeys((
         "DependentFunctionalsError", "DoesNotSplitError", "DomainError",
         "SearchExhaustedError",
     ), "errors"),
     **dict.fromkeys((
         "FunctionalNF", "MomentSeq", "dependency_relation", "evaluate", "from_moments",
-        "functional_from_json", "functional_to_json", "largest_ideal_exponents",
-        "to_moments",
+        "largest_ideal_exponents", "to_moments",
     ), "functionals"),
     **dict.fromkeys((
         "CorollaryReport", "ImDCertificate", "ObstructionReport", "TheoremReport",
@@ -43,14 +46,12 @@ _EXPORTS = {
         "all_idempotents", "crt_idempotents", "idempotent_from_element",
     ), "quotient"),
     **dict.fromkeys((
-        "PADIC_INF", "PrimeFieldScalar", "format_rational", "is_prime", "padic_abs",
-        "padic_valuation", "parse_rational",
+        "PADIC_INF", "PrimeFieldScalar", "is_prime", "padic_abs", "padic_valuation",
     ), "scalars"),
     "run_selftest": "selftest",
     **dict.fromkeys((
         "NEG_INF", "LaurentPoly", "Poly", "RootData", "apply_der_op", "apply_euler_op",
-        "extended_gcd", "laurent_from_json", "laurent_to_json", "poly_from_json",
-        "poly_to_json", "rational_roots",
+        "extended_gcd", "rational_roots",
     ), "upoly"),
 }
 

@@ -1,5 +1,10 @@
 """Command line front end: JSON in, JSON out.
 
+This module owns the wire format: every JSON reader and writer of the
+package is here, and the library modules know nothing of JSON.  A rational
+is a JSON integer or an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+, written
+back as the canonical "num/den" string with "/1" dropped.
+
 Exit codes: 0 on success, 2 when the input is rejected (malformed JSON or a
 failed precondition), 1 on internal errors, and 141 (128 + SIGPIPE, with
 nothing on stderr) when stdout is closed before the report is written.
@@ -40,10 +45,25 @@ _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
-# A JSON option that is not inline JSON is a path; a rejected one longer
-# than this is named by its length only.
+# A rejected value is named by its type and length only once its repr is
+# longer than _ECHO_LIMIT, or a rejected path (a JSON option that is not
+# inline JSON) once it is longer than _PATH_ECHO_LIMIT.
+_ECHO_LIMIT = 40
 _PATH_ECHO_LIMIT = 256
 _ORACLE_COST = "at most 20 roots; about 0.4 s at 20 roots with 3 functionals"
+
+
+def _shown(value, limit: int = _ECHO_LIMIT) -> str:
+    """repr(value) for a rejection message, or only its type and length once
+    that is longer than limit, so an error never repeats a huge input."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    if isinstance(value, str):
+        return f"a {len(value)}-character string"
+    if isinstance(value, list):
+        return f"an array of {len(value)} entries"
+    return f"a {type(value).__name__} {len(text)} characters long"
 
 
 def _load_json_arg(text: str, option: str):
@@ -57,13 +77,9 @@ def _load_json_arg(text: str, option: str):
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        from .scalars import _shown
-
         shown = _shown(text, _PATH_ECHO_LIMIT)
         raise DomainError(f"{option}: cannot read {shown}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        from .scalars import _shown
-
         raise DomainError(f"{option}: {_shown(text, _PATH_ECHO_LIMIT)} is not UTF-8 text") from exc
     except json.JSONDecodeError:
         raise
@@ -74,18 +90,181 @@ def _load_json_arg(text: str, option: str):
         ) from exc
 
 
+def _is_json_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (JSON true loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_ascii_int(text: str) -> bool:
+    """text is -?[0-9]+ in ASCII; int() alone would also take "1_0", " 2 "
+    or the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_rational(value) -> Fraction:
+    """A JSON integer, or an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+, as a
+    Fraction.  Anything else is a DomainError: floats, exponents, blanks,
+    underscores, a zero denominator, or more digits than the interpreter
+    converts."""
+    from fractions import Fraction
+
+    if isinstance(value, bool):
+        raise DomainError(f"not a rational: the boolean {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if _is_ascii_int(num) and (not slash or (den.isascii() and den.isdigit())):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except (ValueError, ZeroDivisionError):
+                pass
+    raise DomainError(f"not a rational: {_shown(value)}")
+
+
+def format_rational(value) -> str:
+    """An int or a Fraction as its canonical "num/den" string, denominator 1
+    dropped.  A numerator or denominator longer than the interpreter's
+    integer-to-string limit is a DomainError; the limit is not raised."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise DomainError(
+            f"a result exceeds {sys.get_int_max_str_digits()} digits, the interpreter's "
+            "limit for integer-to-string conversion"
+        ) from exc
+
+
+def parse_exponents(value, where: str) -> tuple:
+    """A JSON array of nonnegative integers as a tuple; anything else is a
+    DomainError naming where the value sits (and its length, not the value,
+    once that is long)."""
+    if not isinstance(value, list) or not all(_is_json_int(e) and e >= 0 for e in value):
+        raise DomainError(
+            f"{where} must be an array of nonnegative integers, got {_shown(value)}"
+        )
+    return tuple(value)
+
+
+def _rationals_from_json(data, what: str) -> list:
+    """An array of rationals: polynomial coefficients, moment values or a
+    matrix row."""
+    if not isinstance(data, list):
+        raise DomainError(f"{what} must be an array of rationals")
+    return [parse_rational(v) for v in data]
+
+
+def poly_to_json(p: Poly):
+    return [format_rational(c) for c in p.coeffs]
+
+
+def poly_from_json(data, what: str = "polynomial JSON") -> Poly:
+    """Coefficients, constant term first."""
+    from .upoly import Poly
+
+    return Poly(_rationals_from_json(data, what))
+
+
+def laurent_from_json(data) -> LaurentPoly:
+    """Keys are exponents written as ASCII -?[0-9]+, values rationals."""
+    from .upoly import LaurentPoly
+
+    if not isinstance(data, dict):
+        raise DomainError("Laurent JSON must map exponent strings to rationals")
+    out = {}
+    for key, c in data.items():
+        if not _is_ascii_int(key):
+            raise DomainError(f"bad Laurent exponent {_shown(key)}: not an integer -?[0-9]+")
+        try:
+            exp = int(key)
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise DomainError(f"bad Laurent exponent {_shown(key)}: too many digits") from exc
+        out[exp] = parse_rational(c)
+    return LaurentPoly(out)
+
+
+def functional_to_json(fn: FunctionalNF):
+    return {
+        "P0": poly_to_json(fn.zero_part),
+        "parts": {format_rational(lam): poly_to_json(op) for lam, op in fn.parts.items()},
+    }
+
+
+def functional_from_json(data, roots: RootData) -> FunctionalNF:
+    """{"P0": [...], "parts": {root: [...]}}; either may be left out, and a
+    present P0 must be an array, present parts an object."""
+    from .functionals import FunctionalNF
+
+    if not isinstance(data, dict):
+        raise DomainError("functional JSON must be an object with P0 and parts")
+    zero_part = poly_from_json(data.get("P0", []), "functional P0")
+    raw_parts = data.get("parts", {})
+    if not isinstance(raw_parts, dict):
+        raise DomainError(
+            "functional parts must be an object mapping roots to operator coefficients"
+        )
+    parts = {parse_rational(key): poly_from_json(coeffs) for key, coeffs in raw_parts.items()}
+    return FunctionalNF(roots, zero_part, parts)
+
+
+def _terms_from_json(data, label: str, fields: tuple, read_c) -> dict:
+    """A multivariate polynomial as a term list: an array of objects, each
+    with an exponent array under every name in fields and a coefficient c
+    that read_c reads.  Returns {(exponent tuple per field): summed c};
+    errors name label and the term index."""
+    if not isinstance(data, list):
+        raise DomainError(f"{label} must be an array of term objects")
+    terms = {}
+    for i, item in enumerate(data):
+        if not isinstance(item, dict) or not all(f in item for f in (*fields, "c")):
+            raise DomainError(f"{label}[{i}] needs {', '.join(fields)} and c fields")
+        key = tuple(parse_exponents(item[f], f"{label}[{i}].{f}") for f in fields)
+        terms[key] = terms.get(key, 0) + read_c(item["c"])
+    return terms
+
+
+def _residue_from_json(value) -> int:
+    if not _is_json_int(value):
+        raise DomainError(f"coefficients must be integers, got {_shown(value)}")
+    return value
+
+
+def zx_to_json(q: ZXPoly):
+    return [{"zeta": list(z), "x": list(x), "c": q.terms[(z, x)]} for z, x in sorted(q.terms)]
+
+
+def zx_from_json(data, nvars: int, modulus: int, label: str = "polynomial") -> ZXPoly:
+    """Terms {"zeta": [...], "x": [...], "c": int} over F_modulus."""
+    from .imagep import ZXPoly
+
+    return ZXPoly(nvars, modulus, _terms_from_json(data, label, ("zeta", "x"), _residue_from_json))
+
+
+def _multipoly_from_json(data, label: str) -> MultiPolyQ:
+    """Terms {"exps": [...], "c": rational} over Q, at least one."""
+    from .probes import MultiPolyQ
+
+    if not isinstance(data, list) or not data:
+        raise DomainError(f"{label} must be a nonempty array of term objects")
+    terms = _terms_from_json(data, label, ("exps",), parse_rational)
+    lengths = {len(exps) for (exps,) in terms}
+    if len(lengths) > 1:
+        raise DomainError(f"{label} exponent vectors disagree in length")
+    return MultiPolyQ(lengths.pop(), {exps: c for (exps,), c in terms.items()})
+
+
 def _roots_from_json(data) -> RootData:
-    from .scalars import parse_rational
     from .upoly import RootData
 
     if not isinstance(data, list) or not data:
         raise DomainError("roots must be a nonempty array of [root, multiplicity] pairs")
     pairs = []
     for i, item in enumerate(data):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise DomainError("each root entry must be a [root, multiplicity] pair")
+        if not isinstance(item, list) or len(item) != 2:
+            raise DomainError(f"roots[{i}] must be a [root, multiplicity] pair")
         mult = item[1]
-        if not isinstance(mult, int) or isinstance(mult, bool):
+        if not _is_json_int(mult):
             raise DomainError(
                 f"roots[{i}] multiplicity must be a JSON integer, got {json.dumps(mult)}"
             )
@@ -94,7 +273,6 @@ def _roots_from_json(data) -> RootData:
 
 
 def _spec_from_json(data) -> SubspaceSpec:
-    from .functionals import functional_from_json
     from .mzdecide import SubspaceSpec
 
     if not isinstance(data, dict):
@@ -109,15 +287,10 @@ def _spec_from_json(data) -> SubspaceSpec:
 
 
 def _roots_to_json(roots: RootData):
-    from .scalars import format_rational
-
     return [[format_rational(lam), mult] for lam, mult in roots]
 
 
 def _verdict_payload(spec: SubspaceSpec, verdict):
-    from .scalars import format_rational
-    from .upoly import poly_to_json
-
     payload = {"isMZ": verdict.is_mz}
     if not verdict.is_mz:
         payload["witnessSubset"] = [format_rational(lam) for lam in verdict.witness_subset]
@@ -134,9 +307,11 @@ def _max_roots() -> int:
     if raw is None:
         return DEFAULT_MAX_SUBSET_ROOTS
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{MAX_ROOTS_ENV} must be an integer, got {raw!r}") from exc
+        value = int(raw) if _is_ascii_int(raw) else None
+    except ValueError:  # more digits than the interpreter converts
+        value = None
+    if value is None:
+        raise DomainError(f"{MAX_ROOTS_ENV} must be an integer -?[0-9]+, got {_shown(raw)}")
     if value < 1:
         raise DomainError(f"{MAX_ROOTS_ENV} must be >= 1")
     return value
@@ -173,8 +348,7 @@ def _cmd_oracle(args):
 
 def _cmd_idempotents(args):
     from .quotient import all_idempotents, crt_idempotents
-    from .scalars import format_rational
-    from .upoly import poly_from_json, poly_to_json, rational_roots
+    from .upoly import rational_roots
 
     if (args.roots is None) == (args.modulus is None):
         raise DomainError("give exactly one of --roots or --modulus")
@@ -199,15 +373,8 @@ def _cmd_idempotents(args):
 
 
 def _cmd_moments(args):
-    from .functionals import (
-        MomentSeq,
-        from_moments,
-        functional_from_json,
-        functional_to_json,
-        to_moments,
-    )
-    from .scalars import format_rational, parse_rational
-    from .upoly import poly_from_json, rational_roots
+    from .functionals import MomentSeq, from_moments, to_moments
+    from .upoly import rational_roots
 
     data = _load_json_arg(args.input, "--input")
     if not isinstance(data, dict):
@@ -219,9 +386,7 @@ def _cmd_moments(args):
             roots = rational_roots(poly_from_json(data["charPoly"]))
         else:
             raise DomainError("moment input needs roots or charPoly")
-        if not isinstance(data["values"], list):
-            raise DomainError("values must be an array of rationals")
-        values = [parse_rational(v) for v in data["values"]]
+        values = _rationals_from_json(data["values"], "values")
         fn = from_moments(MomentSeq(values, roots.poly()), roots)
         payload = dict(functional_to_json(fn))
         payload["roots"] = _roots_to_json(roots)
@@ -230,19 +395,19 @@ def _cmd_moments(args):
         if "roots" not in data:
             raise DomainError("functional input needs a roots array")
         roots = _roots_from_json(data["roots"])
-        if args.count is not None and args.count > _MOMENTS_MAX_COUNT:
-            raise DomainError(f"--count {args.count} exceeds the cap {_MOMENTS_MAX_COUNT}")
-        fn = functional_from_json(data, roots)
-        count = args.count if args.count is not None else roots.degree
-        values = to_moments(fn, count)
+        if args.count is not None:
+            count, given = args.count, f"--count {args.count}"
+        else:
+            count, given = roots.degree, f"the default --count, deg f = {roots.degree},"
+        if count > _MOMENTS_MAX_COUNT:
+            raise DomainError(f"{given} exceeds the cap {_MOMENTS_MAX_COUNT}")
+        values = to_moments(functional_from_json(data, roots), count)
         return {"values": [format_rational(v) for v in values]}, data
     raise DomainError("input must carry either moment values or a functional")
 
 
 def _cmd_certify(args):
     from .certificates import certify_exponential, certify_unit_interval
-    from .scalars import format_rational
-    from .upoly import poly_from_json
 
     data = _load_json_arg(args.poly, "--poly")
     f = poly_from_json(data)
@@ -262,16 +427,15 @@ def _cmd_certify(args):
 
 def _cmd_trace_test(args):
     from .probes import MatrixQ, trace_radical_test
-    from .scalars import format_rational, parse_rational
 
     data = _load_json_arg(args.matrix, "--matrix")
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+    if not isinstance(data, list):
         raise DomainError("matrix must be an array of rows, each an array of rationals")
     if len(data) > _TRACE_MAX_DIMENSION:
         raise DomainError(
             f"--matrix dimension {len(data)} exceeds the cap {_TRACE_MAX_DIMENSION}"
         )
-    matrix = MatrixQ([[parse_rational(v) for v in row] for row in data])
+    matrix = MatrixQ([_rationals_from_json(row, f"--matrix[{i}]") for i, row in enumerate(data)])
     report = trace_radical_test(matrix)
     payload = {
         "inRadical": report.in_radical,
@@ -283,8 +447,6 @@ def _cmd_trace_test(args):
 
 def _cmd_laurent(args):
     from .probes import laurent_image_membership, laurent_mz_class, radical_vminus1_membership
-    from .scalars import format_rational, parse_rational
-    from .upoly import laurent_from_json
 
     lam = parse_rational(args.lam)
     payload = {"lambda": format_rational(lam), "mzClass": laurent_mz_class(lam)}
@@ -296,26 +458,6 @@ def _cmd_laurent(args):
         payload["radicalVminus1Member"] = radical_vminus1_membership(g)
         inputs["poly"] = data
     return payload, inputs
-
-
-def _multipoly_from_json(data, label: str) -> MultiPolyQ:
-    from .probes import MultiPolyQ
-    from .scalars import parse_exponents, parse_rational
-
-    if not isinstance(data, list) or not data:
-        raise DomainError(f"{label} must be a nonempty array of term objects")
-    nvars = None
-    terms = {}
-    for i, item in enumerate(data):
-        if not isinstance(item, dict) or "exps" not in item or "c" not in item:
-            raise DomainError(f"each {label} term needs exps and c fields")
-        exps = parse_exponents(item["exps"], f"{label}[{i}].exps")
-        if nvars is None:
-            nvars = len(exps)
-        elif len(exps) != nvars:
-            raise DomainError(f"{label} exponent vectors disagree in length")
-        terms[exps] = terms.get(exps, 0) + parse_rational(item["c"])
-    return MultiPolyQ(nvars, terms)
 
 
 def _cmd_gvc_probe(args):
@@ -360,7 +502,7 @@ def _obstruction_payload(obstruction: ObstructionReport):
 
 
 def _certificate_payload(certificate: ImDCertificate):
-    return [q.to_json() for q in certificate.preimages]
+    return [zx_to_json(q) for q in certificate.preimages]
 
 
 def _cmd_imagep(args):
@@ -368,7 +510,7 @@ def _cmd_imagep(args):
 
     data = _load_json_arg(args.input, "--input")
     if args.mode == "decide":
-        b = ZXPoly.from_json(data, args.n, args.p, "--input")
+        b = zx_from_json(data, args.n, args.p, "--input")
         _check_imagep_caps([b], args.p, args.n)
         result = imd_decide(b)
         if isinstance(result, ImDCertificate):
@@ -378,9 +520,9 @@ def _cmd_imagep(args):
         return payload, data
     if not isinstance(data, dict) or "f" not in data:
         raise DomainError("theorem input must be an object with f (and optional g)")
-    f = ZXPoly.from_json(data["f"], args.n, args.p, "--input.f")
+    f = zx_from_json(data["f"], args.n, args.p, "--input.f")
     if "g" in data:
-        g = ZXPoly.from_json(data["g"], args.n, args.p, "--input.g")
+        g = zx_from_json(data["g"], args.n, args.p, "--input.g")
     else:
         g = ZXPoly.one(args.n, args.p)
     _check_imagep_caps([f, g], args.p, args.n)
@@ -434,7 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="JSON with values+roots (to functional) or P0/parts+roots (to moments)")
     p.add_argument("--count", type=int,
-                   help=f"number of moments to emit, at most {_MOMENTS_MAX_COUNT}")
+                   help=f"number of moments to emit (default deg f), at most "
+                        f"{_MOMENTS_MAX_COUNT}")
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("certify", help="p-adic non-radical certificate search")

@@ -39,15 +39,8 @@ from math import factorial, gcd, lcm
 from .errors import DomainError
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import _all_rational, clear_denominators, format_rational, parse_rational
-from .upoly import (
-    Poly,
-    RootData,
-    int_times_linear,
-    poly_from_json,
-    poly_to_json,
-    split_integer_form,
-)
+from .scalars import _all_rational, clear_denominators
+from .upoly import Poly, RootData, int_times_linear, split_integer_form
 
 
 class FunctionalNF:
@@ -283,25 +276,3 @@ def dependency_relation(functionals, count: int):
     """Coefficients of a vanishing combination of the functionals, or None:
     a left dependency of the moment rows L_i(t^j), j < count."""
     return left_dependency([list(to_moments(fn, count)) for fn in functionals])
-
-
-def functional_to_json(fn: FunctionalNF):
-    return {
-        "P0": poly_to_json(fn.zero_part),
-        "parts": {format_rational(lam): poly_to_json(op) for lam, op in fn.parts.items()},
-    }
-
-
-def functional_from_json(data, roots: RootData) -> FunctionalNF:
-    if not isinstance(data, dict):
-        raise DomainError("functional JSON must be an object with P0 and parts")
-    zero_part = poly_from_json(data.get("P0", []))
-    raw_parts = data.get("parts") or {}
-    if not isinstance(raw_parts, dict):
-        raise DomainError(
-            "functional parts must be an object mapping roots to operator coefficients"
-        )
-    parts = {}
-    for key, coeffs in raw_parts.items():
-        parts[parse_rational(key)] = poly_from_json(coeffs)
-    return FunctionalNF(roots, zero_part, parts)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError
-from .scalars import is_prime, parse_exponents
+from .scalars import is_prime
 
 
 class ZXPoly:
@@ -149,30 +149,6 @@ class ZXPoly:
 
     def __repr__(self):
         return f"ZXPoly(n={self.nvars}, p={self.modulus}, {self.terms!r})"
-
-    def to_json(self):
-        out = []
-        for (zexp, xexp) in sorted(self.terms):
-            out.append({"zeta": list(zexp), "x": list(xexp),
-                        "c": self.terms[(zexp, xexp)]})
-        return out
-
-    @classmethod
-    def from_json(cls, data, nvars: int, modulus: int, label: str = "polynomial") -> "ZXPoly":
-        """Terms {"zeta": [...], "x": [...], "c": int}; exponent errors name
-        label and the term index."""
-        if not isinstance(data, list):
-            raise DomainError("polynomial JSON must be a list of term objects")
-        terms = {}
-        for i, item in enumerate(data):
-            if not isinstance(item, dict) or not {"zeta", "x", "c"} <= set(item):
-                raise DomainError("each term needs zeta, x, and c fields")
-            if not isinstance(item["c"], int) or isinstance(item["c"], bool):
-                raise DomainError("coefficients must be integers")
-            key = (parse_exponents(item["zeta"], f"{label}[{i}].zeta"),
-                   parse_exponents(item["x"], f"{label}[{i}].x"))
-            terms[key] = terms.get(key, 0) + item["c"]
-        return cls(nvars, modulus, terms)
 
 
 def apply_d(index: int, q: ZXPoly) -> ZXPoly:

@@ -1,14 +1,13 @@
 """Exact scalars: rationals, prime fields, p-adic valuations, primality.
 
 Rationals are stdlib Fraction values (always reduced, denominator > 0, zero is
-0/1), serialized as "num/den" strings with the "/1" dropped.  The p-adic
-valuation of 0 is the distinguished sentinel PADIC_INF, never an integer.
+0/1).  The p-adic valuation of 0 is the distinguished sentinel PADIC_INF,
+never an integer.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -94,49 +93,6 @@ def padic_abs(value, p: int) -> Fraction:
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
-_ECHO_LIMIT = 40
-
-
-def _shown(value, limit: int = _ECHO_LIMIT) -> str:
-    """repr(value) for a rejection message, or only its type and length once
-    that is longer than limit, so an error never repeats a huge input."""
-    text = repr(value)
-    if len(text) <= limit:
-        return text
-    if isinstance(value, str):
-        return f"a {len(value)}-character string"
-    if isinstance(value, list):
-        return f"an array of {len(value)} entries"
-    return f"a {type(value).__name__} {len(text)} characters long"
-
-
-def parse_rational(text) -> Fraction:
-    """Parse a "num/den" (or plain integer) string; DomainError on garbage."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, bool):
-        raise DomainError(f"not a rational: the boolean {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational: {_shown(text)}") from exc
-
-
-def parse_exponents(value, where: str) -> tuple:
-    """A JSON array of nonnegative integers (booleans excluded) as a tuple;
-    anything else is a DomainError naming where the value sits (and its
-    length, not the value, once that is long)."""
-    if not isinstance(value, list) or not all(
-        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in value
-    ):
-        raise DomainError(
-            f"{where} must be an array of nonnegative integers, got {_shown(value)}"
-        )
-    return tuple(value)
-
-
 def _all_rational(values) -> bool:
     """True when every value is an int or a Fraction, so that the integer
     kernels apply; prime-field scalars take the generic field arithmetic."""
@@ -148,19 +104,6 @@ def clear_denominators(values):
     rational values (1 for none) and ints lists d*v for each value v."""
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def format_rational(value) -> str:
-    """Canonical "num/den" string; denominator 1 is dropped.  A numerator or
-    denominator longer than the interpreter's integer-to-string limit is a
-    DomainError; the limit is not raised."""
-    try:
-        return str(Fraction(value))
-    except ValueError as exc:
-        raise DomainError(
-            f"a result exceeds {sys.get_int_max_str_digits()} digits, the interpreter's "
-            "limit for integer-to-string conversion"
-        ) from exc
 
 
 def scalar_inverse(c):

@@ -458,43 +458,3 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         inner = ", ".join(f"{e}: {c}" for e, c in self.terms.items())
         return f"LaurentPoly({{{inner}}})"
-
-
-def poly_to_json(p: Poly):
-    from .scalars import format_rational
-
-    return [format_rational(c) for c in p.coeffs]
-
-
-def poly_from_json(data) -> Poly:
-    from .scalars import parse_rational
-
-    if not isinstance(data, list):
-        raise DomainError("polynomial JSON must be an array of rational strings")
-    return Poly(tuple(parse_rational(c) for c in data))
-
-
-def laurent_to_json(p: LaurentPoly):
-    from .scalars import format_rational
-
-    return {str(e): format_rational(c) for e, c in p.terms.items()}
-
-
-def laurent_from_json(data) -> LaurentPoly:
-    """Keys are exponents written as ASCII -?[0-9]+; int() alone would also
-    take "1_0" or " -2 "."""
-    from .scalars import _shown, parse_rational
-
-    if not isinstance(data, dict):
-        raise DomainError("Laurent JSON must map exponent strings to rationals")
-    out = {}
-    for key, c in data.items():
-        digits = key[1:] if key.startswith("-") else key
-        if not (digits.isascii() and digits.isdigit()):
-            raise DomainError(f"bad Laurent exponent {_shown(key)}: not an integer -?[0-9]+")
-        try:
-            exp = int(key)
-        except ValueError as exc:  # more digits than the interpreter converts
-            raise DomainError(f"bad Laurent exponent {_shown(key)}: too many digits") from exc
-        out[exp] = parse_rational(c)
-    return LaurentPoly(out)

@@ -309,6 +309,17 @@ def test_env_cap_applies_to_decide(capsys, monkeypatch):
     monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", "not-a-number")
     code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
     assert code == 2
+    for raw in ("1_0", " 3 ", "\u0663", "2.0"):
+        monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", raw)
+        code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
+        assert code == 2
+        assert out["error"]["message"] == (
+            f"MZ_MAX_SUBSET_ROOTS must be an integer -?[0-9]+, got {raw!r}")
+    for raw in ("x" * 5000, "9" * 5000):
+        monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", raw)
+        code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
+        assert code == 2
+        assert out["error"]["message"].endswith("got a 5000-character string")
 
 
 def test_stdout_is_byte_identical_across_runs():
@@ -371,6 +382,20 @@ def test_parts_given_as_a_list_is_a_domain_error(capsys):
     assert code == 2
     assert out["error"]["kind"] == "domain"
     assert "parts" in out["error"]["message"]
+    # A present parts must be an object and a present P0 an array, even when
+    # the value is empty or false.
+    for field, value in [("parts", v) for v in ([], False, 0, "", None)] + [
+            ("P0", v) for v in ({}, False, 0, "", None, "1")]:
+        fn = {"parts": {"1": ["1"]}, field: value}
+        spec = {"roots": [["1", 1]], "functionals": [fn]}
+        code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(spec)])
+        assert code == 2, (field, value)
+        assert out["error"]["kind"] == "domain"
+        assert field in out["error"]["message"]
+    spec = {"roots": [["1", 1], ["2"]], "functionals": [{"parts": {"1": ["1"]}}]}
+    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(spec)])
+    assert code == 2
+    assert out["error"]["message"] == "roots[1] must be a [root, multiplicity] pair"
 
 
 @pytest.mark.parametrize("argv", [["decide", "--spec"], ["moments", "--input"]])
@@ -506,6 +531,11 @@ def test_oversized_rational_error_names_only_its_length(capsys):
         assert len(json.dumps(out, indent=2)) < 200
     code, out, _ = _run(capsys, ["laurent", "--lam", "1/0"])
     assert out["error"]["message"] == "not a rational: '1/0'"
+    # An exponent is outside the grammar, so it is rejected before any
+    # 33-million-bit integer is built.
+    code, out, _ = _run(capsys, ["laurent", "--lam", "1e10000000"])
+    assert code == 2
+    assert out["error"]["message"] == "not a rational: '1e10000000'"
 
 
 def test_oversized_option_and_exponent_errors_name_only_their_length(capsys):
@@ -535,6 +565,17 @@ def test_moments_count_cap(capsys):
     code, out, _ = _run(capsys, ["moments", "--input", ONE_OVER_997, "--count", "1501"])
     assert code == 2
     assert out["error"]["message"] == "--count 1501 exceeds the cap 1500"
+    # Without --count the count is deg f, and the cap holds for it too.
+    roots = [[str(k), 250] for k in range(1, 9)]
+    data = json.dumps({"roots": roots, "parts": {"1": ["1"]}})
+    code, out, _ = _run(capsys, ["moments", "--input", data])
+    assert code == 2
+    assert out["error"]["message"] == (
+        "the default --count, deg f = 2000, exceeds the cap 1500")
+    data = json.dumps({"roots": [[str(k), 250] for k in range(1, 7)], "parts": {"1": ["1"]}})
+    code, out, _ = _run(capsys, ["moments", "--input", data])
+    assert code == 0
+    assert len(out["values"]) == 1500
 
 
 def test_moments_beyond_the_digit_limit_is_a_domain_error(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzspaces.cli import functional_from_json, functional_to_json
 from mzspaces.errors import DomainError
 from mzspaces.functionals import (
     FunctionalNF,
@@ -11,8 +12,6 @@ from mzspaces.functionals import (
     dependency_relation,
     evaluate,
     from_moments,
-    functional_from_json,
-    functional_to_json,
     largest_ideal_exponents,
     to_moments,
 )

@@ -1,6 +1,7 @@
 """The lazy package namespace, the immutable result records, and the library
 names the benchmark tracer rebinds."""
 
+import ast
 import importlib
 import importlib.util
 from fractions import Fraction
@@ -127,3 +128,28 @@ def test_every_traced_name_resolves():
             assert method in vars(getattr(module, cls_name)), (module_name, attr)
         else:
             assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+PACKAGE = Path(mzspaces.__file__).resolve().parent
+CODEC_NAMES = {"parse_rational", "format_rational", "parse_exponents"}
+
+
+def test_only_the_cli_speaks_json():
+    # cli.py owns the wire format; the library modules neither import json
+    # nor define a JSON reader or writer.
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            offences += [(path.name, f"import {n}") for n in imported if n.split(".")[0] == "json"]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    node.name.endswith("_json") or node.name in CODEC_NAMES):
+                offences.append((path.name, node.name))
+    assert offences == []

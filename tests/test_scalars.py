@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from mzspaces.cli import format_rational, parse_rational
 from mzspaces.errors import DomainError
 from mzspaces.scalars import (
     PADIC_INF,
     PrimeFieldScalar,
-    format_rational,
     is_prime,
     padic_abs,
     padic_valuation,
-    parse_rational,
     scalar_inverse,
 )
 
@@ -120,7 +119,9 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rational_rejects_garbage():
-    for bad in ("", "one", "1/0", "2.5.1", "1//2", None):
+    for bad in ("", "one", "1/0", "2.5.1", "1//2", None,
+                "1e10000000", "1e-2", "1_0", " 0.5 ", "0.5", 0.5, "-", "1/-2", "+1",
+                "\u0663", "1/ 2", " 1", float("inf")):
         with pytest.raises(DomainError):
             parse_rational(bad)
 
