@@ -49,9 +49,10 @@ _EXPORTS = {
         "PADIC_INF", "PrimeFieldScalar", "is_prime", "padic_abs", "padic_valuation",
     ), "scalars"),
     "run_selftest": "selftest",
+    "LaurentPoly": "sparse",
     **dict.fromkeys((
-        "NEG_INF", "LaurentPoly", "Poly", "RootData", "apply_der_op", "apply_euler_op",
-        "extended_gcd", "rational_roots",
+        "NEG_INF", "Poly", "RootData", "apply_der_op", "apply_euler_op", "extended_gcd",
+        "rational_roots",
     ), "upoly"),
 }
 

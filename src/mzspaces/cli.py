@@ -40,7 +40,10 @@ _IMAGEP_MAX_DEGREE = 24
 # that is 0.95 s and 1.1 MB, and each further root doubles both.  The oracle
 # walks all 2^r subsets of the roots, one big-integer addition each; at its
 # cap (mzdecide.DEFAULT_MAX_ORACLE_ROOTS, 20 roots) a spec with no balanced
-# subset and 3 functionals takes 0.2-0.4 s, and the help text says so.
+# subset and 3 functionals takes 0.2-0.4 s, and the help text says so.  The
+# root search of `--modulus` and `charPoly` (upoly.rational_roots) takes
+# 0.25-0.27 s at its digit cap and 0.65-1.25 s at its candidates-times-degree
+# cap (19200 candidates at degree 6, 10240 at degree 12, 2048 at degree 117).
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
 _MOMENTS_MAX_COUNT = 1500
@@ -88,6 +91,13 @@ def _load_json_arg(text: str, option: str):
             f"{option}: an integer exceeds {sys.get_int_max_str_digits()} digits, the "
             "interpreter's limit for string-to-integer conversion"
         ) from exc
+
+
+def _check_keys(data: dict, keys: tuple, where: str) -> None:
+    """Reject a key of the object data outside keys, naming where it sits."""
+    for key in data:
+        if key not in keys:
+            raise DomainError(f"{where}: unknown key {_shown(key)}")
 
 
 def _is_json_int(value) -> bool:
@@ -168,7 +178,7 @@ def poly_from_json(data, what: str = "polynomial JSON") -> Poly:
 
 def laurent_from_json(data) -> LaurentPoly:
     """Keys are exponents written as ASCII -?[0-9]+, values rationals."""
-    from .upoly import LaurentPoly
+    from .sparse import LaurentPoly
 
     if not isinstance(data, dict):
         raise DomainError("Laurent JSON must map exponent strings to rationals")
@@ -191,13 +201,14 @@ def functional_to_json(fn: FunctionalNF):
     }
 
 
-def functional_from_json(data, roots: RootData) -> FunctionalNF:
-    """{"P0": [...], "parts": {root: [...]}}; either may be left out, and a
-    present P0 must be an array, present parts an object."""
+def functional_from_json(data, roots: RootData, where: str = "functional") -> FunctionalNF:
+    """{"P0": [...], "parts": {root: [...]}}; either may be left out, a present
+    P0 must be an array, present parts an object, and where names any other key."""
     from .functionals import FunctionalNF
 
     if not isinstance(data, dict):
         raise DomainError("functional JSON must be an object with P0 and parts")
+    _check_keys(data, ("P0", "parts"), where)
     zero_part = poly_from_json(data.get("P0", []), "functional P0")
     raw_parts = data.get("parts", {})
     if not isinstance(raw_parts, dict):
@@ -211,14 +222,15 @@ def functional_from_json(data, roots: RootData) -> FunctionalNF:
 def _terms_from_json(data, label: str, fields: tuple, read_c) -> dict:
     """A multivariate polynomial as a term list: an array of objects, each
     with an exponent array under every name in fields and a coefficient c
-    that read_c reads.  Returns {(exponent tuple per field): summed c};
-    errors name label and the term index."""
+    that read_c reads, and no other key.  Returns {(exponent tuple per field):
+    summed c}; errors name label and the term index."""
     if not isinstance(data, list):
         raise DomainError(f"{label} must be an array of term objects")
     terms = {}
     for i, item in enumerate(data):
         if not isinstance(item, dict) or not all(f in item for f in (*fields, "c")):
             raise DomainError(f"{label}[{i}] needs {', '.join(fields)} and c fields")
+        _check_keys(item, (*fields, "c"), f"{label}[{i}]")
         key = tuple(parse_exponents(item[f], f"{label}[{i}].{f}") for f in fields)
         terms[key] = terms.get(key, 0) + read_c(item["c"])
     return terms
@@ -254,6 +266,16 @@ def _multipoly_from_json(data, label: str) -> MultiPolyQ:
     return MultiPolyQ(lengths.pop(), {exps: c for (exps,), c in terms.items()})
 
 
+def _split_roots_from_json(data, where: str) -> RootData:
+    """The roots of a polynomial that must split over Q; a rejection names where."""
+    from .upoly import rational_roots
+
+    try:
+        return rational_roots(poly_from_json(data))
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
+
+
 def _roots_from_json(data) -> RootData:
     from .upoly import RootData
 
@@ -266,7 +288,7 @@ def _roots_from_json(data) -> RootData:
         mult = item[1]
         if not _is_json_int(mult):
             raise DomainError(
-                f"roots[{i}] multiplicity must be a JSON integer, got {json.dumps(mult)}"
+                f"roots[{i}] multiplicity must be a JSON integer, got {_shown(mult)}"
             )
         pairs.append((parse_rational(item[0]), mult))
     return RootData(pairs)
@@ -277,13 +299,15 @@ def _spec_from_json(data) -> SubspaceSpec:
 
     if not isinstance(data, dict):
         raise DomainError("spec must be an object with functionals and roots")
+    _check_keys(data, ("roots", "functionals"), "spec")
     if "roots" not in data or "functionals" not in data:
         raise DomainError("spec needs both a functionals array and a roots array")
     roots = _roots_from_json(data["roots"])
     fns = data["functionals"]
     if not isinstance(fns, list) or not fns:
         raise DomainError("functionals must be a nonempty array")
-    return SubspaceSpec([functional_from_json(fn, roots) for fn in fns])
+    return SubspaceSpec(
+        [functional_from_json(fn, roots, f"functionals[{i}]") for i, fn in enumerate(fns)])
 
 
 def _roots_to_json(roots: RootData):
@@ -348,7 +372,6 @@ def _cmd_oracle(args):
 
 def _cmd_idempotents(args):
     from .quotient import all_idempotents, crt_idempotents
-    from .upoly import rational_roots
 
     if (args.roots is None) == (args.modulus is None):
         raise DomainError("give exactly one of --roots or --modulus")
@@ -357,7 +380,7 @@ def _cmd_idempotents(args):
         roots = _roots_from_json(data)
     else:
         data = _load_json_arg(args.modulus, "--modulus")
-        roots = rational_roots(poly_from_json(data))
+        roots = _split_roots_from_json(data, "--modulus")
     if args.all and len(roots) > _IDEMPOTENTS_MAX_ROOTS:
         raise DomainError(
             f"--all with {len(roots)} roots exceeds the cap {_IDEMPOTENTS_MAX_ROOTS}"
@@ -374,16 +397,16 @@ def _cmd_idempotents(args):
 
 def _cmd_moments(args):
     from .functionals import MomentSeq, from_moments, to_moments
-    from .upoly import rational_roots
 
     data = _load_json_arg(args.input, "--input")
     if not isinstance(data, dict):
         raise DomainError("input must be an object")
+    _check_keys(data, ("values", "roots", "charPoly", "P0", "parts"), "--input")
     if "values" in data:
         if "roots" in data:
             roots = _roots_from_json(data["roots"])
         elif "charPoly" in data:
-            roots = rational_roots(poly_from_json(data["charPoly"]))
+            roots = _split_roots_from_json(data["charPoly"], "charPoly")
         else:
             raise DomainError("moment input needs roots or charPoly")
         values = _rationals_from_json(data["values"], "values")
@@ -401,7 +424,8 @@ def _cmd_moments(args):
             count, given = roots.degree, f"the default --count, deg f = {roots.degree},"
         if count > _MOMENTS_MAX_COUNT:
             raise DomainError(f"{given} exceeds the cap {_MOMENTS_MAX_COUNT}")
-        values = to_moments(functional_from_json(data, roots), count)
+        fn_data = {key: data[key] for key in ("P0", "parts") if key in data}
+        values = to_moments(functional_from_json(fn_data, roots), count)
         return {"values": [format_rational(v) for v in values]}, data
     raise DomainError("input must carry either moment values or a functional")
 
@@ -520,6 +544,7 @@ def _cmd_imagep(args):
         return payload, data
     if not isinstance(data, dict) or "f" not in data:
         raise DomainError("theorem input must be an object with f (and optional g)")
+    _check_keys(data, ("f", "g"), "--input")
     f = zx_from_json(data["f"], args.n, args.p, "--input.f")
     if "g" in data:
         g = zx_from_json(data["g"], args.n, args.p, "--input.g")
@@ -567,7 +592,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("idempotents", help="orthogonal idempotents of k[t]/(f)")
     p.add_argument("--roots", help="roots JSON: [[root, multiplicity], ...]")
-    p.add_argument("--modulus", help="polynomial JSON; must split over Q")
+    p.add_argument("--modulus", help="polynomial JSON; must split over Q, with at most 12 "
+                   "digits in the extreme coefficients of its primitive form and at most "
+                   "120000 for its candidate roots +-p/q times its degree (about 1 s at "
+                   "either cap)")
     p.add_argument("--all", action="store_true",
                    help=f"include all 2^r subset sums, for at most {_IDEMPOTENTS_MAX_ROOTS} roots")
     p.set_defaults(handler=_cmd_idempotents)

@@ -16,6 +16,11 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .scalars import is_prime
+from .sparse import accumulate, add_tuples, collect, mul, power, shifted
+
+
+def _add_pairs(a, b):
+    return add_tuples(a[0], b[0]), add_tuples(a[1], b[1])
 
 
 class ZXPoly:
@@ -32,23 +37,17 @@ class ZXPoly:
             raise DomainError(f"modulus {modulus!r} is not prime")
         self.nvars = nvars
         self.modulus = modulus
-        data = {}
         items = terms.items() if hasattr(terms, "items") else terms
-        for key, c in items:
-            zexp, xexp = key
-            zexp = tuple(int(e) for e in zexp)
-            xexp = tuple(int(e) for e in xexp)
-            if len(zexp) != nvars or len(xexp) != nvars:
+        self.terms = collect(self._checked(items), modulus)
+
+    def _checked(self, items):
+        for (zexp, xexp), c in items:
+            zexp, xexp = tuple(map(int, zexp)), tuple(map(int, xexp))
+            if len(zexp) != self.nvars or len(xexp) != self.nvars:
                 raise DomainError("exponent vectors must match the variable count")
             if any(e < 0 for e in zexp + xexp):
                 raise DomainError("exponents must be >= 0")
-            key = (zexp, xexp)
-            c = (data.get(key, 0) + c) % modulus
-            if c == 0:
-                data.pop(key, None)
-            else:
-                data[key] = c
-        self.terms = data
+            yield (zexp, xexp), c
 
     @classmethod
     def zero(cls, nvars: int, modulus: int) -> "ZXPoly":
@@ -82,39 +81,23 @@ class ZXPoly:
 
     def __add__(self, other):
         self._check(other)
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            merged[key] = merged.get(key, 0) + c
-        return ZXPoly(self.nvars, self.modulus, merged)
+        return ZXPoly(self.nvars, self.modulus, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return ZXPoly(self.nvars, self.modulus,
-                      {k: self.modulus - c for k, c in self.terms.items()})
+        return ZXPoly(self.nvars, self.modulus, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for (z1, x1), c1 in self.terms.items():
-            for (z2, x2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(z1, z2)),
-                       tuple(a + b for a, b in zip(x1, x2)))
-                out[key] = (out.get(key, 0) + c1 * c2) % self.modulus
-        return ZXPoly(self.nvars, self.modulus, out)
+        return ZXPoly(self.nvars, self.modulus,
+                      mul(self.terms, other.terms, _add_pairs, self.modulus))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise DomainError("powers must be >= 0")
-        result = ZXPoly.one(self.nvars, self.modulus)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return power(self, exponent, ZXPoly.one(self.nvars, self.modulus))
 
     def partial_x(self, index: int) -> "ZXPoly":
         if not 0 <= index < self.nvars:
@@ -123,12 +106,7 @@ class ZXPoly:
         for (zexp, xexp), c in self.terms.items():
             if xexp[index] == 0:
                 continue
-            scaled = c * xexp[index] % self.modulus
-            if scaled == 0:
-                continue
-            lowered = list(xexp)
-            lowered[index] -= 1
-            out[(zexp, tuple(lowered))] = scaled
+            out[(zexp, shifted(xexp, index, -1))] = c * xexp[index]
         return ZXPoly(self.nvars, self.modulus, out)
 
     def shift_zeta(self, index: int) -> "ZXPoly":
@@ -136,9 +114,7 @@ class ZXPoly:
             raise DomainError("variable index out of range")
         out = {}
         for (zexp, xexp), c in self.terms.items():
-            raised = list(zexp)
-            raised[index] += 1
-            out[(tuple(raised), xexp)] = c
+            out[(shifted(zexp, index, 1), xexp)] = c
         return ZXPoly(self.nvars, self.modulus, out)
 
     def __eq__(self, other):
@@ -177,14 +153,6 @@ class ObstructionReport(namedtuple(
     __slots__ = ()
 
 
-def _accumulate(store, key, delta, modulus):
-    value = (store.get(key, 0) + delta) % modulus
-    if value == 0:
-        store.pop(key, None)
-    else:
-        store[key] = value
-
-
 def imd_decide(b: ZXPoly, var_order=None):
     """Total decision: an ImDCertificate when b lies in the joint image, an
     ObstructionReport otherwise.  The verdict does not depend on var_order
@@ -213,19 +181,12 @@ def imd_decide(b: ZXPoly, var_order=None):
             zexp, xexp = key
             c = work.pop(key)
             index = next(i for i in order if zexp[i] > 0)
-            lowered_z = list(zexp)
-            lowered_z[index] -= 1
-            u_key = (tuple(lowered_z), xexp)
-            _accumulate(preimages[index], u_key, -c, p)
+            lowered_z = shifted(zexp, index, -1)
+            accumulate(preimages[index], (lowered_z, xexp), -c, p)
             if xexp[index] > 0:
-                scaled = c * xexp[index] % p
-                if scaled:
-                    lowered_x = list(xexp)
-                    lowered_x[index] -= 1
-                    _accumulate(work, (tuple(lowered_z), tuple(lowered_x)), scaled, p)
-    certificate = ImDCertificate(
-        preimages=tuple(ZXPoly(n, p, terms) for terms in preimages)
-    )
+                lowered_x = shifted(xexp, index, -1)
+                accumulate(work, (lowered_z, lowered_x), c * xexp[index], p)
+    certificate = ImDCertificate(tuple(ZXPoly(n, p, terms) for terms in preimages))
     if certificate.reconstruct() != b:
         raise AssertionError("image certificate failed to reconstruct the input")
     return certificate
@@ -241,9 +202,7 @@ def j_ideal_witness(b: ZXPoly) -> ImDCertificate | None:
         index = next((i for i in range(n) if zexp[i] >= p), None)
         if index is None:
             return None
-        lowered = list(zexp)
-        lowered[index] -= p
-        piece = ZXPoly.monomial(n, p, lowered, xexp, -c)
+        piece = ZXPoly.monomial(n, p, shifted(zexp, index, -p), xexp, -c)
         for _ in range(p - 1):
             piece = apply_d(index, piece)
         preimages[index] = preimages[index] + piece

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import perm
+from math import perm, prod
+from operator import sub
 
 from .errors import DomainError
 from .scalars import clear_denominators
-from .upoly import LaurentPoly
+from .sparse import LaurentPoly, add_tuples, collect, mul, power, shifted
 
 
 class MatrixQ:
@@ -153,18 +154,16 @@ class MultiPolyQ:
         if nvars < 1:
             raise DomainError("need at least one variable")
         self.nvars = nvars
-        data = {}
         items = terms.items() if hasattr(terms, "items") else terms
+        data = collect(self._checked(items))
+        self.terms = {k: data[k] for k in sorted(data)}
+
+    def _checked(self, items):
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise DomainError(f"bad exponent vector {exps}")
-            c = data.get(exps, 0) + c
-            if c == 0:
-                data.pop(exps, None)
-            else:
-                data[exps] = c
-        self.terms = {k: data[k] for k in sorted(data)}
+            yield exps, c
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPolyQ":
@@ -174,9 +173,7 @@ class MultiPolyQ:
     def variable(cls, nvars: int, index: int) -> "MultiPolyQ":
         if not 0 <= index < nvars:
             raise DomainError("variable index out of range")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return cls(nvars, {shifted((0,) * nvars, index, 1): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -195,10 +192,7 @@ class MultiPolyQ:
 
     def __add__(self, other):
         self._check(other)
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + c
-        return MultiPolyQ(self.nvars, merged)
+        return MultiPolyQ(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return MultiPolyQ(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -208,20 +202,12 @@ class MultiPolyQ:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPolyQ(self.nvars, out)
+        return MultiPolyQ(self.nvars, mul(self.terms, other.terms, add_tuples))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise DomainError("powers must be >= 0")
-        result = MultiPolyQ.constant(self.nvars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, MultiPolyQ.constant(self.nvars, 1))
 
     def scale(self, c):
         return MultiPolyQ(self.nvars, {e: v * c for e, v in self.terms.items()})
@@ -233,9 +219,7 @@ class MultiPolyQ:
         for exps, c in self.terms.items():
             if exps[index] == 0:
                 continue
-            lowered = list(exps)
-            lowered[index] -= 1
-            out[tuple(lowered)] = c * exps[index]
+            out[shifted(exps, index, -1)] = c * exps[index]
         return MultiPolyQ(self.nvars, out)
 
     def __eq__(self, other):
@@ -295,29 +279,16 @@ def _integer_terms(poly: MultiPolyQ) -> dict:
     return dict(zip(poly.terms, ints))
 
 
-def _int_multiply(f: dict, g: dict) -> dict:
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def _int_apply(symbol, f: dict) -> dict:
     """One application of the operator with (exponents, coefficient) terms
     symbol: the derivative d^k sends x^e to e!/(e-k)! x^(e-k) per variable,
     and perm(e, k) = e!/(e-k)! is 0 for k > e."""
-    out = {}
-    for exps, c in f.items():
-        for op_exps, op_c in symbol:
-            coef = op_c * c
-            for e, k in zip(exps, op_exps):
-                coef *= perm(e, k)
-            if coef:
-                key = tuple(e - k for e, k in zip(exps, op_exps))
-                out[key] = out.get(key, 0) + coef
-    return {e: c for e, c in out.items() if c}
+    return collect(
+        (tuple(map(sub, exps, op_exps)), coef)
+        for exps, c in f.items()
+        for op_exps, op_c in symbol
+        if (coef := prod(map(perm, exps, op_exps), start=op_c * c))
+    )
 
 
 def _killed_by_power(symbol, f: dict, m: int) -> bool:
@@ -351,10 +322,10 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     conclusion_violations = []
     p_power = {(0,) * p_poly.nvars: 1}
     for m in range(1, m_max + 1):
-        p_power = _int_multiply(p_power, p_terms)
+        p_power = mul(p_power, p_terms, add_tuples)
         if not _killed_by_power(symbol, p_power, m):
             hypothesis_violations.append(m)
-        if not _killed_by_power(symbol, _int_multiply(q_terms, p_power), m):
+        if not _killed_by_power(symbol, mul(q_terms, p_power, add_tuples), m):
             conclusion_violations.append(m)
     if not conclusion_violations:
         transition = 1

@@ -36,7 +36,8 @@ from .quotient import (
     root_idempotent,
 )
 from .scalars import padic_valuation
-from .upoly import LaurentPoly, Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
+from .sparse import LaurentPoly
+from .upoly import Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
 
 
 # ---------------------------------------------------------------------------

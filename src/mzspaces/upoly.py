@@ -11,10 +11,10 @@ special case.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .errors import DoesNotSplitError, DomainError
-from .scalars import _all_rational, scalar_inverse
+from .scalars import _all_rational, clear_denominators, scalar_inverse
 
 NEG_INF = float("-inf")
 
@@ -337,23 +337,21 @@ class RootData:
         return f"RootData([{inner}])"
 
 
+# Work budget of rational_roots; cli.py states the time at each cap.
+MAX_ROOT_DIGITS = 12  # per extreme coefficient; trial division runs to its square root
+MAX_ROOT_STEPS = 120_000  # candidates +-p/q times the degree; one Horner evaluation each
+
+
 def _divisors(n):
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small if d * d != n]
 
 
 def rational_roots(f: Poly) -> RootData:
     """All rational roots with multiplicities, via the rational root theorem
     on the primitive integer form.  Raises DoesNotSplitError if a factor of
-    degree > 0 remains."""
+    degree > 0 remains, and DomainError over the budget above (checked first)."""
     if f.is_zero:
         raise DomainError("zero polynomial has every root")
     if f.degree == 0:
@@ -366,20 +364,18 @@ def rational_roots(f: Poly) -> RootData:
     if zero_mult:
         found.append((Fraction(0), zero_mult))
     if work.degree > 0:
-        denom_lcm = 1
-        for c in work.coeffs:
-            d = Fraction(c).denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        ints = [int(Fraction(c) * denom_lcm) for c in work.coeffs]
-        content = 0
-        for c in ints:
-            content = gcd(content, c)
+        _, ints = clear_denominators(work.coeffs)
+        content = gcd(*ints)
         ints = [c // content for c in ints]
-        candidates = set()
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
+        if max(abs(ints[0]), abs(ints[-1])) >= 10**MAX_ROOT_DIGITS:
+            raise DomainError("an extreme coefficient of the primitive form has more than "
+                              f"{MAX_ROOT_DIGITS} digits, the cap of the root search")
+        numerators, denominators = _divisors(ints[0]), _divisors(ints[-1])
+        count = 2 * len(numerators) * len(denominators)
+        if count * work.degree > MAX_ROOT_STEPS:
+            raise DomainError(f"{count} candidate roots times degree {work.degree} exceed "
+                              f"{MAX_ROOT_STEPS}, the cap of the root search")
+        candidates = {Fraction(s * p, q) for p in numerators for q in denominators for s in (1, -1)}
         for r in sorted(candidates):
             mult = 0
             while work.degree > 0 and work(r) == 0:
@@ -392,69 +388,3 @@ def rational_roots(f: Poly) -> RootData:
     found.sort(key=lambda pair: pair[0])
     return RootData(found)
 
-
-class LaurentPoly:
-    """Finite support map exponent -> coefficient; exponents may be negative."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for exp, c in items:
-            exp = int(exp)
-            c = data.get(exp, 0) + c
-            if c == 0:
-                data.pop(exp, None)
-            else:
-                data[exp] = c
-        self.terms = {k: data[k] for k in sorted(data)}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def exponents(self):
-        return tuple(self.terms)
-
-    def coefficient(self, exp):
-        return self.terms.get(exp, 0)
-
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for exp, c in other.terms.items():
-            merged[exp] = merged.get(exp, 0) + c
-        return LaurentPoly(merged)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise DomainError("Laurent powers here must be >= 0")
-        result = LaurentPoly({0: 1})
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        inner = ", ".join(f"{e}: {c}" for e, c in self.terms.items())
-        return f"LaurentPoly({{{inner}}})"

@@ -498,6 +498,8 @@ def test_gvc_probe_m_max_cap(capsys):
                                            ("gvc-probe", "at most 40"),
                                            ("moments", "at most 1500"),
                                            ("idempotents", "at most 12 roots"),
+                                           ("idempotents", "at most 12 digits in the extreme"),
+                                           ("idempotents", "at most 120000 for its candidate"),
                                            ("decide", "at most 20 roots; about 0.4 s"),
                                            ("oracle", "at most 20 roots; about 0.4 s")])
 def test_probe_caps_are_stated_in_help(capsys, command, text):
@@ -551,6 +553,12 @@ def test_oversized_option_and_exponent_errors_name_only_their_length(capsys):
     assert code == 2
     assert out["error"]["message"] == (
         "--op[0].exps must be an array of nonnegative integers, got an array of 2000 entries")
+    spec = json.dumps({"roots": [["1", "5" * 5000]], "functionals": [{}]})
+    code, out, _ = _run(capsys, ["decide", "--spec", spec])
+    assert code == 2
+    assert out["error"]["message"] == (
+        "roots[0] multiplicity must be a JSON integer, got a 5000-character string")
+    assert len(json.dumps(out, indent=2)) < 200
 
 
 @pytest.mark.parametrize("key", ["1_0", " -2 "])
@@ -603,3 +611,84 @@ def test_json_integer_beyond_the_digit_limit_is_a_domain_error(capsys):
     code, out, _ = _run(capsys, ["certify", "--rule", "unit", "--poly", f"[{digits}, 1]"])
     assert code == 2
     assert out["error"]["message"].startswith("--poly: an integer exceeds")
+
+
+ONE_TERM = '[{"zeta": [1], "x": [0], "c": 1}]'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decide", "--spec", '{"roots": [["0", 1], ["1", 1]], '
+                          '"functionals": [{"P0": ["1"], "prats": {"1": ["-1"]}}]}'],
+     "functionals[0]: unknown key 'prats'"),
+    (["oracle", "--spec", json.dumps({**SIGN_DIFFERENCE_SPEC, "root": []})],
+     "spec: unknown key 'root'"),
+    (["decide", "--spec", json.dumps({"roots": [["1", 1]], "functionals": [{"x" * 5000: 1}]})],
+     "functionals[0]: unknown key a 5000-character string"),
+    (["gvc-probe", "--op", '[{"exps":[1,1],"c":"1","d":5}]',
+      "--p-poly", GVC_TERMS["--p-poly"], "--q-poly", GVC_TERMS["--q-poly"]],
+     "--op[0]: unknown key 'd'"),
+    (["imagep", "decide", "--p", "3", "--n", "1",
+      "--input", '[{"zeta": [1], "x": [0], "c": 1, "y": [0]}]'],
+     "--input[0]: unknown key 'y'"),
+    (["imagep", "theorem", "--p", "3", "--n", "1", "--input", '{"f": %s, "h": []}' % ONE_TERM],
+     "--input: unknown key 'h'"),
+    (["imagep", "theorem", "--p", "3", "--n", "1",
+      "--input", '{"f": %s, "g": [{"zeta": [0], "x": [0], "c": 1, "C": 2}]}' % ONE_TERM],
+     "--input.g[0]: unknown key 'C'"),
+    (["moments", "--input", '{"values": ["1"], "roots": [["1", 1]], "count": 3}'],
+     "--input: unknown key 'count'"),
+    (["moments", "--input", '{"P0": ["1"], "roots": [["0", 1]], "prats": {}}'],
+     "--input: unknown key 'prats'"),
+])
+def test_unknown_keys_are_domain_errors_naming_their_place(capsys, argv, message):
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
+
+
+def test_every_known_key_is_still_read(capsys):
+    code, out, _ = _run(capsys, ["moments", "--input", json.dumps(
+        {"values": ["2", "0"], "charPoly": ["-1", "0", "1"], "P0": [], "parts": {}})])
+    assert code == 0
+    assert out["parts"] == {"-1": ["1"], "1": ["1"]}
+    code, out, _ = _run(capsys, ["imagep", "theorem", "--p", "2", "--n", "1",
+                                 "--input", '{"f": %s, "g": %s}' % (ONE_TERM, ONE_TERM)])
+    assert code == 0
+
+
+def _never(*_args):
+    raise AssertionError("a cap of the root search must be checked first")
+
+
+def test_root_search_digit_cap(capsys, monkeypatch):
+    # t - p for a 12-digit prime p is split; a 14-digit one took 1.5 s to
+    # split and is now rejected before any trial division.
+    code, out, _ = _run(capsys, ["idempotents", "--modulus", '["-999999999989", "1"]'])
+    assert code == 0
+    assert out["roots"] == [["999999999989", 1]]
+    monkeypatch.setattr("mzspaces.upoly._divisors", _never)
+    message = ("an extreme coefficient of the primitive form has more than 12 digits, "
+               "the cap of the root search")
+    code, out, _ = _run(capsys, ["idempotents", "--modulus", '["-10000000000037", "1"]'])
+    assert (code, out["error"]["message"]) == (2, f"--modulus: {message}")
+    code, out, _ = _run(capsys, ["moments", "--input", json.dumps(
+        {"values": ["1", "1"], "charPoly": ["3", "-1", "0", str(10**13)]})])
+    assert (code, out["error"]["message"]) == (2, f"charPoly: {message}")
+    # The primitive form counts: 10^13 t - 2 * 10^13 is t - 2.
+    monkeypatch.undo()
+    code, out, _ = _run(capsys, ["moments", "--input", json.dumps(
+        {"values": ["1"], "charPoly": [str(-2 * 10**13), str(10**13)]})])
+    assert code == 0
+    assert out["roots"] == [["2", 1]]
+
+
+def test_root_search_candidate_cap(capsys, monkeypatch):
+    # 240 x 64 divisors give 30720 candidates +-p/q at degree 6 (2.2 s to
+    # reject before the cap); they are counted before any is evaluated.
+    monkeypatch.setattr("mzspaces.upoly.Poly.__call__", _never)
+    code, out, _ = _run(capsys, [
+        "idempotents", "--modulus", '["720720", "0", "0", "0", "0", "0", "247110827"]'])
+    assert code == 2
+    assert out["error"]["message"] == (
+        "--modulus: 30720 candidate roots times degree 6 exceed 120000, "
+        "the cap of the root search")

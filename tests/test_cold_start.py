@@ -20,7 +20,7 @@ NEVER = {"dataclasses", "typing", "inspect"}
 SPEC = json.dumps({"roots": [["1", 1], ["-1", 1]],
                    "functionals": [{"parts": {"1": ["1"], "-1": ["-1"]}}]})
 DECIDE = {"mzdecide", "functionals", "quotient", "upoly", "linalg", "scalars"}
-PROBES = {"probes", "upoly", "scalars"}
+PROBES = {"probes", "sparse", "scalars"}
 
 PROBE = """
 import json, sys
@@ -63,7 +63,7 @@ def test_importing_the_cli_loads_no_library_module():
      PROBES),
     (["laurent", "--lam", "-1", "--poly", '{"-1": "3", "2": "1"}'], PROBES),
     (["imagep", "decide", "--p", "3", "--n", "1", "--input", '[{"zeta": [2], "x": [1], "c": 1}]'],
-     {"imagep", "scalars"}),
+     {"imagep", "sparse", "scalars"}),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_each_subcommand_loads_only_its_layers(argv, expected):
     code, modules = _loaded(f"code = cli.main({argv!r})")

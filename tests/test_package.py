@@ -25,6 +25,15 @@ def test_every_exported_name_resolves():
         assert name in vars(mzspaces)  # cached after the first access
 
 
+def test_exports_name_their_defining_module():
+    # Each callable resolves to the module that defines it, so a re-export
+    # left behind after a move (a shim) fails here.
+    for name, module in mzspaces._EXPORTS.items():
+        value = getattr(mzspaces, name)
+        if callable(value):
+            assert value.__module__ == f"mzspaces.{module}", name
+
+
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from mzspaces import *", namespace)

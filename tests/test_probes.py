@@ -17,7 +17,8 @@ from mzspaces.probes import (
     radical_vminus1_membership,
     trace_radical_test,
 )
-from mzspaces.upoly import LaurentPoly, Poly
+from mzspaces.sparse import LaurentPoly
+from mzspaces.upoly import Poly
 
 
 def _char_poly_by_permutation_expansion(matrix: MatrixQ) -> Poly:

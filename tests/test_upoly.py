@@ -6,9 +6,9 @@ import pytest
 from mzspaces.cli import laurent_from_json, poly_from_json, poly_to_json
 from mzspaces.errors import DoesNotSplitError, DomainError
 from mzspaces.scalars import PrimeFieldScalar
+from mzspaces.sparse import LaurentPoly
 from mzspaces.upoly import (
     NEG_INF,
-    LaurentPoly,
     Poly,
     RootData,
     apply_der_op,
