@@ -28,25 +28,21 @@ _EXPORTS = {
         "largest_ideal_exponents", "to_moments",
     ), "functionals"),
     **dict.fromkeys((
-        "CorollaryReport", "ImDCertificate", "ObstructionReport", "TheoremReport",
-        "ZXPoly", "apply_d", "charp_theorem_check", "corollary_check", "imd_decide",
-        "j_ideal_witness",
+        "ImDCertificate", "ObstructionReport", "TheoremReport", "ZXPoly", "apply_d",
+        "charp_theorem_check", "imd_decide", "j_ideal_witness",
     ), "imagep"),
     **dict.fromkeys((
-        "DEFAULT_MAX_ORACLE_ROOTS", "DEFAULT_MAX_SUBSET_ROOTS", "MZVerdict",
-        "RadicalProbeReport", "SubspaceSpec", "decide_mz", "normalize",
-        "oracle_decide_mz", "radical_probe", "strong_radical_membership",
+        "DEFAULT_MAX_SUBSET_ROOTS", "MZVerdict", "SubspaceSpec", "decide_mz", "normalize",
+        "oracle_decide_mz",
     ), "mzdecide"),
     **dict.fromkeys((
         "ConstCoeffOp", "GvcProbeReport", "MatrixQ", "MultiPolyQ", "TraceReport",
         "gvc_probe", "laurent_apply_op", "laurent_image_membership", "laurent_mz_class",
         "laurent_preimage", "radical_vminus1_membership", "trace_radical_test",
     ), "probes"),
+    **dict.fromkeys(("all_idempotents", "crt_idempotents"), "quotient"),
     **dict.fromkeys((
-        "all_idempotents", "crt_idempotents", "idempotent_from_element",
-    ), "quotient"),
-    **dict.fromkeys((
-        "PADIC_INF", "PrimeFieldScalar", "is_prime", "padic_abs", "padic_valuation",
+        "PADIC_INF", "PrimeFieldScalar", "is_prime", "padic_valuation",
     ), "scalars"),
     "run_selftest": "selftest",
     "LaurentPoly": "sparse",

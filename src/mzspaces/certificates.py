@@ -93,8 +93,28 @@ def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
     return Fraction(total, lcm_all * scale)
 
 
-def _denominators(f: Poly):
-    return tuple(Fraction(c).denominator for c in f.coeffs if c != 0)
+def _first_certificate(rule: MomentRule, f: Poly, step: int, m_min: int,
+                       search_bound: int) -> PAdicCertificate:
+    """The certificate at the first admissible m >= m_min: p = step*m + 1 is
+    prime and divides no coefficient denominator of f.  There the moment's
+    valuation is known in advance (-1 for the unit rule, 0 for the
+    exponential rule, as the two entry points explain), so the first
+    admissible m always yields the certificate, and the search gives up
+    only after search_bound inadmissible m in a row.  The value is still
+    expanded exactly, and the certificate re-checks its valuation."""
+    denominators = [Fraction(c).denominator for c in f.coeffs if c != 0]
+    for m in range(m_min, m_min + search_bound):
+        p = step * m + 1
+        if is_prime(p) and all(den % p for den in denominators):
+            valuation = -1 if rule is MomentRule.UNIT_INTERVAL else 0
+            try:
+                return PAdicCertificate(p, m, valuation, power_moment(rule, f, m))
+            except DomainError as exc:
+                raise AssertionError(f"admissible m = {m} must certify: {exc}") from exc
+    name = "unit-interval" if rule is MomentRule.UNIT_INTERVAL else "exponential"
+    raise SearchExhaustedError(
+        f"no {name} certificate within {search_bound} progression terms"
+    )
 
 
 def certify_unit_interval(f: Poly, m_min: int = 1,
@@ -102,8 +122,9 @@ def certify_unit_interval(f: Poly, m_min: int = 1,
     """Certificate that no power of f from m up is killed by the
     unit-interval rule: at p = m*deg(f) + 1 the moment has valuation -1.
 
-    The search walks m upward, trying primes p = m*deg(f)+1 that divide no
-    coefficient denominator; each hit is verified by exact expansion.
+    f is monic, so the moment sum c_i/(i+1) of f^m has the term 1/p from its
+    leading coefficient, and every other term has i + 1 < p and a p-integral
+    c_i; the first admissible m is the certificate.
     """
     _require_rational(f)
     if f.is_zero or f.degree < 1:
@@ -112,35 +133,18 @@ def certify_unit_interval(f: Poly, m_min: int = 1,
         raise DomainError("polynomial must be monic")
     if m_min < 1:
         raise DomainError("m_min must be >= 1")
-    degree = f.degree
-    denominators = _denominators(f)
-    m = m_min
-    for _ in range(search_bound):
-        p = m * degree + 1
-        if is_prime(p) and all(den % p != 0 for den in denominators):
-            value = power_moment(MomentRule.UNIT_INTERVAL, f, m)
-            if value != 0 and padic_valuation(value, p) == -1:
-                return PAdicCertificate(prime=p, exponent=m, valuation=-1, value=value)
-        m += 1
-    raise SearchExhaustedError(
-        f"no unit-interval certificate within {search_bound} progression terms"
-    )
-
-
-def _factorial_valuation(n: int, p: int) -> int:
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
+    return _first_certificate(MomentRule.UNIT_INTERVAL, f, f.degree, m_min, search_bound)
 
 
 def certify_exponential(f: Poly, m_min: int = 1,
                         search_bound: int = DEFAULT_SEARCH_BOUND) -> PAdicCertificate:
     """Certificate that no power of f from m up is killed by the factorial
     rule, for f = t^r + higher terms with r >= 1: at p = r*m + 1 the moment
-    has the same valuation as (r*m)!.
+    has valuation 0.
+
+    The moment sum c_i i! of f^m has the p-adic unit (r*m)! from its lowest
+    term, and every other term has i >= p, so p divides i!; the first
+    admissible m is the certificate.
     """
     _require_rational(f)
     if f.is_zero or f.degree < 1:
@@ -158,16 +162,4 @@ def certify_exponential(f: Poly, m_min: int = 1,
         raise DomainError(
             "single monomial t^r needs no certificate: its factorial moments never vanish"
         )
-    denominators = _denominators(f)
-    m = m_min
-    for _ in range(search_bound):
-        p = r * m + 1
-        if is_prime(p) and all(den % p != 0 for den in denominators):
-            claimed = _factorial_valuation(r * m, p)
-            value = power_moment(MomentRule.EXPONENTIAL, f, m)
-            if value != 0 and padic_valuation(value, p) == claimed:
-                return PAdicCertificate(prime=p, exponent=m, valuation=claimed, value=value)
-        m += 1
-    raise SearchExhaustedError(
-        f"no exponential certificate within {search_bound} progression terms"
-    )
+    return _first_certificate(MomentRule.EXPONENTIAL, f, r, m_min, search_bound)

@@ -212,45 +212,6 @@ def j_ideal_witness(b: ZXPoly) -> ImDCertificate | None:
     return certificate
 
 
-class CorollaryReport(namedtuple(
-        "CorollaryReport",
-        "power_member obstruction certificate coefficients_in_ideal counterexample_x_exps")):
-    """p-th power membership forces every x-coefficient of f into the zeta
-    ideal; the check reports a counterexample if one ever appeared.  The
-    fields other than power_member may be None."""
-
-    __slots__ = ()
-
-
-def _coefficients_in_ideal(f: ZXPoly):
-    """Each x-monomial coefficient of f is a zeta polynomial; it lies in the
-    zeta ideal exactly when it has no constant term."""
-    for (zexp, xexp) in sorted(f.terms):
-        if all(e == 0 for e in zexp):
-            return False, xexp
-    return True, None
-
-
-def corollary_check(f: ZXPoly) -> CorollaryReport:
-    result = imd_decide(f**f.modulus)
-    if isinstance(result, ObstructionReport):
-        return CorollaryReport(
-            power_member=False,
-            obstruction=result,
-            certificate=None,
-            coefficients_in_ideal=None,
-            counterexample_x_exps=None,
-        )
-    in_ideal, counterexample = _coefficients_in_ideal(f)
-    return CorollaryReport(
-        power_member=True,
-        obstruction=None,
-        certificate=result,
-        coefficients_in_ideal=in_ideal,
-        counterexample_x_exps=counterexample,
-    )
-
-
 class TheoremReport(namedtuple(
         "TheoremReport",
         "hypothesis_holds obstruction hypothesis_certificate conclusion_holds "

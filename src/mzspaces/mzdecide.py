@@ -29,16 +29,17 @@ kernel) gets the full check that all its shifts t^j e_S, j < deg f, stay in
 the kernel.  `decide --oracle` shares the tables and the idempotents with
 `decide_mz`, whose multiplier search is the same dot products on the
 witness idempotent, the sum over the balanced subset.  The walk stays
-exponential in r, so the oracle has its own root cap, equal to the subset
-search's (about 0.2-0.4 s at r = 20 with 3 functionals on a 2-vCPU host).
+exponential in r, so the oracle has the subset search's root cap,
+DEFAULT_MAX_SUBSET_ROOTS (about 0.2-0.4 s at r = 20 with 3 functionals on a
+2-vCPU host).
 Its test reference, `selftest.oracle_by_enumeration`, enumerates every
 idempotent and reduces every shift mod f.
 
 `normalize` rejects dependent functionals by row-reducing their operator
 coefficient vectors.  In characteristic zero the moment matrix is that
 coefficient matrix times an invertible confluent Vandermonde matrix, so the
-two are row-equivalent and give the same relation; over a prime field the
-factorisation can be singular and the moment matrix is used instead.
+two are row-equivalent and give the same relation.  Every entry point
+requires rational scalars.
 """
 
 from __future__ import annotations
@@ -48,20 +49,13 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DependentFunctionalsError, DomainError
-from .functionals import (
-    FunctionalNF,
-    dependency_relation,
-    integer_moments,
-    largest_ideal_exponents,
-    to_moments,
-)
+from .functionals import FunctionalNF, integer_moments, largest_ideal_exponents
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import PrimeFieldScalar
+from .scalars import _all_rational
 from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
-DEFAULT_MAX_ORACLE_ROOTS = DEFAULT_MAX_SUBSET_ROOTS
 
 
 class SubspaceSpec:
@@ -106,21 +100,10 @@ class MZVerdict(namedtuple(
     __slots__ = ()
 
 
-class RadicalProbeReport(namedtuple("RadicalProbeReport", "checked first_violation")):
-    """Bounded evidence only: a violation disproves membership in the radical;
-    a clean run claims nothing beyond the checked powers.  first_violation is
-    None or the least violating power."""
-
-    __slots__ = ()
-
-    @property
-    def no_violation(self) -> bool:
-        return self.first_violation is None
-
-
 def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     """Shrink multiplicities to the largest-ideal exponents, drop unused
     roots, and reject dependent or zero functionals."""
+    _require_char_zero(spec)
     for fn in spec.functionals:
         if fn.is_zero:
             raise DomainError("zero functional in spec")
@@ -132,10 +115,7 @@ def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     new_fns = tuple(
         FunctionalNF(new_roots, fn.zero_part, fn.parts) for fn in spec.functionals
     )
-    if _is_char_zero(spec):
-        relation = left_dependency(_coefficient_rows(new_fns, new_roots))
-    else:
-        relation = dependency_relation(new_fns, new_roots.degree)
+    relation = left_dependency(_coefficient_rows(new_fns, new_roots))
     if relation is not None:
         raise DependentFunctionalsError(relation)
     return SubspaceSpec(new_fns, normalized=True)
@@ -153,16 +133,12 @@ def _coefficient_rows(functionals, roots: RootData):
             for fn in functionals]
 
 
-def _is_char_zero(spec: SubspaceSpec) -> bool:
+def _require_char_zero(spec: SubspaceSpec):
     scalars = list(spec.roots.roots)
     for fn in spec.functionals:
         for op in [fn.zero_part, *fn.parts.values()]:
             scalars.extend(op.coeffs)
-    return not any(isinstance(c, PrimeFieldScalar) for c in scalars)
-
-
-def _require_char_zero(spec: SubspaceSpec):
-    if not _is_char_zero(spec):
+    if not _all_rational(scalars):
         raise DomainError("decision procedure requires characteristic zero")
 
 
@@ -198,17 +174,6 @@ def smallest_zero_sum_subset(columns):
             if found and (best is None or (len(found), found) < (len(best), best)):
                 best = found
     return best
-
-
-def _moment_tables(spec: SubspaceSpec):
-    """Each functional's first deg f moments: enough to evaluate any
-    polynomial reduced mod f."""
-    return [to_moments(fn, spec.roots.degree) for fn in spec.functionals]
-
-
-def _in_kernel(tables, g: Poly) -> bool:
-    coeffs = g.coeffs
-    return all(sum(c * m for c, m in zip(coeffs, table)) == 0 for table in tables)
 
 
 class _KernelData:
@@ -272,15 +237,15 @@ def _kernel_data(spec: SubspaceSpec) -> _KernelData:
     return spec._kernel
 
 
-def decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_SUBSET_ROOTS) -> MZVerdict:
+def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     """Subset-sum criterion over the roots; emits a checkable witness pair
     (idempotent in the kernel, multiplier escaping it) when the answer is no."""
     _require_normalized(spec)
     _require_char_zero(spec)
     roots = spec.roots.roots
-    if len(roots) > max_roots:
+    if len(roots) > DEFAULT_MAX_SUBSET_ROOTS:
         raise DomainError(
-            f"{len(roots)} roots exceed the subset enumeration cap {max_roots}"
+            f"{len(roots)} roots exceed the subset enumeration cap {DEFAULT_MAX_SUBSET_ROOTS}"
         )
     columns = [tuple(fn.operator_poly(lam).coefficient(0) for fn in spec.functionals)
                for lam in roots]
@@ -311,7 +276,7 @@ def _pack(rows):
     return [sum(v << (width * k) for k, v in enumerate(row)) for row in rows]
 
 
-def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROOTS) -> bool:
+def oracle_decide_mz(spec: SubspaceSpec) -> bool:
     """Independent re-decision by linearity: every idempotent of the
     quotient ring is a sum of root idempotents e_i, so L(t^j e_S) is the sum
     over S of L(t^j e_i).  The values L_k(e_i) are computed once per root
@@ -321,9 +286,10 @@ def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROO
     shifts t^j e_S, j < deg f, in the kernel."""
     _require_normalized(spec)
     _require_char_zero(spec)
-    if len(spec.roots) > max_roots:
+    if len(spec.roots) > DEFAULT_MAX_SUBSET_ROOTS:
         raise DomainError(
-            f"{len(spec.roots)} roots exceed the oracle enumeration cap {max_roots}"
+            f"{len(spec.roots)} roots exceed the oracle enumeration cap "
+            f"{DEFAULT_MAX_SUBSET_ROOTS}"
         )
     data = _kernel_data(spec)
     _, vectors = data.idempotent_vectors(spec.roots.roots)
@@ -344,28 +310,3 @@ def oracle_decide_mz(spec: SubspaceSpec, max_roots: int = DEFAULT_MAX_ORACLE_ROO
             if data.first_escaping_shift(g) is not None:
                 return False
     return True
-
-
-def strong_radical_membership(spec: SubspaceSpec, g: Poly) -> bool:
-    """Membership in the strong radical: divisibility by the squarefree part
-    of the modulus."""
-    _require_normalized(spec)
-    if g.is_zero:
-        return True
-    return (g % spec.roots.radical_poly()).is_zero
-
-
-def radical_probe(spec: SubspaceSpec, g: Poly, max_power: int) -> RadicalProbeReport:
-    """Check g, g^2, ..., g^max_power against every functional; report the
-    first power that escapes the kernel, if any."""
-    _require_normalized(spec)
-    if max_power < 1:
-        raise DomainError("max_power must be >= 1")
-    modulus = spec.roots.poly()
-    tables = _moment_tables(spec)
-    power = Poly((1,))
-    for m in range(1, max_power + 1):
-        power = (power * g) % modulus
-        if not _in_kernel(tables, power):
-            return RadicalProbeReport(checked=max_power, first_violation=m)
-    return RadicalProbeReport(checked=max_power, first_violation=None)

@@ -20,9 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .errors import DomainError
 from .scalars import _all_rational, clear_denominators, scalar_inverse
-from .upoly import Poly, RootData, extended_gcd, int_poly_mul, int_times_linear
+from .upoly import Poly, RootData, int_poly_mul, int_times_linear
 
 
 def _divide_by_root(coeffs, lam):
@@ -150,38 +149,3 @@ def all_idempotents(roots: RootData):
         for combo in combinations(base, size):
             yield sum(combo, Poly())
 
-
-def _at(p: Poly, a: Poly, f: Poly) -> Poly:
-    """p(a) mod f, by Horner's rule."""
-    acc = Poly()
-    for c in reversed(p.coeffs):
-        acc = (acc * a + Poly((c,))) % f
-    return acc
-
-
-def idempotent_from_element(roots: RootData, element: Poly, annihilator: Poly,
-                            min_power: int) -> Poly:
-    """An idempotent e of k[t]/(f) that is a power-combination of the element
-    with exponents >= min_power and satisfies element**n * e = element**n
-    mod f for the construction's n.
-
-    The annihilator must be a nonzero polynomial vanishing at the element.
-    """
-    if annihilator.is_zero:
-        raise DomainError("annihilator polynomial must be nonzero")
-    if min_power < 1:
-        raise DomainError("min_power must be >= 1")
-    f = roots.poly()
-    if not _at(annihilator, element, f).is_zero:
-        raise DomainError("annihilator does not vanish at the element")
-    shifted = annihilator * Poly.monomial(min_power)
-    n = shifted.low_order
-    tail = Poly(shifted.coeffs[n:])
-    u, _, g = extended_gcd(Poly.monomial(n), tail)
-    if g != Poly((1,)):
-        raise AssertionError("t^n and the unit-at-0 tail are coprime")
-    e = _at(Poly.monomial(n) * u, element, f)
-    power = _at(Poly.monomial(n), element, f)
-    if (e * e) % f != e or (power * e) % f != power:
-        raise AssertionError("idempotent construction identities failed")
-    return e

@@ -85,14 +85,6 @@ def _int_valuation(n, p):
     return v
 
 
-def padic_abs(value, p: int) -> Fraction:
-    """p-adic absolute value p**(-v); 0 for the rational 0."""
-    v = padic_valuation(value, p)
-    if v is PADIC_INF:
-        return Fraction(0)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-
-
 def _all_rational(values) -> bool:
     """True when every value is an int or a Fraction, so that the integer
     kernels apply; prime-field scalars take the generic field arithmetic."""

@@ -312,12 +312,6 @@ class RootData:
             out = out * Poly((-lam, 1)) ** m
         return out
 
-    def radical_poly(self) -> Poly:
-        out = Poly((1,))
-        for lam, _ in self.pairs:
-            out = out * Poly((-lam, 1))
-        return out
-
     def __iter__(self):
         return iter(self.pairs)
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mzspaces.certificates import (
     MomentRule,
@@ -12,8 +14,14 @@ from mzspaces.certificates import (
     power_moment,
 )
 from mzspaces.errors import DomainError, SearchExhaustedError
-from mzspaces.scalars import padic_valuation
+from mzspaces.scalars import is_prime, padic_valuation
 from mzspaces.upoly import Poly
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+# Denominators up to 7, so that some candidate primes divide one and are skipped.
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+M_MIN = st.integers(1, 40)
 
 DERANGEMENTS = (1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961)
 
@@ -211,3 +219,34 @@ def test_certificate_dataclass_rejects_wrong_valuation():
         PAdicCertificate(prime=3, exponent=1, valuation=-2, value=Fraction(11, 6))
     with pytest.raises(DomainError):
         PAdicCertificate(prime=3, exponent=1, valuation=-1, value=Fraction(0))
+
+
+def _first_admissible(f: Poly, step: int, m_min: int) -> int:
+    """The least m >= m_min with p = step*m + 1 prime and dividing no
+    coefficient denominator of f."""
+    denominators = [Fraction(c).denominator for c in f.coeffs]
+    m = m_min
+    while not (is_prime(step * m + 1) and all(d % (step * m + 1) for d in denominators)):
+        m += 1
+    return m
+
+
+@SETTINGS
+@given(st.lists(RATIONAL, min_size=1, max_size=4), M_MIN)
+def test_unit_certificate_is_at_the_first_admissible_m(lower, m_min):
+    f = Poly([*lower, 1])
+    m = _first_admissible(f, f.degree, m_min)
+    cert = certify_unit_interval(f, m_min)
+    assert (cert.exponent, cert.prime) == (m, f.degree * m + 1)
+    assert cert.valuation == -1
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.lists(RATIONAL, min_size=1, max_size=3).filter(lambda c: c[-1] != 0),
+       M_MIN)
+def test_exponential_certificate_is_at_the_first_admissible_m(r, higher, m_min):
+    f = Poly([0] * r + [1] + higher)
+    m = _first_admissible(f, r, m_min)
+    cert = certify_exponential(f, m_min)
+    assert (cert.exponent, cert.prime) == (m, r * m + 1)
+    assert cert.valuation == 0

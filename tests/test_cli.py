@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from mzspaces import cli, upoly
 from mzspaces.cli import main
-from mzspaces.mzdecide import DEFAULT_MAX_ORACLE_ROOTS, DEFAULT_MAX_SUBSET_ROOTS
+from mzspaces.mzdecide import DEFAULT_MAX_SUBSET_ROOTS
 
 SIGN_DIFFERENCE_SPEC = {
     "roots": [["1", 1], ["-1", 1]],
@@ -301,27 +302,6 @@ def test_selftest_requires_seed():
     assert info.value.code == 2
 
 
-def test_env_cap_applies_to_decide(capsys, monkeypatch):
-    monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", "1")
-    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
-    assert code == 2
-    assert "cap" in out["error"]["message"]
-    monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", "not-a-number")
-    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
-    assert code == 2
-    for raw in ("1_0", " 3 ", "\u0663", "2.0"):
-        monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", raw)
-        code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
-        assert code == 2
-        assert out["error"]["message"] == (
-            f"MZ_MAX_SUBSET_ROOTS must be an integer -?[0-9]+, got {raw!r}")
-    for raw in ("x" * 5000, "9" * 5000):
-        monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", raw)
-        code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(SIGN_DIFFERENCE_SPEC)])
-        assert code == 2
-        assert out["error"]["message"].endswith("got a 5000-character string")
-
-
 def test_stdout_is_byte_identical_across_runs():
     argv = [sys.executable, "-m", "mzspaces", "decide",
             "--spec", json.dumps(SIGN_DIFFERENCE_SPEC), "--oracle"]
@@ -352,28 +332,20 @@ def _wide_spec(count):
     }
 
 
-def test_oracle_cap_is_the_subset_cap(capsys, monkeypatch):
-    assert DEFAULT_MAX_ORACLE_ROOTS == DEFAULT_MAX_SUBSET_ROOTS
-    at_cap = json.dumps(_wide_spec(DEFAULT_MAX_ORACLE_ROOTS))
+def test_oracle_cap_is_the_subset_cap(capsys):
+    at_cap = json.dumps(_wide_spec(DEFAULT_MAX_SUBSET_ROOTS))
     code, out, _ = _run(capsys, ["decide", "--oracle", "--spec", at_cap])
     assert code == 0
     assert (out["isMZ"], out["oracleIsMZ"], out["oracleAgrees"]) == (True, True, True)
-    above = json.dumps(_wide_spec(DEFAULT_MAX_ORACLE_ROOTS + 1))
-    code, out, _ = _run(capsys, ["oracle", "--spec", above])
-    assert code == 2
-    assert out["error"]["message"] == (
-        f"{DEFAULT_MAX_ORACLE_ROOTS + 1} roots exceed the oracle enumeration cap "
-        f"{DEFAULT_MAX_ORACLE_ROOTS}")
-    # A raised MZ_MAX_SUBSET_ROOTS lets decide through but not the oracle.
-    monkeypatch.setenv("MZ_MAX_SUBSET_ROOTS", str(DEFAULT_MAX_ORACLE_ROOTS + 1))
-    code, out, _ = _run(capsys, ["decide", "--spec", above])
-    assert code == 0
-    assert out["isMZ"] is True
-    for argv in (["decide", "--oracle", "--spec", above], ["oracle", "--spec", above]):
+    above = json.dumps(_wide_spec(DEFAULT_MAX_SUBSET_ROOTS + 1))
+    for argv, search in ((["decide", "--spec", above], "subset"),
+                         (["decide", "--oracle", "--spec", above], "subset"),
+                         (["oracle", "--spec", above], "oracle")):
         code, out, _ = _run(capsys, argv)
         assert code == 2
-        assert out["error"]["kind"] == "domain"
-        assert "oracle enumeration cap" in out["error"]["message"]
+        assert out["error"] == {"kind": "domain", "message": (
+            f"{DEFAULT_MAX_SUBSET_ROOTS + 1} roots exceed the {search} enumeration cap "
+            f"{DEFAULT_MAX_SUBSET_ROOTS}")}
 
 
 def test_parts_given_as_a_list_is_a_domain_error(capsys):
@@ -494,14 +466,23 @@ def test_gvc_probe_m_max_cap(capsys):
     assert out["error"]["message"] == "--m-max 41 exceeds the cap 40"
 
 
-@pytest.mark.parametrize("command, text", [("trace-test", "at most 48"),
-                                           ("gvc-probe", "at most 40"),
-                                           ("moments", "at most 1500"),
-                                           ("idempotents", "at most 12 roots"),
-                                           ("idempotents", "at most 12 digits in the extreme"),
-                                           ("idempotents", "at most 120000 for its candidate"),
-                                           ("decide", "at most 20 roots; about 0.4 s"),
-                                           ("oracle", "at most 20 roots; about 0.4 s")])
+# The help text is written by hand, so that building the parser imports no
+# library module; these cases tie it to the caps the code enforces.
+@pytest.mark.parametrize("command, text", [
+    ("trace-test", f"at most {cli._TRACE_MAX_DIMENSION}"),
+    ("gvc-probe", f"at most {cli._GVC_MAX_M}"),
+    ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),
+    ("idempotents", f"at most {cli._IDEMPOTENTS_MAX_ROOTS} roots"),
+    ("idempotents", f"at most {upoly.MAX_ROOT_DIGITS} digits in the extreme"),
+    ("idempotents", f"at most {upoly.MAX_ROOT_STEPS} for its candidate"),
+    ("decide", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
+    ("oracle", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
+    ("imagep", f"one of {', '.join(map(str, cli._IMAGEP_PRIMES))}"),
+    ("imagep", f"at most {cli._IMAGEP_MAX_VARS}"),
+    ("imagep", f"total degree at most {cli._IMAGEP_MAX_DEGREE}"),
+    ("imagep", "about 0.25 s on 840 terms at the caps"),
+    ("laurent", "linear in the number of terms"),
+])
 def test_probe_caps_are_stated_in_help(capsys, command, text):
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -648,12 +629,34 @@ def test_unknown_keys_are_domain_errors_naming_their_place(capsys, argv, message
 
 def test_every_known_key_is_still_read(capsys):
     code, out, _ = _run(capsys, ["moments", "--input", json.dumps(
-        {"values": ["2", "0"], "charPoly": ["-1", "0", "1"], "P0": [], "parts": {}})])
+        {"values": ["2", "0"], "charPoly": ["-1", "0", "1"]})])
     assert code == 0
     assert out["parts"] == {"-1": ["1"], "1": ["1"]}
+    code, out, _ = _run(capsys, ["moments", "--input", json.dumps(
+        {"roots": [["1", 1]], "P0": [], "parts": {"1": ["2"]}})])
+    assert code == 0
+    assert out["values"] == ["2"]
     code, out, _ = _run(capsys, ["imagep", "theorem", "--p", "2", "--n", "1",
                                  "--input", '{"f": %s, "g": %s}' % (ONE_TERM, ONE_TERM)])
     assert code == 0
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"values": ["2", "0"], "roots": [["1", 1], ["-1", 1]], "charPoly": ["1", "0", "1"],
+      "P0": ["5"]}, "--input: values cannot be given with P0"),
+    ({"values": ["1"], "roots": [["1", 1]], "parts": {}}, "--input: values cannot be given with parts"),
+    ({"values": ["1"], "roots": [["1", 1]], "P0": [], "parts": {}},
+     "--input: values cannot be given with P0 or parts"),
+    ({"values": ["1"], "roots": [["1", 1]], "charPoly": ["-1", "1"]},
+     "--input: roots cannot be given with charPoly"),
+    ({"P0": ["1"], "roots": [["1", 1]], "charPoly": ["-1", "1"]},
+     "--input: roots cannot be given with charPoly"),
+])
+def test_moments_conflicting_keys_are_domain_errors(capsys, data, message):
+    # Each input used to exit 0, reading one branch and dropping the rest.
+    code, out, _ = _run(capsys, ["moments", "--input", json.dumps(data)])
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
 
 
 def _never(*_args):

@@ -11,7 +11,6 @@ from mzspaces.imagep import (
     ZXPoly,
     apply_d,
     charp_theorem_check,
-    corollary_check,
     imd_decide,
     j_ideal_witness,
 )
@@ -235,26 +234,6 @@ def test_j_ideal_witness():
             b = b.shift_zeta(0)
         cert = j_ideal_witness(b)
         assert cert is not None and cert.reconstruct() == b
-
-
-def test_corollary_check_accepts_ideal_coefficients():
-    rng = random.Random(60)
-    for _ in range(20):
-        p = rng.choice([2, 3])
-        f = _random_zx(rng, 2, p, in_ideal=True)
-        report = corollary_check(f)
-        assert report.power_member
-        assert report.coefficients_in_ideal
-        assert report.counterexample_x_exps is None
-        assert report.certificate.reconstruct() == f ** p
-
-
-def test_corollary_check_flags_unit_coefficient():
-    f = ZXPoly.monomial(1, 3, (0,), (1,))  # x: its coefficient 1 is a unit
-    report = corollary_check(f)
-    assert not report.power_member
-    assert report.obstruction is not None
-    assert report.coefficients_in_ideal is None
 
 
 def test_theorem_check_positive_and_negative():

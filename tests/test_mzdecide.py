@@ -6,15 +6,12 @@ import pytest
 from mzspaces.errors import DependentFunctionalsError, DomainError
 from mzspaces.functionals import FunctionalNF, evaluate
 from mzspaces.mzdecide import (
-    DEFAULT_MAX_ORACLE_ROOTS,
     DEFAULT_MAX_SUBSET_ROOTS,
     MZVerdict,
     SubspaceSpec,
     decide_mz,
     normalize,
     oracle_decide_mz,
-    radical_probe,
-    strong_radical_membership,
 )
 from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.selftest import random_normalized_spec
@@ -144,18 +141,12 @@ def _check_witness(spec, verdict):
 
 
 def test_root_cap_is_enforced():
-    roots = _roots((0, 1), (1, 1), (2, 1))
-    fn = FunctionalNF(
-        roots,
-        zero_part=Poly([1]),
-        parts={Fraction(1): Poly([1]), Fraction(2): Poly([1])},
-    )
-    spec = normalize(SubspaceSpec([fn]))
+    lams = _simple_roots(DEFAULT_MAX_SUBSET_ROOTS + 1)
+    spec = _constant_term_spec(lams, [[2 ** i for i in range(len(lams))]])
     with pytest.raises(DomainError):
-        decide_mz(spec, max_roots=2)
+        decide_mz(spec)
     with pytest.raises(DomainError):
-        oracle_decide_mz(spec, max_roots=2)
-    assert decide_mz(spec, max_roots=3).is_mz in (True, False)
+        oracle_decide_mz(spec)
 
 
 def _simple_roots(count):
@@ -170,11 +161,11 @@ def _constant_term_spec(lams, rows):
 
 
 def test_oracle_cap_is_the_subset_cap():
-    assert DEFAULT_MAX_ORACLE_ROOTS == DEFAULT_MAX_SUBSET_ROOTS
-    lams = _simple_roots(DEFAULT_MAX_ORACLE_ROOTS + 1)
+    lams = _simple_roots(DEFAULT_MAX_SUBSET_ROOTS + 1)
     spec = _constant_term_spec(lams, [[2 ** i for i in range(len(lams))]])
-    assert decide_mz(spec, max_roots=len(lams)).is_mz
-    with pytest.raises(DomainError, match="oracle enumeration cap"):
+    with pytest.raises(DomainError, match=f"subset enumeration cap {DEFAULT_MAX_SUBSET_ROOTS}$"):
+        decide_mz(spec)
+    with pytest.raises(DomainError, match=f"oracle enumeration cap {DEFAULT_MAX_SUBSET_ROOTS}$"):
         oracle_decide_mz(spec)
 
 
@@ -207,14 +198,14 @@ def test_planted_witness_at_the_root_cap():
 
 def test_normalize_uses_moments_in_positive_characteristic():
     # Over F_2 the operators T and T^2 at a root act alike (n^2 = n), so the
-    # functionals are dependent although their coefficient vectors are not.
+    # functionals are dependent although their coefficient vectors are not;
+    # normalize, like the decision, requires characteristic zero.
     one, zero = PrimeFieldScalar(1, 2), PrimeFieldScalar(0, 2)
     roots = RootData([(one, 3)])
     f1 = FunctionalNF(roots, parts={one: Poly([zero, one])})
     f2 = FunctionalNF(roots, parts={one: Poly([zero, zero, one])})
-    with pytest.raises(DependentFunctionalsError) as info:
+    with pytest.raises(DomainError, match="requires characteristic zero"):
         normalize(SubspaceSpec([f1, f2]))
-    assert info.value.relation == (one, one)
 
 
 def test_decide_rejects_positive_characteristic():
@@ -226,55 +217,3 @@ def test_decide_rejects_positive_characteristic():
         decide_mz(spec)
     with pytest.raises(DomainError):
         oracle_decide_mz(spec)
-
-
-def test_strong_radical_membership_is_divisibility():
-    roots = _roots((0, 2), (1, 1))
-    fn = FunctionalNF(roots, zero_part=Poly([0, 1]), parts={Fraction(1): Poly([1])})
-    spec = normalize(SubspaceSpec([fn]))
-    radical = Poly([0, -1, 1])  # t(t-1)
-    assert strong_radical_membership(spec, Poly([]))
-    assert strong_radical_membership(spec, radical)
-    assert strong_radical_membership(spec, radical * Poly([3, 1]))
-    assert not strong_radical_membership(spec, Poly([0, 1]))
-    assert not strong_radical_membership(spec, Poly([1]))
-
-
-def test_radical_gap_on_the_sign_difference_example():
-    # The constant 1 stays in the kernel under every power (it is the
-    # witness idempotent) but is not a strong-radical member: the gap that
-    # makes the verdict negative.
-    spec = _sign_difference_spec()
-    report = radical_probe(spec, Poly([1]), 8)
-    assert report.no_violation
-    assert not strong_radical_membership(spec, Poly([1]))
-
-
-def test_radical_probe_matches_direct_recomputation():
-    rng = random.Random(9876)
-    for _ in range(40):
-        spec = random_normalized_spec(rng)
-        modulus = spec.roots.poly()
-        g = Poly([Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-                  for _ in range(rng.randint(1, 4))])
-        max_power = 6
-        report = radical_probe(spec, g, max_power)
-        expected = None
-        power = Poly([1])
-        for m in range(1, max_power + 1):
-            power = (power * g) % modulus
-            if any(evaluate(fn, power) != 0 for fn in spec.functionals):
-                expected = m
-                break
-        assert report.first_violation == expected
-        assert report.checked == max_power
-        # A strong-radical member can only violate at powers below the
-        # largest multiplicity; from there on f divides g^m.
-        if strong_radical_membership(spec, g) and report.first_violation is not None:
-            assert report.first_violation < max(m for _, m in spec.roots)
-
-
-def test_radical_probe_rejects_bad_power():
-    spec = _sign_sum_spec()
-    with pytest.raises(DomainError):
-        radical_probe(spec, Poly([1]), 0)

@@ -12,8 +12,8 @@ import pytest
 import mzspaces
 from mzspaces.certificates import PAdicCertificate
 from mzspaces.errors import DomainError
-from mzspaces.imagep import CorollaryReport, ImDCertificate, ObstructionReport, TheoremReport
-from mzspaces.mzdecide import MZVerdict, RadicalProbeReport
+from mzspaces.imagep import ImDCertificate, ObstructionReport, TheoremReport
+from mzspaces.mzdecide import MZVerdict
 from mzspaces.probes import GvcProbeReport, TraceReport
 from mzspaces.upoly import Poly
 
@@ -57,9 +57,6 @@ RECORDS = [
      "MZVerdict(is_mz=True, witness_subset=None, witness_idempotent=None, "
      "witness_multiplier=None)",
      MZVerdict(False, (Fraction(1), Fraction(-1)), Poly((1,)), Poly((0, 1)))),
-    (RadicalProbeReport(checked=4, first_violation=None),
-     "RadicalProbeReport(checked=4, first_violation=None)",
-     RadicalProbeReport(checked=4, first_violation=2)),
     (TraceReport(in_radical=True, traces=(Fraction(0), Fraction(0)), nilpotency_witness=2),
      "TraceReport(in_radical=True, traces=(Fraction(0, 1), Fraction(0, 1)), "
      "nilpotency_witness=2)",
@@ -75,12 +72,6 @@ RECORDS = [
     (ObstructionReport(x_degree=1, zeta_exps=(0,), x_exps=(1,), coefficient=1),
      "ObstructionReport(x_degree=1, zeta_exps=(0,), x_exps=(1,), coefficient=1)",
      ObstructionReport(x_degree=1, zeta_exps=(0,), x_exps=(1,), coefficient=2)),
-    (CorollaryReport(power_member=False, obstruction=None, certificate=None,
-                     coefficients_in_ideal=None, counterexample_x_exps=None),
-     "CorollaryReport(power_member=False, obstruction=None, certificate=None, "
-     "coefficients_in_ideal=None, counterexample_x_exps=None)",
-     CorollaryReport(power_member=True, obstruction=None, certificate=None,
-                     coefficients_in_ideal=True, counterexample_x_exps=None)),
     (TheoremReport(hypothesis_holds=True, obstruction=None, hypothesis_certificate=None,
                    conclusion_holds=True, boundary_certificates=()),
      "TheoremReport(hypothesis_holds=True, obstruction=None, hypothesis_certificate=None, "
@@ -109,8 +100,6 @@ def test_record_repr_equality_hash_and_immutability(record, text, other):
 def test_record_defaults_and_properties():
     verdict = MZVerdict(False)
     assert (verdict.witness_subset, verdict.witness_idempotent) == (None, None)
-    assert RadicalProbeReport(checked=3, first_violation=None).no_violation
-    assert not RadicalProbeReport(checked=3, first_violation=1).no_violation
 
 
 def test_certificate_replace_keeps_the_valuation_check():
@@ -123,14 +112,18 @@ def test_certificate_replace_keeps_the_valuation_check():
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
+def _traced():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TRACED
+
+
 @pytest.mark.skipif(not TRACER.exists(), reason="no bench/ in this checkout")
 def test_every_traced_name_resolves():
     # The benchmark's tracer rebinds these names; a rename or deletion in the
     # library should fail here rather than in a benchmark run.
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module_name, attr, _ in tracer.TRACED:
+    for module_name, attr, _ in _traced():
         module = importlib.import_module(module_name)
         if "." in attr:
             cls_name, method = attr.split(".")
@@ -140,6 +133,32 @@ def test_every_traced_name_resolves():
 
 
 PACKAGE = Path(mzspaces.__file__).resolve().parent
+# Reached only from tests: the scalar type of the prime-field paths that the
+# integer kernels are tested against.
+TEST_REFERENCE_NAMES = {"PrimeFieldScalar"}
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no bench/ in this checkout")
+def test_every_public_function_is_reached():
+    # A public top-level function or class that no other code in the package
+    # names, and that the benchmark tracer does not rebind, is surface that
+    # nothing runs: delete it with its tests.
+    traced = {attr.split(".")[0] for _, attr, _ in _traced()}
+    defined, reached = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined[own] = path.name
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    reached.add(name)
+    unreached = {name: module for name, module in defined.items()
+                 if name not in reached | traced | TEST_REFERENCE_NAMES}
+    assert unreached == {}
 CODEC_NAMES = {"parse_rational", "format_rational", "parse_exponents"}
 
 

@@ -1,15 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from mzspaces.errors import DomainError
-from mzspaces.quotient import (
-    _at,
-    all_idempotents,
-    crt_idempotents,
-    idempotent_from_element,
-)
+from mzspaces.quotient import all_idempotents, crt_idempotents
 from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.upoly import Poly, RootData
 
@@ -92,76 +84,6 @@ def test_all_idempotents_counts_and_laws():
         assert every[-1] == Poly([1])
         # Size-then-lexicographic order: the root idempotents follow zero.
         assert every[1:count + 1] == list(crt_idempotents(roots).values())
-
-
-def test_horner_mod_f_is_evaluation_homomorphism():
-    rng = random.Random(1414)
-    f = _roots((0, 2), (3, 1)).poly()
-    t = Poly.variable()
-    for _ in range(40):
-        p = Poly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))])
-        q = Poly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))])
-        a = t ** rng.randint(0, 2) + Poly([rng.randint(-2, 2)])
-        assert _at(p * q, a, f) == (_at(p, a, f) * _at(q, a, f)) % f
-        assert _at(p + q, a, f) == _at(p, a, f) + _at(q, a, f)
-        direct = sum(((a ** i).scale(c) for i, c in enumerate(p.coeffs)), Poly())
-        assert _at(p, a, f) == direct % f
-
-
-def test_idempotent_from_element_frozen_traces():
-    # a = class of t in Q[t]/(t^2 - t), annihilated by q = t^2 - t.
-    roots = _roots((0, 1), (1, 1))
-    t = Poly.variable()
-    q = t ** 2 - t
-    e = idempotent_from_element(roots, t, q, 1)
-    assert e == Poly([0, 1])  # the class of t is already idempotent
-    # The element need not be reduced: t^5 is t mod t^2 - t.
-    assert idempotent_from_element(roots, t ** 5, q, 1) == e
-
-    # A nilpotent element must produce the zero idempotent.
-    e2 = idempotent_from_element(_roots((0, 2)), t, t ** 2, 2)
-    assert e2.is_zero
-
-    # A unit must produce 1.
-    u = t.scale(2) - Poly([Fraction(1, 2)])
-    ann = (t - Poly([Fraction(-1, 2)])) * (t - Poly([Fraction(3, 2)]))
-    e3 = idempotent_from_element(_roots((0, 1), (1, 1)), u, ann, 1)
-    assert e3 == Poly([1])
-
-
-def test_idempotent_from_element_laws_random():
-    rng = random.Random(24601)
-    t = Poly.variable()
-    for _ in range(80):
-        roots = _random_root_data(rng)
-        f = roots.poly()
-        r = Poly([Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
-                  for _ in range(rng.randint(1, 4))])
-        # q(T) = prod over roots of (T - r(lam))^mult annihilates the class of r.
-        q = Poly([1])
-        for lam, mult in roots:
-            q = q * (t - Poly([r(lam)])) ** mult
-        min_power = max(mult for _, mult in roots)
-        e = idempotent_from_element(roots, r, q, min_power)
-        n = max(min_power, 1)
-        assert e.degree < f.degree
-        assert (e * e) % f == e
-        power = (r ** n) % f
-        assert (power * e) % f == power
-        # e generates the same ideal tail as a^n: e is a multiple of a^n.
-        # (checked implicitly by construction; here verify e kills (1-e)a^n)
-        assert ((Poly([1]) - e) * power % f).is_zero
-
-
-def test_idempotent_from_element_rejects_bad_annihilator():
-    roots = _roots((0, 1), (1, 1))
-    t = Poly.variable()
-    with pytest.raises(DomainError, match="does not vanish"):
-        idempotent_from_element(roots, t, t + Poly([5]), 1)
-    with pytest.raises(DomainError, match="nonzero"):
-        idempotent_from_element(roots, t, Poly([]), 1)
-    with pytest.raises(DomainError, match="min_power"):
-        idempotent_from_element(roots, t, t ** 2 - t, 0)
 
 
 def test_quotient_ring_over_prime_field():

@@ -10,7 +10,6 @@ from mzspaces.scalars import (
     PADIC_INF,
     PrimeFieldScalar,
     is_prime,
-    padic_abs,
     padic_valuation,
     scalar_inverse,
 )
@@ -98,12 +97,6 @@ def test_rational_arithmetic_is_exact_on_huge_denominators():
         assert (a + b) - b == a
         if b != 0:
             assert (a * b) / b == a
-
-
-def test_padic_abs_values():
-    assert padic_abs(12, 2) == Fraction(1, 4)
-    assert padic_abs(Fraction(1, 12), 2) == 4
-    assert padic_abs(0, 3) == 0
 
 
 def test_parse_and_format_roundtrip():

@@ -191,7 +191,6 @@ def test_root_data_basics():
     assert roots.multiplicity(Fraction(7)) == 0
     t = Poly.variable()
     assert roots.poly() == (t - Poly([1])) ** 2 * (t + Poly([1]))
-    assert roots.radical_poly() == (t - Poly([1])) * (t + Poly([1]))
 
 
 def test_root_data_rejects_bad_input():
