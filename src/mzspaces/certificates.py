@@ -16,10 +16,14 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError, SearchExhaustedError
-from .scalars import PADIC_INF, clear_denominators, is_prime, padic_valuation
-from .upoly import Poly, int_poly_mul
+from .scalars import PADIC_INF, clear_denominators, is_prime, padic_valuation, require_rational
+from .upoly import Poly
 
 DEFAULT_SEARCH_BOUND = 10**6
+# Caps on the size of (D*f)^m at the certificate's m (`expansion_size`); near
+# them power_moment takes 0.4-1.0 s on a 2-vCPU host, depending on f.
+MAX_EXPANSION_BITS = 4_000_000
+MAX_EXPANSION_TERMS = 12_000
 
 
 class MomentRule(enum.Enum):
@@ -53,40 +57,52 @@ class PAdicCertificate(namedtuple("PAdicCertificate", "prime exponent valuation 
         return cls(*iterable)
 
 
-def _require_rational(f: Poly):
-    if not all(isinstance(c, (int, Fraction)) for c in f.coeffs):
-        raise DomainError("certificates need rational coefficients")
+def expansion_size(base, power: int):
+    """(terms, bits): the power of the integer coefficient list base has
+    terms coefficients, each below 2^(bits - 1) in absolute value, since
+    none exceeds (sum |base|)^power."""
+    return power * (len(base) - 1) + 1, power * sum(map(abs, base)).bit_length() + 1
+
+
+def _expand_power(base, power: int):
+    """The coefficients of (sum base[i] t^i)^power by Kronecker substitution:
+    pack base into one integer at t = 2^w, raise it to the power, and read
+    the base-2^w digits back.  w, whole bytes, holds every coefficient
+    (`expansion_size`); each digit is packed and read with a bias of
+    2^(w-1), so that the bytes of a digit are those of a nonnegative int."""
+    if power == 0 or not base:
+        return [] if power else [1]
+    terms, bits = expansion_size(base, power)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    digit = bytes(width - 1) + b"\x80"  # half in one little-endian digit
+    packed = int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in base), "little")
+    packed -= int.from_bytes(digit * len(base), "little")
+    raw = packed**power + int.from_bytes(digit * terms, "little")
+    raw = raw.to_bytes(width * terms, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
 
 
 def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
     """Exact termwise moment of f**power.
 
     With D the common denominator of f, (D*f)**power has integer
-    coefficients c_i, expanded by square-and-multiply, and the moment is
-    sum c_i * i! / D**power (exponential rule) or
-    sum c_i * (L / (i + 1)) / (L * D**power) with L = lcm(1..N + 1), N the
-    degree of the expansion (unit rule): one division at the end.
+    coefficients c_i, expanded by Kronecker substitution, and the moment is
+    sum c_i * i! / D**power (exponential rule; c_0 + 1 * (c_1 + 2 * (c_2 +
+    ...)) by Horner) or sum c_i * (L / (i + 1)) / (L * D**power) with
+    L = lcm(1..N + 1), N the degree of the expansion (unit rule): one
+    division at the end.
     """
     if power < 0:
         raise DomainError("power must be >= 0")
-    _require_rational(f)
+    require_rational(f.coeffs, "the power moment")
     d, base = clear_denominators(f.coeffs)
-    expanded = [1]
-    exponent = power
-    while exponent:
-        if exponent & 1:
-            expanded = int_poly_mul(expanded, base)
-        exponent >>= 1
-        if exponent:
-            base = int_poly_mul(base, base)
+    expanded = _expand_power(base, power)
     scale = d**power
     if rule is MomentRule.EXPONENTIAL:
         total = 0
-        weight = 1
-        for i, c in enumerate(expanded):
-            if i:
-                weight *= i
-            total += c * weight
+        for i in range(len(expanded) - 1, -1, -1):
+            total = total * (i + 1) + expanded[i]
         return Fraction(total, scale)
     lcm_all = lcm(*range(1, len(expanded) + 1))
     total = sum(c * (lcm_all // (i + 1)) for i, c in enumerate(expanded) if c)
@@ -101,11 +117,18 @@ def _first_certificate(rule: MomentRule, f: Poly, step: int, m_min: int,
     exponential rule, as the two entry points explain), so the first
     admissible m always yields the certificate, and the search gives up
     only after search_bound inadmissible m in a row.  The value is still
-    expanded exactly, and the certificate re-checks its valuation."""
-    denominators = [Fraction(c).denominator for c in f.coeffs if c != 0]
+    expanded exactly, unless the expansion would exceed the size caps
+    above, and the certificate re-checks its valuation."""
+    d, base = clear_denominators(f.coeffs)
     for m in range(m_min, m_min + search_bound):
         p = step * m + 1
-        if is_prime(p) and all(den % p for den in denominators):
+        if is_prime(p) and d % p:
+            terms, bits = expansion_size(base, m)
+            if terms > MAX_EXPANSION_TERMS or terms * bits > MAX_EXPANSION_BITS:
+                raise DomainError(
+                    f"at m = {m} the expansion of (D*f)^m has {terms} coefficients of up to "
+                    f"{bits} bits, {terms * bits} bits in all, over the cap of "
+                    f"{MAX_EXPANSION_TERMS} coefficients and {MAX_EXPANSION_BITS} bits")
             valuation = -1 if rule is MomentRule.UNIT_INTERVAL else 0
             try:
                 return PAdicCertificate(p, m, valuation, power_moment(rule, f, m))
@@ -126,7 +149,7 @@ def certify_unit_interval(f: Poly, m_min: int = 1,
     leading coefficient, and every other term has i + 1 < p and a p-integral
     c_i; the first admissible m is the certificate.
     """
-    _require_rational(f)
+    require_rational(f.coeffs, "certificate search")
     if f.is_zero or f.degree < 1:
         raise DomainError("certificates need degree >= 1")
     if f.lead != 1:
@@ -146,7 +169,7 @@ def certify_exponential(f: Poly, m_min: int = 1,
     term, and every other term has i >= p, so p divides i!; the first
     admissible m is the certificate.
     """
-    _require_rational(f)
+    require_rational(f.coeffs, "certificate search")
     if f.is_zero or f.degree < 1:
         raise DomainError("certificates need degree >= 1")
     if m_min < 1:

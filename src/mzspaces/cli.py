@@ -53,11 +53,16 @@ _IDEMPOTENTS_MAX_ROOTS = 12
 _ECHO_LIMIT = 40
 _PATH_ECHO_LIMIT = 256
 _ORACLE_COST = "at most 20 roots; about 0.4 s at 20 roots with 3 functionals"
+# certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time.
+_CERTIFY_COST = ("At the certificate's m, (D*f)^m, D the common denominator of f, may have at "
+                 "most 12000 coefficients and 4000000 bits in all; up to about 1 s at the caps.")
 # Measured at p = 5, n = 3 and total degree 23-24 on a 2-vCPU host.  theorem
-# expands f^(p^2) by repeated squaring, so its time grows with the number of
-# terms of f, which no cap bounds.
-_IMAGEP_COST = ("decide takes about 0.25 s on 840 terms at the caps; theorem about 0.4 s "
-                "when f has 5 terms, 3.3 s at 7 and 10 s at 8.")
+# forms f^p and f^(p^2) by Frobenius, so its product g f^(p^2) f has at most
+# |g| |f|^2 terms, and its time follows that count.
+_THEOREM_MAX_PRODUCT = 4000
+_IMAGEP_COST = ("decide takes about 0.25 s on 840 terms at the caps; theorem needs "
+                f"|g|*|f|^2 at most {_THEOREM_MAX_PRODUCT} (|f| the number of terms of f), "
+                "about 0.9 s at that cap.")
 
 
 def _shown(value, limit: int = _ECHO_LIMIT) -> str:
@@ -534,6 +539,10 @@ def _cmd_imagep(args):
     else:
         g = ZXPoly.one(args.n, args.p)
     _check_imagep_caps([f, g], args.p, args.n)
+    product = len(g.terms) * len(f.terms) ** 2
+    if product > _THEOREM_MAX_PRODUCT:
+        raise DomainError(f"--input: |g|*|f|^2 = {product} terms exceed the cap "
+                          f"{_THEOREM_MAX_PRODUCT}")
     report = charp_theorem_check(f, g)
     payload = {"hypothesisHolds": report.hypothesis_holds}
     if report.hypothesis_holds:
@@ -591,7 +600,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"{_MOMENTS_MAX_COUNT}")
     p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("certify", help="p-adic non-radical certificate search")
+    p = sub.add_parser("certify", help="p-adic non-radical certificate search",
+                       description=_CERTIFY_COST)
     p.add_argument("--rule", required=True, choices=["unit", "exp"])
     p.add_argument("--poly", required=True, help="polynomial JSON (inline or file path)")
     p.add_argument("--m-min", type=int, default=1, dest="m_min")

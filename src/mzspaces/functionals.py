@@ -1,4 +1,4 @@
-"""Normal form for linear functionals on k[t] that kill the ideal (f) of a
+"""Normal form for linear functionals on Q[t] that kill the ideal (f) of a
 split polynomial f.
 
 Every such functional is a combination of point evaluations composed with
@@ -16,19 +16,17 @@ the dot product of the coefficients with that table; no operator is ever
 applied to a polynomial.  `from_moments` inverts it in O(deg f ^ 2): the
 values are extended by the recurrence of f, projected onto each root by its
 CRT idempotent (L(t^n e_lam) = P_lam(n) lam^n, or n! [P_0]_n at 0), and each
-operator is read back by Newton interpolation at 0, 1, ..., mult - 1.  That
-needs characteristic zero: over a prime field n! and the node differences
-can vanish, and the moments need not determine the normal form.
+operator is read back by Newton interpolation at 0, 1, ..., mult - 1, which
+divides by n! and by the node differences, so it needs characteristic zero.
 
-With rational scalars both directions run on plain integers: every
-denominator is cleared once (`scalars.clear_denominators`), the arithmetic
-is on Python ints, and a Fraction, with its one normalising gcd, is built
-only for each value returned.  `integer_moments` puts the terms
-Q(n) a^n b^(N-n) of all roots a/b over one common denominator;
-`from_moments` uses the integer form of f, the integer idempotents of
-`quotient` and integer forward differences.  Prime-field scalars take the
-field-arithmetic closed form (`_moments_in_field`), which is also the
-integer kernel's test reference.
+Both directions run on plain integers: every denominator is cleared once
+(`scalars.clear_denominators`), the arithmetic is on Python ints, and a
+Fraction, with its one normalising gcd, is built only for each value
+returned.  `integer_moments` puts the terms Q(n) a^n b^(N-n) of all roots
+a/b over one common denominator; `from_moments` uses the integer form of f,
+the integer idempotents of `quotient` and integer forward differences.
+`selftest.moments_by_field_arithmetic` evaluates the closed form in Q and
+is the integer kernel's test reference.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from math import factorial, gcd, lcm
 from .errors import DomainError
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import _all_rational, clear_denominators
+from .scalars import clear_denominators, require_rational
 from .upoly import Poly, RootData, int_times_linear, split_integer_form
 
 
@@ -152,30 +150,10 @@ def integer_moments(functional: FunctionalNF, count: int):
 
 
 def _moments(functional: FunctionalNF, count: int):
-    """[L(t^n) for n < count] by the closed form: on integers for rational
-    scalars, one Fraction per value; otherwise in the scalars' field."""
-    ops = (functional.zero_part, *functional.parts.values())
-    if not _all_rational((*functional.roots.roots, *(c for op in ops for c in op.coeffs))):
-        return _moments_in_field(functional, count)
+    """[L(t^n) for n < count] by the closed form on integers, one Fraction
+    per value."""
     den, values = integer_moments(functional, count)
     return [Fraction(v, den) for v in values]
-
-
-def _moments_in_field(functional: FunctionalNF, count: int):
-    """The closed form by field operations: a running power lam^n times
-    P_lam(n) by Horner at each nonzero root, n! [P_0]_n at 0."""
-    out = [0] * count
-    factorial_n = 1
-    for n, c in enumerate(functional.zero_part.coeffs[:count]):
-        if n:
-            factorial_n *= n
-        out[n] = c * factorial_n
-    for lam, op in functional.parts.items():
-        power = 1
-        for n in range(count):
-            out[n] = out[n] + op(n) * power
-            power = power * lam
-    return out
 
 
 def evaluate(functional: FunctionalNF, g: Poly):
@@ -203,10 +181,10 @@ def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
     term needs (about lcm(b)^n, not B^n).  The projection onto each root
     uses its integer idempotent and Newton's forward differences are taken
     on integers; each output coefficient is one Fraction."""
+    require_rational((*roots.roots, *moments.values, *moments.char_poly.coeffs),
+                     "moment inversion")
     if roots.poly() != moments.char_poly:
         raise DomainError("root data must split the characteristic polynomial exactly")
-    if not _all_rational((*roots.roots, *moments.values)):
-        raise DomainError("moment inversion requires characteristic zero")
     lead, f = split_integer_form(roots)
     n_total = len(f) - 1
     values_den, values = clear_denominators(moments.values)

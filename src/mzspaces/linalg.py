@@ -1,4 +1,4 @@
-"""Exact Gaussian elimination over a field, pivoting on the first nonzero entry."""
+"""Exact Gaussian elimination over Q, pivoting on the first nonzero entry."""
 
 from .scalars import scalar_inverse
 

@@ -52,7 +52,7 @@ from .errors import DependentFunctionalsError, DomainError
 from .functionals import FunctionalNF, integer_moments, largest_ideal_exponents
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import _all_rational
+from .scalars import require_rational
 from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
@@ -103,7 +103,7 @@ class MZVerdict(namedtuple(
 def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     """Shrink multiplicities to the largest-ideal exponents, drop unused
     roots, and reject dependent or zero functionals."""
-    _require_char_zero(spec)
+    require_rational(_spec_scalars(spec), "the decision procedure")
     for fn in spec.functionals:
         if fn.is_zero:
             raise DomainError("zero functional in spec")
@@ -133,13 +133,13 @@ def _coefficient_rows(functionals, roots: RootData):
             for fn in functionals]
 
 
-def _require_char_zero(spec: SubspaceSpec):
+def _spec_scalars(spec: SubspaceSpec):
+    """The roots and every operator coefficient of the spec."""
     scalars = list(spec.roots.roots)
     for fn in spec.functionals:
         for op in [fn.zero_part, *fn.parts.values()]:
             scalars.extend(op.coeffs)
-    if not _all_rational(scalars):
-        raise DomainError("decision procedure requires characteristic zero")
+    return scalars
 
 
 def _subset_sums(columns, offset: int, dim: int):
@@ -241,7 +241,7 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     """Subset-sum criterion over the roots; emits a checkable witness pair
     (idempotent in the kernel, multiplier escaping it) when the answer is no."""
     _require_normalized(spec)
-    _require_char_zero(spec)
+    require_rational(_spec_scalars(spec), "the decision procedure")
     roots = spec.roots.roots
     if len(roots) > DEFAULT_MAX_SUBSET_ROOTS:
         raise DomainError(
@@ -285,7 +285,7 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
     sum vanishes is an idempotent in the kernel, and it must keep all its
     shifts t^j e_S, j < deg f, in the kernel."""
     _require_normalized(spec)
-    _require_char_zero(spec)
+    require_rational(_spec_scalars(spec), "the decision procedure")
     if len(spec.roots) > DEFAULT_MAX_SUBSET_ROOTS:
         raise DomainError(
             f"{len(spec.roots)} roots exceed the oracle enumeration cap "

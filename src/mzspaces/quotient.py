@@ -1,17 +1,16 @@
-"""Idempotents of k[t]/(f) for split moduli f.
+"""Idempotents of Q[t]/(f) for split moduli f.
 
 Elements of the quotient are plain polynomials of degree below deg f.  The
 modulus is always reconstructed from root data, so f = prod (t - root)^mult
 holds exactly by construction.
 
 The idempotent of a root is the cofactor times its inverse modulo the
-root's factor, a power series inverse, so no Euclidean algorithm runs.  When
-the modulus and the root are rational the whole construction runs on
-integers (`integer_idempotent`): exact divisions by b t - a, Taylor
-coefficients at the integer a, the series inverse scaled by powers of its
-constant term, one integer product, and a Fraction only for each output
-coefficient.  Other scalars (prime fields) take the same steps in their
-field; that path is also the integer kernel's test reference.
+root's factor, a power series inverse, so no Euclidean algorithm runs.  The
+whole construction runs on integers (`integer_idempotent`): exact divisions
+by b t - a, Taylor coefficients at the integer a, the series inverse scaled
+by powers of its constant term, one integer product, and a Fraction only for
+each output coefficient.  `selftest.idempotent_by_field_arithmetic` takes
+the same steps in Q and is the integer kernel's test reference.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .scalars import _all_rational, clear_denominators, scalar_inverse
+from .scalars import clear_denominators
 from .upoly import Poly, RootData, int_poly_mul, int_times_linear
 
 
@@ -100,38 +99,10 @@ def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
     power series inverse, to order mult, of the Taylor expansion of c at lam,
     so no Euclidean algorithm runs: mult synthetic divisions give c, mult more
     its Taylor coefficients, and the rest costs O(mult^2) plus one product.
-    Rational input runs on integers (`integer_idempotent`)."""
-    if not _all_rational((*modulus.coeffs, lam)):
-        return _root_idempotent_in_field(modulus, lam, mult)
+    It runs on integers (`integer_idempotent`)."""
     _, ints = clear_denominators(modulus.coeffs)
     coeffs, num, den = integer_idempotent(ints, lam, mult)
     return Poly(tuple(Fraction(c * num, den) for c in coeffs))
-
-
-def _root_idempotent_in_field(modulus: Poly, lam, mult: int) -> Poly:
-    """`root_idempotent` by field operations on the coefficients."""
-    cofactor = list(modulus.coeffs)
-    for _ in range(mult):
-        cofactor, rem = _divide_by_root(cofactor, lam)
-        if rem != 0:
-            raise AssertionError("modulus is divisible by each root factor")
-    taylor = []
-    work = cofactor
-    for _ in range(mult):
-        work, value = _divide_by_root(work, lam)
-        taylor.append(value)
-    inv_lead = scalar_inverse(taylor[0])
-    series = [inv_lead]
-    for k in range(1, mult):
-        acc = 0
-        for j in range(1, k + 1):
-            acc = acc + taylor[j] * series[k - j]
-        series.append(-acc * inv_lead)
-    shift = Poly((-lam, 1))
-    inverse = Poly()
-    for b in reversed(series):
-        inverse = inverse * shift + Poly((b,))
-    return inverse * Poly(cofactor)
 
 
 def crt_idempotents(roots: RootData):

@@ -1,8 +1,8 @@
-"""Exact scalars: rationals, prime fields, p-adic valuations, primality.
+"""Exact scalars: rationals, p-adic valuations, primality.
 
-Rationals are stdlib Fraction values (always reduced, denominator > 0, zero is
-0/1).  The p-adic valuation of 0 is the distinguished sentinel PADIC_INF,
-never an integer.
+The scalar field is Q: a scalar is an int or a stdlib Fraction (always
+reduced, denominator > 0, zero is 0/1).  The p-adic valuation of 0 is the
+distinguished sentinel PADIC_INF, never an integer.
 """
 
 from __future__ import annotations
@@ -85,10 +85,11 @@ def _int_valuation(n, p):
     return v
 
 
-def _all_rational(values) -> bool:
-    """True when every value is an int or a Fraction, so that the integer
-    kernels apply; prime-field scalars take the generic field arithmetic."""
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def require_rational(values, what: str) -> None:
+    """Reject any value that is not an int or a Fraction, the scalars the
+    integer kernels read, with a DomainError naming what needs them."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise DomainError(f"{what} needs rational scalars")
 
 
 def clear_denominators(values):
@@ -99,101 +100,12 @@ def clear_denominators(values):
 
 
 def scalar_inverse(c):
-    """Multiplicative inverse of a field scalar (int, Fraction, or prime field)."""
+    """Multiplicative inverse of a rational scalar; an int stays an int
+    when it is a unit."""
     if isinstance(c, int):
         if c in (1, -1):
             return c
         if c == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c ** -1
-
-
-class PrimeFieldScalar:
-    """Element of Z/p for a prime p; mixes freely with Python ints."""
-
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, value, modulus):
-        if not isinstance(modulus, int) or not is_prime(modulus):
-            raise DomainError(f"modulus {modulus!r} is not prime")
-        self.residue = value % modulus
-        self.modulus = modulus
-
-    def _lift(self, other):
-        if isinstance(other, PrimeFieldScalar):
-            if other.modulus != self.modulus:
-                raise DomainError("prime field modulus mismatch")
-            return other.residue
-        if isinstance(other, int):
-            return other % self.modulus
-        return None
-
-    def __add__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        return PrimeFieldScalar(self.residue + r, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        return PrimeFieldScalar(self.residue - r, self.modulus)
-
-    def __rsub__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        return PrimeFieldScalar(r - self.residue, self.modulus)
-
-    def __mul__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        return PrimeFieldScalar(self.residue * r, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        if r % self.modulus == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return PrimeFieldScalar(self.residue * pow(r, -1, self.modulus), self.modulus)
-
-    def __rtruediv__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        if self.residue == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return PrimeFieldScalar(r * pow(self.residue, -1, self.modulus), self.modulus)
-
-    def __pow__(self, exponent):
-        if exponent < 0 and self.residue == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return PrimeFieldScalar(pow(self.residue, exponent, self.modulus), self.modulus)
-
-    def __neg__(self):
-        return PrimeFieldScalar(-self.residue, self.modulus)
-
-    def __eq__(self, other):
-        r = self._lift(other)
-        if r is None:
-            return NotImplemented
-        return self.residue == r
-
-    def __hash__(self):
-        return hash((self.residue, self.modulus))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __repr__(self):
-        return f"{self.residue} (mod {self.modulus})"
+    return 1 / c

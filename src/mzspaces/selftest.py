@@ -8,15 +8,7 @@ from fractions import Fraction
 
 from .certificates import MomentRule, certify_unit_interval, power_moment
 from .errors import DomainError
-from .functionals import (
-    FunctionalNF,
-    MomentSeq,
-    _moments,
-    _moments_in_field,
-    evaluate,
-    from_moments,
-    to_moments,
-)
+from .functionals import FunctionalNF, MomentSeq, _moments, evaluate, from_moments, to_moments
 from .imagep import ImDCertificate, ZXPoly, apply_d, imd_decide, j_ideal_witness
 from .mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from .probes import (
@@ -29,13 +21,8 @@ from .probes import (
     laurent_preimage,
     trace_radical_test,
 )
-from .quotient import (
-    _root_idempotent_in_field,
-    all_idempotents,
-    crt_idempotents,
-    root_idempotent,
-)
-from .scalars import padic_valuation
+from .quotient import _divide_by_root, all_idempotents, crt_idempotents, root_idempotent
+from .scalars import padic_valuation, scalar_inverse
 from .sparse import LaurentPoly
 from .upoly import Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
 
@@ -274,15 +261,68 @@ _INTEGER_FUNCTIONALS = (
 )
 
 
+def modulus_by_field_arithmetic(roots: RootData) -> Poly:
+    """prod (t - root)^mult by `Poly` products: the reference for
+    `RootData.poly`."""
+    out = Poly((1,))
+    for lam, m in roots:
+        out = out * Poly((-lam, 1)) ** m
+    return out
+
+
+def idempotent_by_field_arithmetic(modulus: Poly, lam, mult: int) -> Poly:
+    """`root_idempotent` by field operations on the rational coefficients:
+    the cofactor and its Taylor coefficients at lam by synthetic division,
+    the series inverse divided by its constant term: the reference for
+    `quotient.integer_idempotent`."""
+    cofactor = list(modulus.coeffs)
+    for _ in range(mult):
+        cofactor, rem = _divide_by_root(cofactor, lam)
+        if rem != 0:
+            raise AssertionError("modulus is divisible by each root factor")
+    taylor = []
+    work = cofactor
+    for _ in range(mult):
+        work, value = _divide_by_root(work, lam)
+        taylor.append(value)
+    inv_lead = scalar_inverse(taylor[0])
+    series = [inv_lead]
+    for k in range(1, mult):
+        acc = sum(taylor[j] * series[k - j] for j in range(1, k + 1))
+        series.append(-acc * inv_lead)
+    inverse = Poly()
+    for b in reversed(series):
+        inverse = inverse * Poly((-lam, 1)) + Poly((b,))
+    return inverse * Poly(cofactor)
+
+
+def moments_by_field_arithmetic(functional: FunctionalNF, count: int):
+    """[L(t^n) for n < count] by the closed form in Q: a running power
+    lam^n times P_lam(n) at each nonzero root, n! [P_0]_n at 0: the
+    reference for `functionals.integer_moments`."""
+    out = [0] * count
+    factorial_n = 1
+    for n, c in enumerate(functional.zero_part.coeffs[:count]):
+        if n:
+            factorial_n *= n
+        out[n] = c * factorial_n
+    for lam, op in functional.parts.items():
+        power = 1
+        for n in range(count):
+            out[n] = out[n] + op(n) * power
+            power = power * lam
+    return out
+
+
 def _check_integer_kernels(rng):
     roots = _INTEGER_ROOTS
     f = roots.poly()
-    assert f == roots._poly_in_field()
+    assert f == modulus_by_field_arithmetic(roots)
     for lam, mult in roots:
-        assert root_idempotent(f, lam, mult) == _root_idempotent_in_field(f, lam, mult)
+        assert root_idempotent(f, lam, mult) == idempotent_by_field_arithmetic(f, lam, mult)
     for fn in _INTEGER_FUNCTIONALS:
         for count in (0, 1, roots.degree + 4):
-            assert _moments(fn, count) == _moments_in_field(fn, count)
+            assert _moments(fn, count) == moments_by_field_arithmetic(fn, count)
         assert evaluate(fn, Poly()) == 0
         back = from_moments(MomentSeq(to_moments(fn, roots.degree), f), roots)
         assert back == fn

@@ -1,11 +1,9 @@
-"""Dense univariate polynomials over an exact field, plus the evaluation maps
+"""Dense univariate polynomials over Q, plus the evaluation maps
 built on them: substitution, derivative-operator application, and
 Euler-operator application (t d/dt).
 
-Coefficients may be Fraction, PrimeFieldScalar, or plain int; ints act as
-universal integers and embed into whichever field the other coefficients live
-in.  The zero polynomial has degree NEG_INF so degree comparisons never need a
-special case.
+Coefficients are rationals: Fraction or plain int.  The zero polynomial has
+degree NEG_INF so degree comparisons never need a special case.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 
 from .errors import DoesNotSplitError, DomainError
-from .scalars import _all_rational, clear_denominators, scalar_inverse
+from .scalars import clear_denominators, require_rational, scalar_inverse
 
 NEG_INF = float("-inf")
 
@@ -299,18 +297,9 @@ class RootData:
         return 0
 
     def poly(self) -> Poly:
-        """prod (t - root)^mult.  Rational roots go through the integer form,
-        divided once per coefficient; other scalars multiply in their field."""
-        if not _all_rational(self.roots):
-            return self._poly_in_field()
+        """prod (t - root)^mult: the integer form, divided once per coefficient."""
         scale, coeffs = split_integer_form(self)
         return Poly(tuple(Fraction(c, scale) for c in coeffs))
-
-    def _poly_in_field(self) -> Poly:
-        out = Poly((1,))
-        for lam, m in self.pairs:
-            out = out * Poly((-lam, 1)) ** m
-        return out
 
     def __iter__(self):
         return iter(self.pairs)
@@ -350,8 +339,7 @@ def rational_roots(f: Poly) -> RootData:
         raise DomainError("zero polynomial has every root")
     if f.degree == 0:
         raise DomainError("constant polynomial has no roots")
-    if not all(isinstance(c, (int, Fraction)) for c in f.coeffs):
-        raise DomainError("root finding needs rational coefficients")
+    require_rational(f.coeffs, "root finding")
     found = []
     zero_mult = f.low_order
     work = Poly(f.coeffs[zero_mult:])

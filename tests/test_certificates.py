@@ -6,15 +6,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mzspaces import certificates
 from mzspaces.certificates import (
     MomentRule,
     PAdicCertificate,
     certify_exponential,
     certify_unit_interval,
+    expansion_size,
     power_moment,
 )
 from mzspaces.errors import DomainError, SearchExhaustedError
-from mzspaces.scalars import is_prime, padic_valuation
+from mzspaces.scalars import clear_denominators, is_prime, padic_valuation
+from mzspaces.selftest import power_moment_by_expansion
 from mzspaces.upoly import Poly
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -250,3 +253,38 @@ def test_exponential_certificate_is_at_the_first_admissible_m(r, higher, m_min):
     cert = certify_exponential(f, m_min)
     assert (cert.exponent, cert.prime) == (m, r * m + 1)
     assert cert.valuation == 0
+
+
+@SETTINGS
+@given(st.lists(st.one_of(RATIONAL, st.integers(-10**30, 10**30)), max_size=6),
+       st.integers(0, 14))
+def test_kronecker_expansion_matches_poly_powers(coeffs, power):
+    f = Poly(coeffs)
+    for rule in MomentRule:
+        assert power_moment(rule, f, power) == power_moment_by_expansion(rule, f, power)
+    base = clear_denominators(f.coeffs)[1]
+    if base and power:
+        terms, bits = expansion_size(base, power)
+        expanded = (Poly(base) ** power).coeffs
+        assert len(expanded) == terms
+        assert all(abs(c) < 2 ** (bits - 1) for c in expanded)
+
+
+def _no_expansion(*_args):
+    raise AssertionError("power_moment ran above the size cap")
+
+
+def test_expansion_caps_are_checked_before_expanding(monkeypatch):
+    # (1 + t)^10 at p = 11: 11 coefficients of up to 21 bits, 231 bits in all.
+    f = Poly([1, 1])
+    assert certify_unit_interval(f, 10).exponent == 10
+    monkeypatch.setattr(certificates, "MAX_EXPANSION_BITS", 231)
+    monkeypatch.setattr(certificates, "MAX_EXPANSION_TERMS", 11)
+    assert certify_unit_interval(f, 10).exponent == 10
+    monkeypatch.setattr(certificates, "power_moment", _no_expansion)
+    for name, cap in (("MAX_EXPANSION_BITS", 230), ("MAX_EXPANSION_TERMS", 10)):
+        with monkeypatch.context() as patch:
+            patch.setattr(certificates, name, cap)
+            with pytest.raises(DomainError, match="at m = 10 the expansion of .* has 11 "
+                                                  "coefficients of up to 21 bits, 231 bits"):
+                certify_unit_interval(f, 10)

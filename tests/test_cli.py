@@ -1,11 +1,13 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import islice, product
 
 import pytest
 
-from mzspaces import cli, upoly
+from mzspaces import certificates, cli, upoly
 from mzspaces.cli import main
 from mzspaces.mzdecide import DEFAULT_MAX_SUBSET_ROOTS
 
@@ -286,6 +288,46 @@ def test_imagep_caps_enforced(capsys):
     assert "cap" in out["error"]["message"]
 
 
+def _terms(count: int, nvars: int = 3):
+    """count distinct unit terms of total degree at most 8."""
+    exps = (e for e in product(range(5), repeat=2 * nvars) if sum(e) <= 8)
+    return [{"zeta": list(e[:nvars]), "x": list(e[nvars:]), "c": 1}
+            for e in islice(exps, count)]
+
+
+def test_imagep_theorem_term_cap(capsys):
+    # f has 2 terms without zeta, so the hypothesis fails at once; g
+    # fills |g|*|f|^2 up to the cap and then one term past it.
+    cap = cli._THEOREM_MAX_PRODUCT
+    f = _terms(2)
+    for g_terms, expected in ((cap // 4, 0), (cap // 4 + 1, 2)):
+        data = json.dumps({"f": f, "g": _terms(g_terms)})
+        code, out, _ = _run(capsys, ["imagep", "theorem", "--p", "5", "--n", "3",
+                                     "--input", data])
+        assert code == expected
+    assert out["error"]["message"] == (
+        f"--input: |g|*|f|^2 = {4 * (cap // 4 + 1)} terms exceed the cap {cap}")
+
+
+PRIMES_BELOW_200 = math.prod(p for p in range(2, 200) if all(p % q for q in range(2, p)))
+
+
+@pytest.mark.parametrize("poly, m_min", [
+    (["1", "1"], "6000"),
+    ([f"1/{PRIMES_BELOW_200}", "1"], "1"),
+], ids=["m-min-6000", "t+1/P"])
+def test_certify_size_cap_rejects_before_expanding(capsys, monkeypatch, poly, m_min):
+    def no_expansion(*_args):
+        raise AssertionError("power_moment ran above the size cap")
+
+    monkeypatch.setattr(certificates, "power_moment", no_expansion)
+    code, out, _ = _run(capsys, ["certify", "--rule", "unit", "--poly", json.dumps(poly),
+                                 "--m-min", m_min])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert "over the cap of" in out["error"]["message"]
+
+
 def test_selftest_passes_and_is_deterministic(capsys):
     code, out, _ = _run(capsys, ["selftest", "--seed", "11"])
     assert code == 0
@@ -481,6 +523,9 @@ def test_gvc_probe_m_max_cap(capsys):
     ("imagep", f"at most {cli._IMAGEP_MAX_VARS}"),
     ("imagep", f"total degree at most {cli._IMAGEP_MAX_DEGREE}"),
     ("imagep", "about 0.25 s on 840 terms at the caps"),
+    ("imagep", f"|g|*|f|^2 at most {cli._THEOREM_MAX_PRODUCT}"),
+    ("certify", f"at most {certificates.MAX_EXPANSION_TERMS} coefficients and "
+                f"{certificates.MAX_EXPANSION_BITS} bits"),
     ("laurent", "linear in the number of terms"),
 ])
 def test_probe_caps_are_stated_in_help(capsys, command, text):

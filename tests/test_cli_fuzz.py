@@ -1,0 +1,134 @@
+"""Fuzz gate of the command line: every subcommand, run in-process through
+`cli.main` on arbitrary small JSON and on integer options near their caps,
+exits 0 or 2 and never reports an internal error."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mzspaces import certificates, cli
+from mzspaces.cli import main
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+LEAVES = st.one_of(
+    st.integers(-1000, 1000),
+    st.sampled_from(("1/2", "-3", "0", "1/0", "x", "", "2.5", "P0", "parts", "roots", "values",
+                     "charPoly", "functionals", "zeta", "exps", "c", "f", "g")),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+KEYS = st.text(max_size=4) | st.sampled_from(("P0", "parts", "roots", "values", "f", "c"))
+
+
+def _nest(inner):
+    return inner | st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4)
+
+
+# Lists and objects of up to 4 entries, nested at most 3 deep.
+JSON = _nest(_nest(_nest(LEAVES)))
+
+
+def _json_arg(value) -> str:
+    """Inline JSON; a scalar is wrapped in a list so that it is never read
+    as a file path."""
+    return json.dumps(value if isinstance(value, (list, dict)) else [value])
+
+
+def _near(cap: int):
+    return st.integers(cap - 2, cap + 2) | st.integers(-2, 3)
+
+
+def _or_json(strategy):
+    """A near-valid shape, or any JSON in its place."""
+    return strategy | JSON
+
+
+# Near-valid shapes: the right containers, any JSON scalar in each place.
+RATIONALS = st.lists(st.sampled_from(("1", "-1", "1/2", "0", 3)) | LEAVES, max_size=4)
+ROOTS = st.lists(st.tuples(st.sampled_from(("1", "-1", "1/2", "0")) | LEAVES,
+                           st.integers(1, 3) | LEAVES).map(list), max_size=4)
+PARTS = st.dictionaries(st.sampled_from(("1", "-1", "x")), _or_json(RATIONALS), max_size=2)
+FUNCTIONAL = st.fixed_dictionaries({}, optional={"P0": _or_json(RATIONALS),
+                                                 "parts": _or_json(PARTS)})
+SPEC = st.fixed_dictionaries({"roots": _or_json(ROOTS),
+                              "functionals": st.lists(_or_json(FUNCTIONAL), max_size=3)})
+MOMENTS = st.fixed_dictionaries({"roots": _or_json(ROOTS)}, optional={
+    "values": RATIONALS, "P0": RATIONALS, "charPoly": RATIONALS, "parts": PARTS})
+EXPONENTS = _or_json(st.lists(st.integers(-1, 2), max_size=3))
+TERMS = st.lists(st.fixed_dictionaries({"c": st.integers(-3, 3) | LEAVES}, optional={
+    "exps": EXPONENTS, "zeta": EXPONENTS, "x": EXPONENTS}), max_size=3)
+
+
+def _argv(command: str, top):
+    """argv strategies for one subcommand: each JSON option drawn from
+    top(its near-valid shape), integer options near their caps."""
+    if command in ("decide", "oracle"):
+        flags = st.sampled_from(([], ["--oracle"])) if command == "decide" else st.just([])
+        return st.tuples(top(SPEC).map(_json_arg), flags).map(
+            lambda t: [command, "--spec", t[0], *t[1]])
+    if command == "idempotents":
+        return st.tuples(st.sampled_from(("--roots", "--modulus")),
+                         top(ROOTS | RATIONALS).map(_json_arg),
+                         st.sampled_from(([], ["--all"]))).map(
+            lambda t: [command, t[0], t[1], *t[2]])
+    if command == "moments":
+        return st.tuples(top(MOMENTS).map(_json_arg), _near(cli._MOMENTS_MAX_COUNT)).map(
+            lambda t: [command, "--input", t[0], "--count", str(t[1])])
+    if command == "certify":
+        return st.tuples(st.sampled_from(("unit", "exp")), top(RATIONALS).map(_json_arg),
+                         _near(certificates.MAX_EXPANSION_TERMS) | st.integers(1, 60),
+                         st.integers(-1, 50)).map(
+            lambda t: [command, "--rule", t[0], "--poly", t[1], "--m-min", str(t[2]),
+                       "--search-bound", str(t[3])])
+    if command == "trace-test":
+        return top(st.lists(RATIONALS, max_size=3)).map(
+            lambda m: [command, "--matrix", _json_arg(m)])
+    if command == "laurent":
+        poly = st.none() | top(st.dictionaries(st.sampled_from(("-1", "2", "x", "1_0")),
+                                                    st.sampled_from(("1", "1/2")) | LEAVES,
+                                                    max_size=3)).map(_json_arg)
+        return st.tuples(st.sampled_from(("1/2", "-1", "0", "2", "x", "1/0")), poly).map(
+            lambda t: [command, "--lam", t[0], *(["--poly", t[1]] if t[1] else [])])
+    if command == "gvc-probe":
+        arg = top(TERMS).map(_json_arg)
+        return st.tuples(arg, arg, arg, _near(cli._GVC_MAX_M)).map(
+            lambda t: [command, "--op", t[0], "--p-poly", t[1], "--q-poly", t[2],
+                       "--m-max", str(t[3])])
+    if command == "imagep":
+        data = top(TERMS | st.fixed_dictionaries({"f": TERMS}, optional={"g": TERMS}))
+        return st.tuples(st.sampled_from(("decide", "theorem")), st.integers(1, 7),
+                         _near(cli._IMAGEP_MAX_VARS), data.map(_json_arg)).map(
+            lambda t: [command, t[0], "--p", str(t[1]), "--n", str(t[2]), "--input", t[3]])
+    return st.integers(0, 1).map(lambda seed: [command, "--seed", str(seed)])
+
+
+def _exit_and_report(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+COMMANDS = ("decide", "oracle", "idempotents", "moments", "certify", "trace-test", "laurent",
+            "gvc-probe", "imagep", "selftest")
+# Each JSON option as its near-valid shape (the right containers, any JSON
+# scalar in each place) or as any JSON; selftest reads no JSON.
+TOPS = {"shape": lambda shape: shape, "json": lambda shape: JSON}
+
+
+@pytest.mark.parametrize("command, top", [(c, t) for c in COMMANDS for t in TOPS
+                                          if c != "selftest" or t == "shape"])
+@SETTINGS
+@given(data=st.data())
+def test_cli_fuzz_exits_0_or_2(command, top, data):
+    argv = data.draw(_argv(command, TOPS[top]))
+    code, report = _exit_and_report(argv)
+    assert code in (0, 2), (argv, report)
+    assert report.get("error", {}).get("kind") != "internal", (argv, report)

@@ -8,7 +8,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from mzspaces.functionals import FunctionalNF, MomentSeq, evaluate, from_moments
 from mzspaces.linalg import solve_linear_system
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from mzspaces.quotient import crt_idempotents
-from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.selftest import evaluate_by_operators
 from mzspaces.upoly import Poly, RootData, extended_gcd
 
@@ -43,14 +41,6 @@ def root_data(draw, max_roots=4, with_zero=None):
     return RootData([(lam, draw(st.integers(1, 4))) for lam in lams])
 
 
-@st.composite
-def prime_root_data(draw):
-    """1-3 distinct residues mod 5 or 7 with multiplicities 1-4."""
-    p = draw(st.sampled_from((5, 7)))
-    residues = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3, unique=True))
-    return RootData([(PrimeFieldScalar(r, p), draw(st.integers(1, 4))) for r in residues])
-
-
 def _functional(draw, roots, coeff=SMALL):
     """Operators of degree below each multiplicity; possibly all zero."""
     by_root = {lam: Poly([draw(coeff) for _ in range(draw(st.integers(0, mult)))])
@@ -62,14 +52,6 @@ def _functional(draw, roots, coeff=SMALL):
 @st.composite
 def functionals(draw):
     return _functional(draw, draw(root_data()))
-
-
-@st.composite
-def prime_functionals(draw):
-    roots = draw(prime_root_data())
-    p = roots.roots[0].modulus
-    residue = st.integers(0, p - 1).map(lambda r: PrimeFieldScalar(r, p))
-    return _functional(draw, roots, residue)
 
 
 # --- evaluate and to_moments against operator application ----------------
@@ -88,14 +70,6 @@ def test_evaluate_matches_operator_application_above_the_degree(fn, data):
     size = data.draw(st.integers(0, fn.roots.degree + 8))
     g = Poly([data.draw(SMALL) for _ in range(size)])
     assert evaluate(fn, g) == evaluate_by_operators(fn, g)
-
-
-@SETTINGS
-@given(prime_functionals(), st.data())
-def test_closed_form_holds_over_prime_fields(fn, data):
-    count = fn.roots.degree + data.draw(st.integers(0, 6))
-    expected = tuple(evaluate_by_operators(fn, Poly.monomial(n)) for n in range(count))
-    assert to_moments(fn, count) == expected
 
 
 # --- from_moments against the dense confluent-Vandermonde solve -----------
@@ -130,13 +104,6 @@ def test_from_moments_matches_dense_solve(roots, data):
     assert to_moments(fn, roots.degree) == tuple(values)
 
 
-def test_from_moments_rejects_prime_fields():
-    p7 = lambda r: PrimeFieldScalar(r, 7)
-    roots = RootData([(p7(0), 1), (p7(2), 1)])
-    with pytest.raises(DomainError, match="characteristic zero"):
-        from_moments(MomentSeq([p7(1), p7(0)], roots.poly()), roots)
-
-
 # --- crt_idempotents against the extended gcd ------------------------------
 
 def _egcd_idempotent(f, lam, mult):
@@ -158,17 +125,6 @@ def _check_idempotents(roots):
 @given(root_data(max_roots=5))
 def test_crt_idempotents_match_extended_gcd(roots):
     _check_idempotents(roots)
-
-
-@SETTINGS
-@given(prime_root_data())
-def test_crt_idempotents_match_extended_gcd_over_prime_fields(roots):
-    _check_idempotents(roots)
-
-
-def test_crt_idempotents_match_extended_gcd_on_f5_pair():
-    p5 = lambda r: PrimeFieldScalar(r, 5)
-    _check_idempotents(RootData([(p5(0), 1), (p5(1), 1)]))
 
 
 # --- the oracle and the witness multiplier against the shift loop ---------

@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mzspaces.cli import zx_from_json, zx_to_json
 from mzspaces.errors import DomainError
@@ -63,6 +65,25 @@ def test_zxpoly_ring_laws_and_frobenius():
             assert (f + g) + h == f + (g + h)
             assert f * (g + h) == f * g + f * h
             assert (f + g) ** p == f ** p + g ** p  # Frobenius in char p
+
+
+@st.composite
+def _zx_polys(draw):
+    """p in {2, 3, 5}, 1-3 variable pairs, 1-4 terms with exponents up to 2."""
+    p, n = draw(st.sampled_from((2, 3, 5))), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    terms = draw(st.lists(st.tuples(st.tuples(exps, exps), st.integers(1, p - 1)),
+                          min_size=1, max_size=4))
+    return ZXPoly(n, p, terms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_zx_polys())
+def test_frobenius_is_the_pth_power(f):
+    p = f.modulus
+    assert f.frobenius() == f**p
+    assert f.frobenius().frobenius() == f ** (p * p)
 
 
 def test_degrees():

@@ -1,11 +1,9 @@
 """Property tests of the integer kernels for rational split moduli against
-the field-arithmetic paths they dispatch from: `RootData.poly`,
+their field-arithmetic references in `selftest`: `RootData.poly`,
 `root_idempotent` and the closed-form moments, the `from_moments` round
-trip, prime-field inputs (which must never reach an integer kernel), and
-the linear oracle against the enumeration of every idempotent."""
+trip, and the linear oracle against the enumeration of every idempotent."""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -16,15 +14,18 @@ from mzspaces.functionals import (
     FunctionalNF,
     MomentSeq,
     _moments,
-    _moments_in_field,
     evaluate,
     from_moments,
     to_moments,
 )
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
-from mzspaces.quotient import _root_idempotent_in_field, crt_idempotents, root_idempotent
-from mzspaces.scalars import PrimeFieldScalar
-from mzspaces.selftest import oracle_by_enumeration
+from mzspaces.quotient import root_idempotent
+from mzspaces.selftest import (
+    idempotent_by_field_arithmetic,
+    modulus_by_field_arithmetic,
+    moments_by_field_arithmetic,
+    oracle_by_enumeration,
+)
 from mzspaces.upoly import Poly, RootData
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -66,16 +67,16 @@ def functionals(draw):
 @given(root_data())
 def test_modulus_and_idempotents_match_field_arithmetic(roots):
     f = roots.poly()
-    assert f == roots._poly_in_field()
+    assert f == modulus_by_field_arithmetic(roots)
     for lam, mult in roots:
-        assert root_idempotent(f, lam, mult) == _root_idempotent_in_field(f, lam, mult)
+        assert root_idempotent(f, lam, mult) == idempotent_by_field_arithmetic(f, lam, mult)
 
 
 @SETTINGS
 @given(functionals(), st.data())
 def test_moments_match_field_arithmetic(fn, data):
     count = data.draw(st.integers(0, fn.roots.degree + 6))
-    assert _moments(fn, count) == _moments_in_field(fn, count)
+    assert _moments(fn, count) == moments_by_field_arithmetic(fn, count)
     assert evaluate(fn, Poly()) == 0
 
 
@@ -86,49 +87,6 @@ def test_from_moments_inverts_to_moments(roots, data):
     fn = from_moments(MomentSeq(values, roots.poly()), roots)
     assert to_moments(fn, roots.degree) == tuple(values)
     assert from_moments(MomentSeq(to_moments(fn, roots.degree), roots.poly()), roots) == fn
-
-
-@st.composite
-def prime_functionals(draw):
-    p = draw(st.sampled_from((5, 7)))
-    residues = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3, unique=True))
-    roots = RootData([(PrimeFieldScalar(r, p), draw(st.integers(1, 4))) for r in residues])
-    residue = st.one_of(st.integers(0, p - 1).map(lambda r: PrimeFieldScalar(r, p)),
-                        st.integers(-3, 3))
-    return _functional(draw, roots, residue)
-
-
-def _integer_kernels_refused():
-    """Patches that make every integer kernel fail if it is reached."""
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("integer kernel reached with prime-field scalars")
-
-    return [mock.patch(target, refuse) for target in (
-        "mzspaces.upoly.split_integer_form",
-        "mzspaces.quotient.integer_idempotent",
-        "mzspaces.functionals.integer_moments",
-    )]
-
-
-@SETTINGS
-@given(prime_functionals(), st.data())
-def test_prime_fields_take_the_field_path(fn, data):
-    count = data.draw(st.integers(0, fn.roots.degree + 4))
-    patches = _integer_kernels_refused()
-    for patch in patches:
-        patch.start()
-    try:
-        f = fn.roots.poly()
-        assert f == fn.roots._poly_in_field()
-        assert crt_idempotents(fn.roots) == {
-            lam: _root_idempotent_in_field(f, lam, mult) for lam, mult in fn.roots}
-        assert _moments(fn, count) == _moments_in_field(fn, count)
-        assert evaluate(fn, Poly()) == 0
-        with pytest.raises(DomainError, match="characteristic zero"):
-            from_moments(MomentSeq(to_moments(fn, fn.roots.degree), f), fn.roots)
-    finally:
-        for patch in patches:
-            patch.stop()
 
 
 # --- the linear oracle against the enumeration of every idempotent --------

@@ -13,7 +13,6 @@ from mzspaces.mzdecide import (
     normalize,
     oracle_decide_mz,
 )
-from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.selftest import random_normalized_spec
 from mzspaces.upoly import Poly, RootData
 
@@ -195,25 +194,3 @@ def test_planted_witness_at_the_root_cap():
     _check_witness(spec, verdict)
     assert oracle_decide_mz(spec) is False
 
-
-def test_normalize_uses_moments_in_positive_characteristic():
-    # Over F_2 the operators T and T^2 at a root act alike (n^2 = n), so the
-    # functionals are dependent although their coefficient vectors are not;
-    # normalize, like the decision, requires characteristic zero.
-    one, zero = PrimeFieldScalar(1, 2), PrimeFieldScalar(0, 2)
-    roots = RootData([(one, 3)])
-    f1 = FunctionalNF(roots, parts={one: Poly([zero, one])})
-    f2 = FunctionalNF(roots, parts={one: Poly([zero, zero, one])})
-    with pytest.raises(DomainError, match="requires characteristic zero"):
-        normalize(SubspaceSpec([f1, f2]))
-
-
-def test_decide_rejects_positive_characteristic():
-    p7 = lambda r: PrimeFieldScalar(r, 7)
-    roots = RootData([(p7(1), 1)])
-    fn = FunctionalNF(roots, parts={p7(1): Poly([p7(1)])})
-    spec = SubspaceSpec([fn], normalized=True)
-    with pytest.raises(DomainError):
-        decide_mz(spec)
-    with pytest.raises(DomainError):
-        oracle_decide_mz(spec)

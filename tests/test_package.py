@@ -133,9 +133,6 @@ def test_every_traced_name_resolves():
 
 
 PACKAGE = Path(mzspaces.__file__).resolve().parent
-# Reached only from tests: the scalar type of the prime-field paths that the
-# integer kernels are tested against.
-TEST_REFERENCE_NAMES = {"PrimeFieldScalar"}
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="no bench/ in this checkout")
@@ -157,7 +154,7 @@ def test_every_public_function_is_reached():
                 if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
                     reached.add(name)
     unreached = {name: module for name, module in defined.items()
-                 if name not in reached | traced | TEST_REFERENCE_NAMES}
+                 if name not in reached | traced}
     assert unreached == {}
 CODEC_NAMES = {"parse_rational", "format_rational", "parse_exponents"}
 

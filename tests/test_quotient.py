@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 from mzspaces.quotient import all_idempotents, crt_idempotents
-from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.upoly import Poly, RootData
 
 
@@ -85,18 +84,3 @@ def test_all_idempotents_counts_and_laws():
         # Size-then-lexicographic order: the root idempotents follow zero.
         assert every[1:count + 1] == list(crt_idempotents(roots).values())
 
-
-def test_quotient_ring_over_prime_field():
-    # Same machinery over F_5: modulus t(t-1) with scalars in the field.
-    p5 = lambda r: PrimeFieldScalar(r, 5)
-    roots = RootData([(p5(0), 1), (p5(1), 1)])
-    f = roots.poly()
-    idem = crt_idempotents(roots)
-    g0 = idem[p5(0)]
-    g1 = idem[p5(1)]
-    assert (g0 * g0) % f == g0
-    assert (g1 * g1) % f == g1
-    assert ((g0 * g1) % f).is_zero
-    assert g0 + g1 == Poly([p5(1)])
-    assert g1 == Poly([p5(0), p5(1)])
-    assert list(all_idempotents(roots)) == [Poly(), g0, g1, Poly([p5(1)])]

@@ -4,15 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from mzspaces.certificates import (
+    MomentRule,
+    certify_exponential,
+    certify_unit_interval,
+    power_moment,
+)
 from mzspaces.cli import format_rational, parse_rational
 from mzspaces.errors import DomainError
+from mzspaces.functionals import FunctionalNF, MomentSeq, from_moments
+from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from mzspaces.scalars import (
     PADIC_INF,
-    PrimeFieldScalar,
     is_prime,
     padic_valuation,
     scalar_inverse,
 )
+from mzspaces.upoly import Poly, RootData, rational_roots
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -124,43 +132,27 @@ def test_scalar_inverse_over_each_coefficient_kind():
     assert scalar_inverse(-1) == -1
     assert scalar_inverse(4) == Fraction(1, 4)
     assert scalar_inverse(Fraction(3, 7)) == Fraction(7, 3)
-    a = PrimeFieldScalar(3, 7)
-    assert scalar_inverse(a) * a == PrimeFieldScalar(1, 7)
 
 
-def test_prime_field_scalar_field_laws():
-    rng = random.Random(7200)
-    for _ in range(200):
-        p = rng.choice([2, 3, 5, 7, 11, 13])
-        a = PrimeFieldScalar(rng.randrange(p), p)
-        b = PrimeFieldScalar(rng.randrange(p), p)
-        c = PrimeFieldScalar(rng.randrange(p), p)
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == PrimeFieldScalar(0, p)
-        if b != PrimeFieldScalar(0, p):
-            assert (a / b) * b == a
-        assert a ** p == a  # Fermat
+
+# One float scalar in each library entry point that reads scalars through
+# the integer kernels; every one is rejected by scalars.require_rational.
+_FLOAT_ROOTS = RootData([(0.5, 1)])
+_FLOAT_SPEC = SubspaceSpec([FunctionalNF(_FLOAT_ROOTS, parts={0.5: Poly([1])})])
+_FLOAT_NORMALIZED = SubspaceSpec(_FLOAT_SPEC.functionals, normalized=True)
 
 
-def test_prime_field_scalar_mixes_with_ints():
-    a = PrimeFieldScalar(4, 7)
-    assert a + 5 == PrimeFieldScalar(2, 7)
-    assert 5 + a == PrimeFieldScalar(2, 7)
-    assert 2 * a == PrimeFieldScalar(1, 7)
-    assert a - 11 == PrimeFieldScalar(0, 7)
-    assert 1 / a == PrimeFieldScalar(2, 7)
-    assert a ** -1 == PrimeFieldScalar(2, 7)
-
-
-def test_prime_field_scalar_rejects_bad_modulus_and_mixing():
-    with pytest.raises(DomainError):
-        PrimeFieldScalar(1, 6)
-    a = PrimeFieldScalar(1, 5)
-    b = PrimeFieldScalar(1, 7)
-    with pytest.raises(DomainError):
-        a + b
-    with pytest.raises(ZeroDivisionError):
-        a / PrimeFieldScalar(0, 5)
-    with pytest.raises(ZeroDivisionError):
-        PrimeFieldScalar(0, 5) ** -1
+@pytest.mark.parametrize("call", [
+    lambda: normalize(_FLOAT_SPEC),
+    lambda: decide_mz(_FLOAT_NORMALIZED),
+    lambda: oracle_decide_mz(_FLOAT_NORMALIZED),
+    lambda: from_moments(MomentSeq([1.0], Poly([-1, 1])), RootData([(1, 1)])),
+    lambda: power_moment(MomentRule.UNIT_INTERVAL, Poly([0.5, 1]), 2),
+    lambda: certify_unit_interval(Poly([0.5, 1])),
+    lambda: certify_exponential(Poly([0, 1, 0.5])),
+    lambda: rational_roots(Poly([0.5, 1])),
+], ids=["normalize", "decide_mz", "oracle_decide_mz", "from_moments", "power_moment",
+        "certify_unit_interval", "certify_exponential", "rational_roots"])
+def test_float_scalars_are_rejected_by_the_one_guard(call):
+    with pytest.raises(DomainError, match="needs rational scalars"):
+        call()

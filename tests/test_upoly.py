@@ -5,7 +5,6 @@ import pytest
 
 from mzspaces.cli import laurent_from_json, poly_from_json, poly_to_json
 from mzspaces.errors import DoesNotSplitError, DomainError
-from mzspaces.scalars import PrimeFieldScalar
 from mzspaces.sparse import LaurentPoly
 from mzspaces.upoly import (
     NEG_INF,
@@ -173,15 +172,6 @@ def test_extended_gcd_coprime_gives_unit():
     u, v, g = extended_gcd(t - Poly([1]), t + Poly([1]))
     assert g == Poly([1])
     assert u * (t - Poly([1])) + v * (t + Poly([1])) == Poly([1])
-
-
-def test_poly_over_prime_field():
-    p5 = lambda r: PrimeFieldScalar(r, 5)
-    a = Poly([p5(1), p5(2)])
-    b = Poly([p5(3), p5(4)])
-    assert (a * b).coeffs == (p5(3), p5(0), p5(3))
-    q, r = divmod(a * b, b)
-    assert q == a and r.is_zero
 
 
 def test_root_data_basics():
