@@ -17,14 +17,21 @@ those (and `mzspaces/__init__.py` imports nothing).
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import DomainError
+
+try:  # the builtin SHA-256 that hashlib falls back to; OpenSSL's costs ≈5 ms to load
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 _IMAGEP_PRIMES = (2, 3, 5)
 _IMAGEP_MAX_VARS = 3
@@ -564,92 +571,146 @@ def _cmd_selftest(args):
     return payload, {"seed": args.seed}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mz",
-        description="Exact Mathieu-Zhao subspace decisions, certificates, and probes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(flag: str, kind=str, required: bool = False, default=None, help: str = ""):
+    """One option row of the command table: (flag, dest, kind, required,
+    default, help).  kind is str, int, bool (a flag that stores True) or a
+    tuple of choices; a flag without leading dashes is a positional.  A
+    required option keeps the default None, which marks it as missing."""
+    return flag, flag.lstrip("-").replace("-", "_"), kind, required, default, help
 
-    p = sub.add_parser("decide", help="decide whether a spec's kernel is Mathieu-Zhao")
-    p.add_argument("--spec", required=True, help="spec JSON (inline or file path)")
-    p.add_argument("--oracle", action="store_true",
-                   help=f"also run the independent idempotent oracle ({_ORACLE_COST})")
-    p.set_defaults(handler=_cmd_decide)
 
-    p = sub.add_parser("oracle", help="idempotent oracle only",
-                       description=f"Independent idempotent oracle ({_ORACLE_COST}).")
-    p.add_argument("--spec", required=True, help="spec JSON (inline or file path)")
-    p.set_defaults(handler=_cmd_oracle)
+def _build_parser() -> dict:
+    """The command table, {name: (handler, help, description, options)}:
+    the one description of the command line, read by _parse_args."""
+    spec = _option("--spec", required=True, help="spec JSON (inline or file path)")
+    return {
+        "decide": (_cmd_decide, "decide whether a spec's kernel is Mathieu-Zhao", None, (
+            spec, _option("--oracle", bool, default=False, help="also run the independent "
+                          f"idempotent oracle ({_ORACLE_COST})"))),
+        "oracle": (_cmd_oracle, "idempotent oracle only",
+                   f"Independent idempotent oracle ({_ORACLE_COST}).", (spec,)),
+        "idempotents": (_cmd_idempotents, "orthogonal idempotents of k[t]/(f)", None, (
+            _option("--roots", help="roots JSON: [[root, multiplicity], ...]"),
+            _option("--modulus", help="polynomial JSON; must split over Q, with at most 12 "
+                    "digits in the extreme coefficients of its primitive form and at most "
+                    "120000 for its candidate roots +-p/q times its degree (about 1 s at "
+                    "either cap)"),
+            _option("--all", bool, default=False, help="include all 2^r subset sums, for at "
+                    f"most {_IDEMPOTENTS_MAX_ROOTS} roots"))),
+        "moments": (_cmd_moments, "convert between functionals and moment values", None, (
+            _option("--input", required=True, help="JSON with values+roots (to functional) "
+                    "or P0/parts+roots (to moments)"),
+            _option("--count", int, help="number of moments to emit (default deg f), at most "
+                    f"{_MOMENTS_MAX_COUNT}"))),
+        "certify": (_cmd_certify, "p-adic non-radical certificate search", _CERTIFY_COST, (
+            _option("--rule", ("unit", "exp"), required=True),
+            _option("--poly", required=True, help="polynomial JSON (inline or file path)"),
+            _option("--m-min", int, default=1),
+            _option("--search-bound", int, default=10**6))),
+        "trace-test": (_cmd_trace_test, "nilpotency via power traces", None, (
+            _option("--matrix", required=True, help="matrix JSON: rows of rationals, "
+                    f"dimension at most {_TRACE_MAX_DIMENSION}"),)),
+        "laurent": (_cmd_laurent, "weighted-derivation image probes",
+                    "The cost is linear in the number of terms of --poly (about 1.1 s per "
+                    "100000 terms).", (
+            _option("--lam", required=True, help="the weight, a rational"),
+            _option("--poly", help="Laurent JSON: {exponent: rational}"))),
+        "gvc-probe": (_cmd_gvc_probe, "operator-power vanishing probe", None, (
+            _option("--op", required=True, help="operator JSON: terms in derivative symbols"),
+            _option("--p-poly", required=True),
+            _option("--q-poly", required=True),
+            _option("--m-max", int, default=12,
+                    help=f"probe m = 1..m-max, at most {_GVC_MAX_M} (default 12)"))),
+        "imagep": (_cmd_imagep, "characteristic-p twisted-derivation image engine",
+                   _IMAGEP_COST, (
+            _option("mode", ("decide", "theorem"), required=True),
+            _option("--p", int, required=True,
+                    help=f"the prime, one of {', '.join(map(str, _IMAGEP_PRIMES))}"),
+            _option("--n", int, required=True,
+                    help=f"the number of variable pairs, at most {_IMAGEP_MAX_VARS}"),
+            _option("--input", required=True, help="term-list JSON (decide) or {f, g} "
+                    f"(theorem), each of total degree at most {_IMAGEP_MAX_DEGREE}"))),
+        "selftest": (_cmd_selftest, "run the seeded invariant battery", None,
+                     (_option("--seed", int, required=True),)),
+    }
 
-    p = sub.add_parser("idempotents", help="orthogonal idempotents of k[t]/(f)")
-    p.add_argument("--roots", help="roots JSON: [[root, multiplicity], ...]")
-    p.add_argument("--modulus", help="polynomial JSON; must split over Q, with at most 12 "
-                   "digits in the extreme coefficients of its primitive form and at most "
-                   "120000 for its candidate roots +-p/q times its degree (about 1 s at "
-                   "either cap)")
-    p.add_argument("--all", action="store_true",
-                   help=f"include all 2^r subset sums, for at most {_IDEMPOTENTS_MAX_ROOTS} roots")
-    p.set_defaults(handler=_cmd_idempotents)
 
-    p = sub.add_parser("moments", help="convert between functionals and moment values")
-    p.add_argument("--input", required=True,
-                   help="JSON with values+roots (to functional) or P0/parts+roots (to moments)")
-    p.add_argument("--count", type=int,
-                   help=f"number of moments to emit (default deg f), at most "
-                        f"{_MOMENTS_MAX_COUNT}")
-    p.set_defaults(handler=_cmd_moments)
+def _label(row) -> str:
+    """An option row as usage and help show it: --spec SPEC, --oracle, {unit,exp}."""
+    flag, dest, kind = row[:3]
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+    return metavar if flag == dest else flag if kind is bool else f"{flag} {metavar}"
 
-    p = sub.add_parser("certify", help="p-adic non-radical certificate search",
-                       description=_CERTIFY_COST)
-    p.add_argument("--rule", required=True, choices=["unit", "exp"])
-    p.add_argument("--poly", required=True, help="polynomial JSON (inline or file path)")
-    p.add_argument("--m-min", type=int, default=1, dest="m_min")
-    p.add_argument("--search-bound", type=int, default=10**6, dest="search_bound")
-    p.set_defaults(handler=_cmd_certify)
 
-    p = sub.add_parser("trace-test", help="nilpotency via power traces")
-    p.add_argument("--matrix", required=True,
-                   help=f"matrix JSON: rows of rationals, dimension at most {_TRACE_MAX_DIMENSION}")
-    p.set_defaults(handler=_cmd_trace_test)
+def _print_help(usage: str, description, rows):
+    """Print usage, the description if any and one line per (label, help) row; exit 0."""
+    rows = [("-h, --help", "show this help message and exit"), *rows]
+    width = max(len(label) for label, _ in rows)
+    lines = "\n".join(f"  {label.ljust(width)}  {text}".rstrip() for label, text in rows)
+    print("\n\n".join(filter(None, (usage, description, lines))))
+    raise SystemExit(0)
 
-    p = sub.add_parser("laurent", help="weighted-derivation image probes",
-                       description="The cost is linear in the number of terms of --poly "
-                                   "(about 1.1 s per 100000 terms).")
-    p.add_argument("--lam", required=True, help="the weight, a rational")
-    p.add_argument("--poly", help="Laurent JSON: {exponent: rational}")
-    p.set_defaults(handler=_cmd_laurent)
 
-    p = sub.add_parser("gvc-probe", help="operator-power vanishing probe")
-    p.add_argument("--op", required=True, help="operator JSON: terms in derivative symbols")
-    p.add_argument("--p-poly", required=True, dest="p_poly")
-    p.add_argument("--q-poly", required=True, dest="q_poly")
-    p.add_argument("--m-max", type=int, default=12, dest="m_max",
-                   help=f"probe m = 1..m-max, at most {_GVC_MAX_M} (default 12)")
-    p.set_defaults(handler=_cmd_gvc_probe)
+def _parse_args(table: dict, argv) -> SimpleNamespace:
+    """argv read against the command table: exact long options, as --opt v or
+    --opt=v, the last of a repeated one winning; a value may start with one
+    dash (-1/2) but not two.  A usage error goes to stderr with exit 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    usage, prog = "usage: mz [-h] {" + ",".join(table) + "} ...", "mz"
 
-    p = sub.add_parser("imagep", help="characteristic-p twisted-derivation image engine",
-                       description=_IMAGEP_COST)
-    p.add_argument("mode", choices=["decide", "theorem"])
-    p.add_argument("--p", type=int, required=True,
-                   help=f"the prime, one of {', '.join(map(str, _IMAGEP_PRIMES))}")
-    p.add_argument("--n", type=int, required=True,
-                   help=f"the number of variable pairs, at most {_IMAGEP_MAX_VARS}")
-    p.add_argument("--input", required=True,
-                   help=f"term-list JSON (decide) or {{f, g}} (theorem), each of total "
-                        f"degree at most {_IMAGEP_MAX_DEGREE}")
-    p.set_defaults(handler=_cmd_imagep)
+    def fail(message: str):
+        sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+        raise SystemExit(2)
 
-    p = sub.add_parser("selftest", help="run the seeded invariant battery")
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_selftest)
-
-    return parser
+    if argv[:1] in (["-h"], ["--help"]):
+        _print_help(usage, "Exact Mathieu-Zhao subspace decisions, certificates, and probes.",
+                    [(name, row[1]) for name, row in table.items()])
+    if not argv or argv[0] not in table:
+        fail(f"argument command: invalid choice: {argv[0]!r}" if argv
+             else "the following arguments are required: command")
+    command, tokens = argv[0], argv[1:]
+    handler, _, description, options = table[command]
+    prog = f"mz {command}"
+    usage = " ".join(["usage:", prog, "[-h]",
+                      *(_label(row) if row[3] else f"[{_label(row)}]" for row in options)])
+    flags = {row[0]: row for row in options if row[0].startswith("-")}
+    positionals = [row for row in options if row[0] not in flags]
+    values = {row[1]: row[4] for row in options}
+    while tokens:
+        token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            _print_help(usage, description, [(_label(row), row[5]) for row in options])
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            row = flags.get(flag)
+        else:  # the next positional; "=" marks its value as given
+            row, eq, value = positionals.pop(0) if positionals else None, "=", token
+        if row is None or (eq and row[2] is bool):
+            fail(f"unrecognized arguments: {token}")
+        flag, dest, kind = row[:3]
+        if kind is bool:
+            value = True
+        elif not eq:
+            if not tokens or tokens[0].startswith("--"):
+                fail(f"argument {flag}: expected one argument")
+            value = tokens.pop(0)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"argument {flag}: invalid int value: {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            fail(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+        values[dest] = value
+    missing = [row[0] for row in options if row[3] and values[row[1]] is None]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, handler=handler, **values)
 
 
 def _digest(inputs) -> str:
     canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -667,8 +728,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(_build_parser(), argv)
     started = time.perf_counter()
     try:
         payload, inputs = args.handler(args)

@@ -272,7 +272,8 @@ class RootData:
     def __init__(self, pairs):
         cleaned = []
         for lam, mult in pairs:
-            mult = int(mult)
+            if not isinstance(mult, int) or isinstance(mult, bool):
+                raise DomainError(f"multiplicity {mult!r} of root {lam} must be an integer")
             if mult < 1:
                 raise DomainError(f"multiplicity {mult} of root {lam} must be >= 1")
             if any(lam == seen for seen, _ in cleaned):
@@ -280,6 +281,7 @@ class RootData:
             cleaned.append((lam, mult))
         if not cleaned:
             raise DomainError("empty root data")
+        require_rational([lam for lam, _ in cleaned], "root data")
         self.pairs = tuple(cleaned)
 
     @property

@@ -740,3 +740,132 @@ def test_root_search_candidate_cap(capsys, monkeypatch):
     assert out["error"]["message"] == (
         "--modulus: 30720 candidate roots times degree 6 exceed 120000, "
         "the cap of the root search")
+
+
+# The command line is read against cli's command table: one row per option,
+# (flag, dest, kind, required, default, help), and a flag without dashes is
+# the positional.
+TABLE = cli._build_parser()
+ROWS = [(command, row) for command, entry in TABLE.items() for row in entry[3]]
+
+
+def _sample(row) -> str:
+    kind = row[2]
+    return kind[-1] if isinstance(kind, tuple) else "-3" if kind is int else "-1/2"
+
+
+def _required_argv(command, skip=None) -> list:
+    argv = [command]
+    for row in TABLE[command][3]:
+        if row[3] and row[0] != skip:
+            argv += [_sample(row)] if row[0] == row[1] else [row[0], _sample(row)]
+    return argv
+
+
+def _usage_exit(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mz")
+    return captured.err
+
+
+@pytest.mark.parametrize("command, row", [(c, r) for c, r in ROWS if r[0] != r[1]],
+                         ids=lambda value: value if isinstance(value, str) else value[0])
+def test_every_option_is_read_in_both_spellings(command, row):
+    flag, dest, kind = row[:3]
+    if kind is bool:
+        args = cli._parse_args(TABLE, [*_required_argv(command), flag])
+        assert getattr(args, dest) is True
+        return
+    spaced = cli._parse_args(TABLE, [*_required_argv(command), flag, _sample(row)])
+    joined = cli._parse_args(TABLE, [*_required_argv(command), f"{flag}={_sample(row)}"])
+    assert spaced == joined
+    assert getattr(spaced, dest) == (int(_sample(row)) if kind is int else _sample(row))
+    assert spaced.command == command and spaced.handler is TABLE[command][0]
+
+
+def test_defaults_of_the_optional_options():
+    def parsed(command):
+        return vars(cli._parse_args(TABLE, _required_argv(command)))
+
+    assert parsed("certify")["m_min"] == 1 and parsed("certify")["search_bound"] == 10**6
+    assert parsed("gvc-probe")["m_max"] == 12
+    assert parsed("moments")["count"] is None
+    assert parsed("decide")["oracle"] is False
+    assert parsed("idempotents") == {"command": "idempotents", "handler": cli._cmd_idempotents,
+                                     "roots": None, "modulus": None, "all": False}
+
+
+@pytest.mark.parametrize("command, flag", [(c, r[0]) for c, r in ROWS if r[3]])
+def test_missing_required_option_is_a_usage_error(capsys, command, flag):
+    err = _usage_exit(capsys, _required_argv(command, skip=flag))
+    assert f"mz {command}: error: the following arguments are required: {flag}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--rule", "unit", "--poly", "[1]", "--m-min", "x"],
+     "argument --m-min: invalid int value: 'x'"),
+    (["certify", "--rule", "unit", "--poly", "[1]", "--search-bound=1.5"],
+     "argument --search-bound: invalid int value: '1.5'"),
+    (["certify", "--rule", "other", "--poly", "[1]"], "argument --rule: invalid choice"),
+    (["imagep", "guess", "--p", "3", "--n", "1", "--input", "[]"],
+     "argument mode: invalid choice"),
+    (["imagep", "decide", "theorem", "--p", "3", "--n", "1", "--input", "[]"],
+     "unrecognized arguments: theorem"),
+    (["decide", "--spec", "{}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["decide", "--sp", "{}"], "unrecognized arguments: --sp"),
+    (["decide", "--spec", "{}", "--oracle=yes"], "unrecognized arguments: --oracle=yes"),
+    (["decide", "--spec"], "argument --spec: expected one argument"),
+    (["decide", "--spec", "--oracle"], "argument --spec: expected one argument"),
+    (["gvc-probe", "--op", "[]", "--p-poly", "[]", "--q-poly", "[]", "--m-max", "-x"],
+     "argument --m-max: invalid int value: '-x'"),
+    (["trace-test", "-m", "[]"], "unrecognized arguments: -m"),
+    (["nosuch"], "mz: error: argument command: invalid choice: 'nosuch'"),
+    (["--spec", "{}"], "mz: error: argument command: invalid choice: '--spec'"),
+    ([], "mz: error: the following arguments are required: command"),
+])
+def test_usage_errors_exit_2_on_stderr(capsys, argv, message):
+    assert message in _usage_exit(capsys, argv)
+
+
+@pytest.mark.parametrize("command", TABLE)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_help_names_every_option_and_exits_0(capsys, command, where):
+    argv = [command, "-h"] if where == "first" else [*_required_argv(command), "--help"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr().out
+    assert info.value.code == 0
+    assert out.startswith(f"usage: mz {command} [-h]")
+    labels = {line.strip().split("  ")[0] for line in out.splitlines()[1:]}
+    assert {cli._label(row) for row in TABLE[command][3]} <= labels
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert info.value.code == 0
+    for command, entry in TABLE.items():
+        assert f"  {command.ljust(len('idempotents'))}  {entry[1]}\n" in out
+
+
+def test_repeated_option_takes_its_last_value(capsys):
+    args = cli._parse_args(TABLE, ["certify", "--rule", "unit", "--poly", "[1]", "--rule=exp",
+                                   "--m-min", "2", "--m-min=5", "--poly", "[2]"])
+    assert (args.rule, args.m_min, args.poly) == ("exp", 5, "[2]")
+    code, out, _ = _run(capsys, ["laurent", "--lam", "2", "--lam", "-1/2"])
+    assert code == 0 and out["lambda"] == "-1/2"
+
+
+@pytest.mark.parametrize("inputs", [
+    {"seed": 3}, {"lambda": "-1/2", "poly": {"2": "1"}}, [], "é", {"a": [1, {"b": None}]},
+])
+def test_digest_is_sha256_of_the_canonical_inputs(inputs):
+    import hashlib
+
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert cli._digest(inputs) == hashlib.sha256(canonical).hexdigest()

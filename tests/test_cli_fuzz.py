@@ -132,3 +132,64 @@ def test_cli_fuzz_exits_0_or_2(command, top, data):
     code, report = _exit_and_report(argv)
     assert code in (0, 2), (argv, report)
     assert report.get("error", {}).get("kind") != "internal", (argv, report)
+
+
+# One valid argv per subcommand, each option once; the argv-level fuzz edits
+# these tokens.
+VALID_ARGVS = [
+    ["decide", "--spec", _json_arg({"roots": [["1", 1], ["-1", 1]],
+                                    "functionals": [{"parts": {"1": ["1"], "-1": ["-1"]}}]}),
+     "--oracle"],
+    ["oracle", "--spec", _json_arg({"roots": [["2", 1]], "functionals": [{"parts": {"2": ["1"]}}]})],
+    ["idempotents", "--roots", '[["1", 1], ["2", 2]]', "--all"],
+    ["idempotents", "--modulus", '["2", "-3", "1"]'],
+    ["moments", "--input", '{"P0": ["1"], "roots": [["0", 2]]}', "--count", "3"],
+    ["certify", "--rule", "exp", "--poly", '["-1/2", "1"]', "--m-min", "1",
+     "--search-bound", "50"],
+    ["trace-test", "--matrix", '[["0", "1"], ["0", "0"]]'],
+    ["laurent", "--lam", "-1", "--poly", '{"-1": "3", "2": "1"}'],
+    ["gvc-probe", "--op", '[{"exps": [1, 1], "c": "1"}]', "--p-poly", '[{"exps": [1, 0], "c": "1"}]',
+     "--q-poly", '[{"exps": [0, 1], "c": "1"}]', "--m-max", "4"],
+    ["imagep", "decide", "--p", "3", "--n", "1", "--input", '[{"zeta": [2], "x": [1], "c": 1}]'],
+    ["selftest", "--seed", "0"],
+]
+FLAGS = sorted({row[0] for entry in cli._build_parser().values() for row in entry[3]
+                if row[0].startswith("--")})
+INSERTED = st.sampled_from(("--x", "-h", "--help", "--", "-")) | st.sampled_from(FLAGS).map(
+    lambda flag: flag + "=")
+
+
+@st.composite
+def _edited_argv(draw):
+    """A valid argv after one to three edits: a token dropped, duplicated or
+    swapped with another, "--opt v" joined into "--opt=v", or a token inserted."""
+    argv = list(draw(st.sampled_from(VALID_ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "join", "insert")))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(INSERTED))
+        elif edit == "drop":
+            del argv[i]
+        elif edit == "duplicate":
+            argv.insert(i, argv[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(argv) - 1))
+            argv[i], argv[j] = argv[j], argv[i]
+        elif argv[i].startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_edited_argv())
+def test_argv_fuzz_exits_0_or_2(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, out.getvalue())
+    assert '"internal"' not in out.getvalue(), argv

@@ -15,7 +15,10 @@ import pytest
 import mzspaces
 
 SRC = str(Path(mzspaces.__file__).resolve().parents[1])
-NEVER = {"dataclasses", "typing", "inspect"}
+# argparse (with the gettext, locale and shutil it loads) and hashlib (with
+# OpenSSL's _hashlib) cost about 19 ms of start-up that no answer needs.
+NEVER = {"dataclasses", "typing", "inspect", "argparse", "gettext", "locale", "shutil",
+         "hashlib", "_hashlib"}
 
 SPEC = json.dumps({"roots": [["1", 1], ["-1", 1]],
                    "functionals": [{"parts": {"1": ["1"], "-1": ["-1"]}}]})

@@ -137,8 +137,8 @@ def test_scalar_inverse_over_each_coefficient_kind():
 
 # One float scalar in each library entry point that reads scalars through
 # the integer kernels; every one is rejected by scalars.require_rational.
-_FLOAT_ROOTS = RootData([(0.5, 1)])
-_FLOAT_SPEC = SubspaceSpec([FunctionalNF(_FLOAT_ROOTS, parts={0.5: Poly([1])})])
+_FLOAT_SPEC = SubspaceSpec([FunctionalNF(RootData([(Fraction(1, 2), 1)]),
+                                          parts={Fraction(1, 2): Poly([0.5])})])
 _FLOAT_NORMALIZED = SubspaceSpec(_FLOAT_SPEC.functionals, normalized=True)
 
 

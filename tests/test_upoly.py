@@ -192,6 +192,20 @@ def test_root_data_rejects_bad_input():
         RootData([(Fraction(1), 1), (Fraction(1), 2)])
 
 
+# Library callers meet no silent coercion: a multiplicity is an int and not a
+# bool, and a root is an int or a Fraction.
+@pytest.mark.parametrize("pairs, text", [
+    ([(1, 1.5), (2, "3")], "multiplicity 1.5"),
+    ([(1, 1), (2, "3")], "multiplicity '3'"),
+    ([(1, True)], "multiplicity True"),
+    ([(0.5, 1)], "root data needs rational scalars"),
+    ([(Fraction(1), 1), ("2", 1)], "root data needs rational scalars"),
+])
+def test_root_data_rejects_coercible_input(pairs, text):
+    with pytest.raises(DomainError, match=text):
+        RootData(pairs)
+
+
 def test_rational_roots_frozen_cases():
     t = Poly.variable()
     f = (t ** 2) * (t - Poly([1]))  # t^3 - t^2
