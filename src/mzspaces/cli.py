@@ -1,9 +1,11 @@
 """Command line front end: JSON in, JSON out.
 
 This module owns the wire format: every JSON reader and writer of the
-package is here, and the library modules know nothing of JSON.  A rational
-is a JSON integer or an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+, written
-back as the canonical "num/den" string with "/1" dropped.
+package is here, and the library modules know nothing of JSON.  Both go
+through `_json`, the C codec behind `json`; `json` itself, with the `re` and
+`enum` it loads, is imported only to report malformed input.  A rational is
+a JSON integer or an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+, written back
+as the canonical "num/den" string with "/1" dropped.
 
 Exit codes: 0 on success, 2 when the input is rejected (malformed JSON or a
 failed precondition), 1 on internal errors, and 141 (128 + SIGPIPE, with
@@ -17,7 +19,7 @@ those (and `mzspaces/__init__.py` imports nothing).
 
 from __future__ import annotations
 
-import json
+import _json
 import os
 import sys
 import time
@@ -59,6 +61,7 @@ _IDEMPOTENTS_MAX_ROOTS = 12
 # inline JSON) once it is longer than _PATH_ECHO_LIMIT.
 _ECHO_LIMIT = 40
 _PATH_ECHO_LIMIT = 256
+_JSON_WHITESPACE = " \t\n\r"
 _ORACLE_COST = "at most 20 roots; about 0.4 s at 20 roots with 3 functionals"
 # certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time.
 _CERTIFY_COST = ("At the certificate's m, (D*f)^m, D the common denominator of f, may have at "
@@ -85,25 +88,53 @@ def _shown(value, limit: int = _ECHO_LIMIT) -> str:
     return f"a {type(value).__name__} {len(text)} characters long"
 
 
+class _ParseError(Exception):
+    """Malformed JSON input; args are json.JSONDecodeError's msg, lineno and colno."""
+
+
+# The scanner json.decoder.JSONDecoder() builds: strict, no hooks, floats for NaN and ±Infinity.
+_scan_once = _json.make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={"NaN": float("nan"), "Infinity": float("inf"),
+                    "-Infinity": float("-inf")}.__getitem__))
+
+
+def _loads(text: str):
+    """json.loads(text), read by _json's scanner.  Input it does not read
+    whole (malformed, trailing data, too many digits, too deep) goes to
+    json.loads, which raises what it always raises; before 3.12 the scanner
+    cannot even build a JSONDecodeError until json.decoder is loaded."""
+    start = len(text) - len(text.lstrip(_JSON_WHITESPACE))
+    try:
+        value, end = _scan_once(text, start)
+    except (StopIteration, SystemError, ValueError, RecursionError):
+        end = None
+    if end == len(text.rstrip(_JSON_WHITESPACE)):
+        return value
+    import json
+
+    return json.loads(text)
+
+
 def _load_json_arg(text: str, option: str):
-    """Accept inline JSON (starts with { or [) or a file path; an unreadable
-    path, or an integer too long for the interpreter to read, is a domain
-    error naming the option and the path (only its length, when long)."""
+    """Accept inline JSON (starts with { or [) or a file path.  Malformed JSON
+    is a _ParseError; an unreadable path, or an integer too long to read, a
+    domain error naming the option and the path (only its length, when long)."""
     stripped = text.strip()
     try:
         if stripped.startswith("{") or stripped.startswith("["):
-            return json.loads(stripped)
+            return _loads(stripped)
         with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _loads(fh.read())
     except OSError as exc:
         shown = _shown(text, _PATH_ECHO_LIMIT)
         raise DomainError(f"{option}: cannot read {shown}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{option}: {_shown(text, _PATH_ECHO_LIMIT)} is not UTF-8 text") from exc
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:  # the only other ValueError json raises
-        raise DomainError(
+    except ValueError as exc:  # raised by json.loads, so json is loaded
+        if isinstance(exc, sys.modules["json"].JSONDecodeError):
+            raise _ParseError(exc.msg, exc.lineno, exc.colno) from exc
+        raise DomainError(  # the only other ValueError json raises
             f"{option}: an integer exceeds {sys.get_int_max_str_digits()} digits, the "
             "interpreter's limit for string-to-integer conversion"
         ) from exc
@@ -708,9 +739,35 @@ def _parse_args(table: dict, argv) -> SimpleNamespace:
     return SimpleNamespace(command=command, handler=handler, **values)
 
 
+def _dumps(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) for dicts with str keys, lists, tuples,
+    str, int, True, False and None; newline ends a line at value's indent."""
+    if isinstance(value, str):
+        return _json.encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        entries, brackets = [_dumps(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        entries = [f"{_json.encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                   for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not entries:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(entries) + newline + brackets[1]
+
+
 def _digest(inputs) -> str:
-    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode("utf-8")).hexdigest()
+    """SHA-256 of json.dumps(inputs, sort_keys=True, separators=(",", ":")) by the
+    same C encoder call; its default, _dumps, raises on what JSON cannot hold."""
+    encode = _json.make_encoder({}, _dumps, _json.encode_basestring_ascii, None,
+                                ":", ",", True, False, True)
+    return sha256("".join(encode(inputs, 0)).encode("utf-8")).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -732,24 +789,18 @@ def _run(argv) -> int:
     started = time.perf_counter()
     try:
         payload, inputs = args.handler(args)
-    except json.JSONDecodeError as exc:
-        error = {
-            "error": {
-                "kind": "parse",
-                "message": exc.msg,
-                "line": exc.lineno,
-                "column": exc.colno,
-            }
-        }
-        print(json.dumps(error, indent=2))
+    except _ParseError as exc:
+        message, line, column = exc.args
+        error = {"error": {"kind": "parse", "message": message, "line": line, "column": column}}
+        print(_dumps(error))
         return 2
     except DomainError as exc:
         error = {"error": {"kind": "domain", "message": str(exc)}}
-        print(json.dumps(error, indent=2))
+        print(_dumps(error))
         return 2
     except Exception as exc:  # noqa: BLE001 - single internal-error funnel
         error = {"error": {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}}
-        print(json.dumps(error, indent=2))
+        print(_dumps(error))
         import traceback
 
         traceback.print_exc(file=sys.stderr)
@@ -757,7 +808,7 @@ def _run(argv) -> int:
     report = dict(payload)
     report["command"] = args.command
     report["inputsDigest"] = _digest(inputs)
-    print(json.dumps(report, indent=2), flush=True)
+    print(_dumps(report), flush=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     if args.command == "selftest" and not payload["passed"]:

@@ -3,12 +3,14 @@
 The scalar field is Q: a scalar is an int or a stdlib Fraction (always
 reduced, denominator > 0, zero is 0/1).  The p-adic valuation of 0 is the
 distinguished sentinel PADIC_INF, never an integer.
+
+fractions is imported in the three functions that use it: imagep needs only
+is_prime, and every rational path has loaded fractions before they run.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -68,8 +70,11 @@ def _miller_rabin(n):
 
 def padic_valuation(value, p: int):
     """Exponent of the prime p in the rational value; PADIC_INF for 0."""
+    from fractions import Fraction
+
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"valuation base {p!r} is not prime")
+    require_rational((value,), "padic_valuation")
     q = Fraction(value)
     if q == 0:
         return PADIC_INF
@@ -87,8 +92,10 @@ def _int_valuation(n, p):
 
 def require_rational(values, what: str) -> None:
     """Reject any value that is not an int or a Fraction, the scalars the
-    integer kernels read, with a DomainError naming what needs them."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
+    integer kernels read, or is a bool, with a DomainError naming what needs them."""
+    from fractions import Fraction
+
+    if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values):
         raise DomainError(f"{what} needs rational scalars")
 
 
@@ -107,5 +114,6 @@ def scalar_inverse(c):
             return c
         if c == 0:
             raise ZeroDivisionError("inverse of zero")
+        from fractions import Fraction
         return Fraction(1, c)
     return 1 / c

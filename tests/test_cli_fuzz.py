@@ -1,8 +1,10 @@
 """Fuzz gate of the command line: every subcommand, run in-process through
 `cli.main` on arbitrary small JSON and on integer options near their caps,
-exits 0 or 2 and never reports an internal error."""
+exits 0 or 2 and never reports an internal error; and the CLI's JSON reader
+and writers agree with `json` on any JSON value and on malformed text."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -193,3 +195,41 @@ def test_argv_fuzz_exits_0_or_2(argv):
             code = exc.code
     assert code in (0, 2), (argv, out.getvalue())
     assert '"internal"' not in out.getvalue(), argv
+
+
+# Strings with quotes, backslashes, control and non-ASCII characters; ints
+# past 64 bits.
+CODEC_CHARS = st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600') | st.characters()
+CODEC_LEAVES = (st.text(CODEC_CHARS, max_size=5) | st.integers(-2**70, 2**70) | st.booleans()
+                | st.none())
+CODEC_VALUES = st.recursive(CODEC_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+                            max_leaves=12)
+# Structural characters, and whitespace that str.strip() takes but JSON does not.
+MUTATIONS = st.sampled_from(('"', "[", "]", "{", "}", ",", ":", "\\", " ", "0", "-", "t", "\x01",
+                             "\x0b", "\xa0"))
+
+
+def _decoded(load, text):
+    """load(text), or the (msg, lineno, colno) of the JSONDecodeError it raises."""
+    try:
+        return load(text)
+    except json.JSONDecodeError as exc:
+        return exc.msg, exc.lineno, exc.colno
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(value=CODEC_VALUES, data=st.data())
+def test_codec_agrees_with_json(value, data):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert cli._digest(value) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    compact = json.dumps(value)
+    padded = f" \r\n\t{compact}\n "
+    for text in (compact, json.dumps(value, indent=2), padded):
+        assert cli._loads(text) == json.loads(text)
+    cut = data.draw(st.integers(0, len(compact)))
+    at = data.draw(st.sampled_from((0, len(padded) - 1)) | st.integers(0, len(padded) - 1))
+    for text in (compact[:cut], padded[:at] + data.draw(MUTATIONS) + padded[at + 1:]):
+        assert _decoded(cli._loads, text) == _decoded(json.loads, text), text

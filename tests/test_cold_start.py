@@ -1,7 +1,8 @@
 """Import-graph gate for start-up: the modules one `mz` call loads.
 
 Each case runs in a fresh `python -S` interpreter and reads sys.modules, so
-the gate is deterministic and machine-independent; no time is measured.
+the gate is deterministic and machine-independent; no time is measured.  The
+parse-error cases run there too, before anything has loaded json.decoder.
 """
 
 import json
@@ -16,30 +17,38 @@ import mzspaces
 
 SRC = str(Path(mzspaces.__file__).resolve().parents[1])
 # argparse (with the gettext, locale and shutil it loads) and hashlib (with
-# OpenSSL's _hashlib) cost about 19 ms of start-up that no answer needs.
+# OpenSSL's _hashlib) cost about 19 ms of start-up, and json (with re and enum)
+# about 15 ms, that no answer needs; the CLI reads and writes JSON through _json.
 NEVER = {"dataclasses", "typing", "inspect", "argparse", "gettext", "locale", "shutil",
-         "hashlib", "_hashlib"}
+         "hashlib", "_hashlib", "json"}
+# What json and fractions load; only a call that reads or writes a rational needs them.
+RATIONAL_ONLY = {"re", "enum", "decimal", "numbers", "fractions"}
 
 SPEC = json.dumps({"roots": [["1", 1], ["-1", 1]],
                    "functionals": [{"parts": {"1": ["1"], "-1": ["-1"]}}]})
 DECIDE = {"mzdecide", "functionals", "quotient", "upoly", "linalg", "scalars"}
 PROBES = {"probes", "sparse", "scalars"}
 
+# The snapshot of sys.modules is taken before json is imported to print it.
 PROBE = """
-import json, sys
+import sys
 import mzspaces.cli as cli
 {run}
-print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({{"code": code, "modules": modules}}))
 """
 
 
 def _loaded(run: str):
+    """(exit code, modules loaded, what the call printed) in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-S", "-c", PROBE.format(run=run)],
                           capture_output=True, text=True, env=env, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return result["code"], set(result["modules"])
+    *printed, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    return result["code"], set(result["modules"]), "\n".join(printed)
 
 
 def _library(modules):
@@ -47,9 +56,9 @@ def _library(modules):
 
 
 def test_importing_the_cli_loads_no_library_module():
-    _, modules = _loaded("cli._build_parser(); code = None")
+    _, modules, _ = _loaded("cli._build_parser(); code = None")
     assert _library(modules) == set()
-    assert not modules & (NEVER | {"random"})
+    assert not modules & (NEVER | RATIONAL_ONLY | {"random"})
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -69,15 +78,36 @@ def test_importing_the_cli_loads_no_library_module():
      {"imagep", "sparse", "scalars"}),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_each_subcommand_loads_only_its_layers(argv, expected):
-    code, modules = _loaded(f"code = cli.main({argv!r})")
+    code, modules, _ = _loaded(f"code = cli.main({argv!r})")
     assert code == 0
     assert _library(modules) == expected
     assert not modules & (NEVER | {"random"})
+    if argv[0] == "imagep":
+        assert not modules & RATIONAL_ONLY
 
 
 def test_only_selftest_loads_random():
-    code, modules = _loaded("code = cli.main(['selftest', '--seed', '1'])")
+    code, modules, _ = _loaded("code = cli.main(['selftest', '--seed', '1'])")
     assert code == 0
     assert "random" in modules
     assert "selftest" in _library(modules)
     assert not modules & NEVER
+
+
+@pytest.mark.parametrize("text", ["{bad json", '["abc', "[1] x", "[1,", "\ufeff[1]"],
+                         ids=["bad-json", "unterminated", "trailing", "truncated", "bom-file"])
+def test_parse_errors_in_a_fresh_interpreter(text, tmp_path):
+    """Before json.decoder is loaded, _json's scanner cannot build a
+    JSONDecodeError (a SystemError on 3.10 and 3.11); the report must still
+    be json.loads's error, with exit 2."""
+    spec = text
+    if text.startswith("\ufeff"):
+        spec = str(tmp_path / "spec.json")
+        Path(spec).write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    code, _, printed = _loaded(f"code = cli.main(['decide', '--spec', {spec!r}])")
+    assert code == 2
+    assert json.loads(printed) == {"error": {"kind": "parse", "message": expected.value.msg,
+                                             "line": expected.value.lineno,
+                                             "column": expected.value.colno}}

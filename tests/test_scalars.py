@@ -156,3 +156,17 @@ _FLOAT_NORMALIZED = SubspaceSpec(_FLOAT_SPEC.functionals, normalized=True)
 def test_float_scalars_are_rejected_by_the_one_guard(call):
     with pytest.raises(DomainError, match="needs rational scalars"):
         call()
+
+
+# bool is a subclass of int, and a float converts to a Fraction exactly, but
+# neither is a rational scalar: each is refused, not read as 1 or 1/2.
+@pytest.mark.parametrize("call", [
+    lambda: RootData([(True, 1), (2, 1)]),
+    lambda: certify_unit_interval(Poly([True, 1])),
+    lambda: padic_valuation(0.5, 2),
+    lambda: padic_valuation(True, 2),
+], ids=["RootData-bool-root", "certify_unit_interval-bool-coefficient",
+        "padic_valuation-float", "padic_valuation-bool"])
+def test_booleans_and_floats_are_not_rational_scalars(call):
+    with pytest.raises(DomainError, match="needs rational scalars"):
+        call()
