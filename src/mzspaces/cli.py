@@ -40,12 +40,14 @@ _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
 # Work budgets of the probes and of moments, each chosen so that the capped
 # case runs in at most about a second on a 2-vCPU host: a dense 48x48 matrix
-# with entries a/b, |a|, b <= 9, takes 1.1 s in trace-test; m-max 40 takes
-# 0.9 s for p = x + 2y/3 - z under d1 d2 + d3^2/2 and 0.5 s for the heaviest
-# benchmark shape; --count 1500 takes 0.4 s on a degree-48 functional with
-# 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and 0.3 s with 8 roots of
-# multiplicity 6.  `idempotents --all` prints 2^r polynomials; at r = 12
-# that is 0.95 s and 1.1 MB, and each further root doubles both.  The oracle
+# with entries a/b, |a|, b <= 9, takes 1.1-1.3 s in trace-test; m-max 40 takes
+# 0.7-0.8 s for p = x + 2y/3 - z, q = x under d1 d2 + d3^2/2 (861 predicted
+# terms) and 25 ms in-process for the heaviest benchmark shape, whose operator
+# touches one variable of three; --count 1500 takes 0.4-0.5 s on a degree-48
+# functional with 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and about
+# 0.4 s with 8 roots of multiplicity 6.  `idempotents --all` prints 2^r
+# polynomials; at r = 12 that is 0.95 s and 1.1 MB, and each further root
+# doubles both.  The oracle
 # walks all 2^r subsets of the roots, one big-integer addition each; at its
 # cap (mzdecide.DEFAULT_MAX_SUBSET_ROOTS, 20 roots) a spec with no balanced
 # subset and 3 functionals takes 0.2-0.4 s, and the help text says so.  The
@@ -54,6 +56,14 @@ _IMAGEP_MAX_DEGREE = 24
 # cap (19200 candidates at degree 6, 10240 at degree 12, 2048 at degree 117).
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
+# The predicted terms of p^m and q*p^m at m-max (`_gvc_predicted_terms`).  The
+# 3-variable Laplacian with a 6-term p of degree 4 and q = x1 predicts 3003
+# terms at m-max 10 (1716 in fact) and takes 0.9-1.1 s; m-max 11 predicts 4368.
+_GVC_MAX_TERMS = 3500
+_GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, predicted as "
+             "min(C(m*deg p + n, n), C(|p| + m - 1, m)) times |q| before anything is expanded; "
+             "the 3-variable Laplacian with a 6-term p of degree 4 predicts 3003 at m-max 10 "
+             "and takes about 1 s.")
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
 # A rejected value is named by its type and length only once its repr is
@@ -101,13 +111,15 @@ _scan_once = _json.make_scanner(SimpleNamespace(
 
 def _loads(text: str):
     """json.loads(text), read by _json's scanner.  Input it does not read
-    whole (malformed, trailing data, too many digits, too deep) goes to
-    json.loads, which raises what it always raises; before 3.12 the scanner
-    cannot even build a JSONDecodeError until json.decoder is loaded."""
+    whole (malformed, trailing data, too many digits) goes to json.loads,
+    which raises what it always raises; before 3.12 the scanner cannot even
+    build a JSONDecodeError until json.decoder is loaded.  Input nested
+    deeper than the recursion limit lets the scanner go raises its
+    RecursionError, as json.loads would."""
     start = len(text) - len(text.lstrip(_JSON_WHITESPACE))
     try:
         value, end = _scan_once(text, start)
-    except (StopIteration, SystemError, ValueError, RecursionError):
+    except (StopIteration, SystemError, ValueError):
         end = None
     if end == len(text.rstrip(_JSON_WHITESPACE)):
         return value
@@ -118,8 +130,9 @@ def _loads(text: str):
 
 def _load_json_arg(text: str, option: str):
     """Accept inline JSON (starts with { or [) or a file path.  Malformed JSON
-    is a _ParseError; an unreadable path, or an integer too long to read, a
-    domain error naming the option and the path (only its length, when long)."""
+    is a _ParseError; an unreadable path, an integer too long to read or
+    nesting too deep to read, a domain error naming the option (and the
+    path, only by its length when long)."""
     stripped = text.strip()
     try:
         if stripped.startswith("{") or stripped.startswith("["):
@@ -131,6 +144,8 @@ def _load_json_arg(text: str, option: str):
         raise DomainError(f"{option}: cannot read {shown}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{option}: {_shown(text, _PATH_ECHO_LIMIT)} is not UTF-8 text") from exc
+    except RecursionError as exc:
+        raise DomainError(f"{option}: the JSON nests too deeply to read") from exc
     except ValueError as exc:  # raised by json.loads, so json is loaded
         if isinstance(exc, sys.modules["json"].JSONDecodeError):
             raise _ParseError(exc.msg, exc.lineno, exc.colno) from exc
@@ -159,22 +174,25 @@ def _is_ascii_int(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def parse_rational(value) -> Fraction:
+def parse_rational(value):
     """A JSON integer, or an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+, as a
-    Fraction.  Anything else is a DomainError: floats, exponents, blanks,
-    underscores, a zero denominator, or more digits than the interpreter
-    converts."""
-    from fractions import Fraction
-
+    rational scalar: the int itself for an integer, a Fraction (with
+    fractions imported only then) for num/den.  Anything else is a
+    DomainError: floats, exponents, blanks, underscores, a zero denominator,
+    or more digits than the interpreter converts."""
     if isinstance(value, bool):
         raise DomainError(f"not a rational: the boolean {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         if _is_ascii_int(num) and (not slash or (den.isascii() and den.isdigit())):
             try:
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                if not slash:
+                    return int(num)
+                from fractions import Fraction
+
+                return Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError):
                 pass
     raise DomainError(f"not a rational: {_shown(value)}")
@@ -521,6 +539,10 @@ def _cmd_gvc_probe(args):
     op = ConstCoeffOp(_multipoly_from_json(op_data, "--op"))
     p_poly = _multipoly_from_json(p_data, "--p-poly")
     q_poly = _multipoly_from_json(q_data, "--q-poly")
+    predicted = _gvc_predicted_terms(p_poly, q_poly, args.m_max)
+    if predicted > _GVC_MAX_TERMS:
+        raise DomainError(f"--m-max {args.m_max}: p^m and q*p^m may have {predicted} terms, "
+                          f"over the cap {_GVC_MAX_TERMS}")
     report = gvc_probe(op, p_poly, q_poly, args.m_max)
     payload = {
         "mMax": report.m_max,
@@ -529,6 +551,19 @@ def _cmd_gvc_probe(args):
         "conclusionTransition": report.conclusion_transition,
     }
     return payload, {"op": op_data, "p": p_data, "q": q_data, "mMax": args.m_max}
+
+
+def _gvc_predicted_terms(p_poly: MultiPolyQ, q_poly: MultiPolyQ, m: int) -> int:
+    """A bound on the terms of p^m and of q*p^m: p^m has at most one term
+    per monomial of degree <= m*deg p in the n variables, C(m*deg p + n, n),
+    and one per multiset of m terms of p, C(|p| + m - 1, m); q*p^m has at
+    most |q| times as many.  An m below 1 counts as 0; gvc_probe rejects it."""
+    from math import comb
+
+    m = max(m, 0)
+    bound = min(comb(m * (p_poly.total_degree or 0) + p_poly.nvars, p_poly.nvars),
+                comb(len(p_poly.terms) + m - 1, m))
+    return bound * max(len(q_poly.terms), 1)
 
 
 def _check_imagep_caps(polys, p: int, nvars: int):
@@ -628,7 +663,8 @@ def _build_parser() -> dict:
                     "either cap)"),
             _option("--all", bool, default=False, help="include all 2^r subset sums, for at "
                     f"most {_IDEMPOTENTS_MAX_ROOTS} roots"))),
-        "moments": (_cmd_moments, "convert between functionals and moment values", None, (
+        "moments": (_cmd_moments, "convert between functionals and moment values",
+                    "--count 1500 on a degree-48 functional takes about 0.5 s.", (
             _option("--input", required=True, help="JSON with values+roots (to functional) "
                     "or P0/parts+roots (to moments)"),
             _option("--count", int, help="number of moments to emit (default deg f), at most "
@@ -638,7 +674,8 @@ def _build_parser() -> dict:
             _option("--poly", required=True, help="polynomial JSON (inline or file path)"),
             _option("--m-min", int, default=1),
             _option("--search-bound", int, default=10**6))),
-        "trace-test": (_cmd_trace_test, "nilpotency via power traces", None, (
+        "trace-test": (_cmd_trace_test, "nilpotency via power traces",
+                       "A dense 48x48 matrix of small rationals takes about 1.3 s.", (
             _option("--matrix", required=True, help="matrix JSON: rows of rationals, "
                     f"dimension at most {_TRACE_MAX_DIMENSION}"),)),
         "laurent": (_cmd_laurent, "weighted-derivation image probes",
@@ -646,7 +683,7 @@ def _build_parser() -> dict:
                     "100000 terms).", (
             _option("--lam", required=True, help="the weight, a rational"),
             _option("--poly", help="Laurent JSON: {exponent: rational}"))),
-        "gvc-probe": (_cmd_gvc_probe, "operator-power vanishing probe", None, (
+        "gvc-probe": (_cmd_gvc_probe, "operator-power vanishing probe", _GVC_COST, (
             _option("--op", required=True, help="operator JSON: terms in derivative symbols"),
             _option("--p-poly", required=True),
             _option("--q-poly", required=True),

@@ -7,13 +7,16 @@ coefficient differential operators.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import perm, prod
+from math import gcd, perm, prod
 from operator import sub
 
 from .errors import DomainError
 from .scalars import clear_denominators
 from .sparse import LaurentPoly, add_tuples, collect, mul, power, shifted
+
+# fractions (with the decimal, numbers, re and enum it loads, ≈10 ms) is
+# imported in the functions that build a Fraction, so that an integer
+# gvc-probe job never loads it.
 
 
 class MatrixQ:
@@ -79,6 +82,8 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
     arithmetic happens inside the loop.  Once a power vanishes, every later
     trace is 0 and no further power is formed.
     """
+    from fractions import Fraction
+
     n = matrix.dimension
     d, flat = clear_denominators([entry for row in matrix.rows for entry in row])
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -103,6 +108,8 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
 
 def laurent_apply_op(lam, g: LaurentPoly) -> LaurentPoly:
     """The weighted derivation d/dt + lam/t: sends t^i to (lam + i) t^(i-1)."""
+    from fractions import Fraction
+
     lam = Fraction(lam)
     return LaurentPoly({e - 1: (lam + e) * c for e, c in g.terms.items()})
 
@@ -110,6 +117,8 @@ def laurent_apply_op(lam, g: LaurentPoly) -> LaurentPoly:
 def laurent_image_membership(lam, g: LaurentPoly) -> bool:
     """Whether g is in the image of the weighted derivation: always for
     non-integer lam; for integer lam exactly when the t^(-lam-1) term is 0."""
+    from fractions import Fraction
+
     lam = Fraction(lam)
     if lam.denominator != 1:
         return True
@@ -119,6 +128,8 @@ def laurent_image_membership(lam, g: LaurentPoly) -> bool:
 def laurent_preimage(lam, g: LaurentPoly) -> LaurentPoly | None:
     """A termwise preimage under the weighted derivation, or None exactly
     when membership fails."""
+    from fractions import Fraction
+
     lam = Fraction(lam)
     out = {}
     for e, c in g.terms.items():
@@ -132,6 +143,8 @@ def laurent_preimage(lam, g: LaurentPoly) -> LaurentPoly | None:
 def laurent_mz_class(lam) -> bool:
     """Whether the weighted derivation's image is a Mathieu-Zhao subspace of
     the Laurent ring: yes for non-integer lam and for lam = -1 only."""
+    from fractions import Fraction
+
     lam = Fraction(lam)
     return lam.denominator != 1 or lam == -1
 
@@ -299,6 +312,38 @@ def _killed_by_power(symbol, f: dict, m: int) -> bool:
     return not f
 
 
+def _slices(f: dict, touched: tuple, rest: tuple):
+    """The distinct slices of f = sum_r x_R^r f_r(x_S), S the variables at
+    the indices touched and R those at the indices rest: each f_r on
+    exponent tuples over S, divided by its signed content (the coefficient
+    of its least exponent tuple made positive); slices that agree after the
+    division come once."""
+    groups = {}
+    for exps, c in f.items():
+        part = groups.setdefault(tuple(map(exps.__getitem__, rest)), {})
+        part[tuple(map(exps.__getitem__, touched))] = c
+    seen = set()
+    for part in groups.values():
+        content = gcd(*part.values())
+        if part[min(part)] < 0:
+            content = -content
+        key = frozenset((exps, c // content) for exps, c in part.items())
+        if key not in seen:
+            seen.add(key)
+            yield dict(key)
+
+
+def _killed(symbol, f: dict, m: int, split) -> bool:
+    """Whether op^m kills f.  The operator has constant coefficients and
+    differentiates only in the variables it touches, so it commutes with
+    the monomials in the rest, and op^m kills f exactly when it kills every
+    slice of f.  split is (touched, rest), the indices of both, or None
+    when the operator touches every variable; f is then tested whole."""
+    if split is None:
+        return _killed_by_power(symbol, f, m)
+    return all(_killed_by_power(symbol, part, m) for part in _slices(f, *split))
+
+
 def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
               m_max: int) -> GvcProbeReport:
     """For m = 1..m_max, record whether op^m kills p^m (hypothesis) and
@@ -307,7 +352,10 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
 
     Only vanishing is reported, and scaling op, p or q by a nonzero rational
     does not change it, so each is scaled to integer coefficients once and
-    the powers and operator applications run on integer term dicts.
+    the powers and operator applications run on integer term dicts.  When
+    the operator leaves some variables alone, each power is tested slice by
+    slice over the variables it touches (`_killed`), and slices that differ
+    by an integer factor are tested once.
     """
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
@@ -316,6 +364,11 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     if p_poly.nvars != q_poly.nvars:
         raise DomainError("variable count mismatch")
     symbol = tuple(_integer_terms(op.symbol_poly).items())
+    touched = tuple(i for i in range(op.nvars) if any(exps[i] for exps, _ in symbol))
+    split = None
+    if len(touched) < op.nvars:
+        split = touched, tuple(i for i in range(op.nvars) if i not in touched)
+        symbol = tuple((tuple(map(exps.__getitem__, touched)), c) for exps, c in symbol)
     p_terms = _integer_terms(p_poly)
     q_terms = _integer_terms(q_poly)
     hypothesis_violations = []
@@ -323,9 +376,9 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     p_power = {(0,) * p_poly.nvars: 1}
     for m in range(1, m_max + 1):
         p_power = mul(p_power, p_terms, add_tuples)
-        if not _killed_by_power(symbol, p_power, m):
+        if not _killed(symbol, p_power, m, split):
             hypothesis_violations.append(m)
-        if not _killed_by_power(symbol, mul(q_terms, p_power, add_tuples), m):
+        if not _killed(symbol, mul(q_terms, p_power, add_tuples), m, split):
             conclusion_violations.append(m)
     if not conclusion_violations:
         transition = 1

@@ -4,8 +4,10 @@ The scalar field is Q: a scalar is an int or a stdlib Fraction (always
 reduced, denominator > 0, zero is 0/1).  The p-adic valuation of 0 is the
 distinguished sentinel PADIC_INF, never an integer.
 
-fractions is imported in the three functions that use it: imagep needs only
-is_prime, and every rational path has loaded fractions before they run.
+fractions (with the decimal, numbers, re and enum it loads) is imported in
+the three functions that use it, so that a job that never meets a Fraction
+never loads it: imagep needs only is_prime, and gvc-probe on integer
+coefficients, which cli.parse_rational reads as ints, none of them.
 """
 
 from __future__ import annotations

@@ -236,6 +236,26 @@ def test_gvc_probe_frozen(capsys):
     assert out["conclusionTransition"] == 2
 
 
+# The operator d1^2 / 2 touches x1 only, so the kernel tests slices.
+GVC_RATIONAL = ["gvc-probe", "--op", '[{"exps": [2, 0], "c": "1/2"}]',
+                "--p-poly", '[{"exps": [1, 0], "c": "1"}, {"exps": [0, 1], "c": "2/3"}]',
+                "--q-poly", '[{"exps": [3, 1], "c": "-5/7"}]', "--m-max", "8"]
+
+
+def test_gvc_probe_rational_coefficients_frozen(capsys):
+    # op^m kills x1^N H exactly when N < 2m: p^m has N = m, q p^m has N = m + 3.
+    code, out, _ = _run(capsys, GVC_RATIONAL)
+    assert code == 0
+    assert out == {
+        "mMax": 8,
+        "hypothesisViolations": [],
+        "conclusionViolations": [1, 2, 3],
+        "conclusionTransition": 4,
+        "command": "gvc-probe",
+        "inputsDigest": "a12c5824eaccb8bd189f979988a1a1e58f71604b89afa7c03a903bd1bfe8a32c",
+    }
+
+
 def test_imagep_decide_member(capsys):
     code, out, _ = _run(capsys, [
         "imagep", "decide", "--p", "3", "--n", "1",
@@ -508,11 +528,43 @@ def test_gvc_probe_m_max_cap(capsys):
     assert out["error"]["message"] == "--m-max 41 exceeds the cap 40"
 
 
+LAPLACIAN_3 = {
+    "--op": json.dumps([{"exps": e, "c": 1} for e in ([2, 0, 0], [0, 2, 0], [0, 0, 2])]),
+    "--p-poly": json.dumps([{"exps": e, "c": c} for e, c in (
+        ([2, 2, 0], 1), ([1, 1, 2], -1), ([0, 0, 4], 2), ([3, 0, 0], -1), ([0, 1, 1], 1),
+        ([0, 0, 0], 3))]),
+    "--q-poly": '[{"exps": [1, 0, 0], "c": 1}]',
+}
+
+
+def test_gvc_probe_term_cap(capsys):
+    # The case the help text times: 3003 predicted terms at m-max 10, 4368 at 11.
+    argv = ["gvc-probe"] + [item for pair in LAPLACIAN_3.items() for item in pair]
+    code, out, _ = _run(capsys, argv + ["--m-max", "11"])
+    assert code == 2
+    assert out["error"]["message"] == (
+        f"--m-max 11: p^m and q*p^m may have 4368 terms, over the cap {cli._GVC_MAX_TERMS}")
+    p_poly = cli._multipoly_from_json(json.loads(LAPLACIAN_3["--p-poly"]), "p")
+    q_poly = cli._multipoly_from_json(json.loads(LAPLACIAN_3["--q-poly"]), "q")
+    assert cli._gvc_predicted_terms(p_poly, q_poly, 10) == 3003 <= cli._GVC_MAX_TERMS
+    assert len((p_poly ** 10).terms) <= 3003
+    # A 2-term p = x1^b h(x2, x3) and a 1-term q, the shape of the benchmark's
+    # gvc jobs, predict m + 1 terms: C(|p| + m - 1, m) is the smaller bound.
+    two = cli._multipoly_from_json([{"exps": [1, 3, 0], "c": 1}, {"exps": [1, 0, 2], "c": -1}],
+                                   "p")
+    one = cli._multipoly_from_json([{"exps": [2, 1, 1], "c": 1}], "q")
+    assert cli._gvc_predicted_terms(two, one, cli._GVC_MAX_M) == cli._GVC_MAX_M + 1
+
+
 # The help text is written by hand, so that building the parser imports no
 # library module; these cases tie it to the caps the code enforces.
 @pytest.mark.parametrize("command, text", [
     ("trace-test", f"at most {cli._TRACE_MAX_DIMENSION}"),
     ("gvc-probe", f"at most {cli._GVC_MAX_M}"),
+    ("gvc-probe", f"at most {cli._GVC_MAX_TERMS} terms"),
+    ("gvc-probe", "predicts 3003 at m-max 10 and takes about 1 s"),
+    ("trace-test", "48x48 matrix of small rationals takes about 1.3 s"),
+    ("moments", "--count 1500 on a degree-48 functional takes about 0.5 s"),
     ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),
     ("idempotents", f"at most {cli._IDEMPOTENTS_MAX_ROOTS} roots"),
     ("idempotents", f"at most {upoly.MAX_ROOT_DIGITS} digits in the extreme"),

@@ -82,8 +82,26 @@ def test_each_subcommand_loads_only_its_layers(argv, expected):
     assert code == 0
     assert _library(modules) == expected
     assert not modules & (NEVER | {"random"})
-    if argv[0] == "imagep":
+    if argv[0] in ("imagep", "gvc-probe"):  # integer coefficients only
         assert not modules & RATIONAL_ONLY
+
+
+def test_a_rational_gvc_probe_loads_fractions():
+    argv = ["gvc-probe", "--op", '[{"exps": [2, 0], "c": "1/2"}]',
+            "--p-poly", '[{"exps": [1, 0], "c": 1}]', "--q-poly", '[{"exps": [3, 1], "c": 1}]']
+    code, modules, _ = _loaded(f"code = cli.main({argv!r})")
+    assert code == 0
+    assert "fractions" in modules
+
+
+def test_deep_nesting_is_a_domain_error():
+    """50,000 nested arrays exceed the recursion limit of the scanner; the
+    report is a domain error with exit 2, not an internal error."""
+    code, _, printed = _loaded("code = cli.main(['decide', '--spec', '[' * 50000])")
+    assert code == 2
+    error = json.loads(printed)["error"]
+    assert error["kind"] == "domain"
+    assert error["message"].startswith("--spec: the JSON nests too deeply to read")
 
 
 def test_only_selftest_loads_random():

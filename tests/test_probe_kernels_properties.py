@@ -1,6 +1,7 @@
 """Property tests of the integer probe kernels against the rational
 references they replaced: the MatrixQ power loop for `trace_radical_test`,
-repeated `ConstCoeffOp.apply` for `gvc_probe`, and the `Poly.__pow__`
+repeated `ConstCoeffOp.apply` for `gvc_probe` (on whole polynomials and on
+slices over the variables the operator touches), and the `Poly.__pow__`
 termwise sum for `power_moment`."""
 
 from fractions import Fraction
@@ -98,6 +99,57 @@ def gvc_inputs(draw):
 @SETTINGS
 @given(gvc_inputs())
 def test_gvc_kernel_matches_operator_application(case):
+    op, p, q, m_max = case
+    report = gvc_probe(op, p, q, m_max)
+    assert (report.hypothesis_violations, report.conclusion_violations) == \
+        gvc_by_operator_application(op, p, q, m_max)
+
+
+def _on(nvars, indices, exps):
+    """The exponent tuple over nvars variables with exps at indices, 0 elsewhere."""
+    full = [0] * nvars
+    for i, e in zip(indices, exps):
+        full[i] = e
+    return tuple(full)
+
+
+@st.composite
+def sliced_polys(draw, nvars, touched, rest):
+    """g(x_rest) * h(x_touched), plus at most one other term: every slice of
+    the product over touched is a rational multiple of h, and so are most
+    slices of its powers and of their products with another such poly."""
+    def part(indices, max_terms):
+        exps = st.tuples(*[st.integers(0, 2)] * len(indices))
+        return draw(st.dictionaries(exps, NONZERO, min_size=1, max_size=max_terms))
+
+    g, h = part(rest, 2), part(touched, 2)
+    terms = {_on(nvars, rest + touched, ge + he): gc * hc
+             for ge, gc in g.items() for he, hc in h.items()}
+    if draw(st.booleans()):
+        extra = _on(nvars, range(nvars), draw(st.tuples(*[st.integers(0, 2)] * nvars)))
+        terms[extra] = terms.get(extra, 0) + draw(NONZERO)
+    return MultiPolyQ(nvars, terms)
+
+
+@st.composite
+def sliced_gvc_inputs(draw):
+    """An operator whose symbol uses a strict subset of 2-3 variables (the
+    empty set gives a constant operator), and p, q whose slices over that
+    subset are mostly rational multiples of one another."""
+    nvars = draw(st.integers(2, 3))
+    touched = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))))
+    rest = tuple(i for i in range(nvars) if i not in touched)
+    exps = st.tuples(*[st.integers(0, 2)] * len(touched)).map(
+        lambda e: _on(nvars, touched, e))
+    symbol = draw(st.dictionaries(exps, NONZERO, min_size=1, max_size=3))
+    p = draw(sliced_polys(nvars, touched, rest))
+    q = draw(sliced_polys(nvars, touched, rest))
+    return ConstCoeffOp(MultiPolyQ(nvars, symbol)), p, q, draw(st.integers(1, 6))
+
+
+@SETTINGS
+@given(sliced_gvc_inputs())
+def test_sliced_gvc_kernel_matches_operator_application(case):
     op, p, q, m_max = case
     report = gvc_probe(op, p, q, m_max)
     assert (report.hypothesis_violations, report.conclusion_violations) == \

@@ -15,6 +15,7 @@ from mzspaces.probes import (
     laurent_mz_class,
     laurent_preimage,
     radical_vminus1_membership,
+    _slices,
     trace_radical_test,
 )
 from mzspaces.sparse import LaurentPoly
@@ -255,6 +256,34 @@ def test_gvc_probe_open_ended_when_last_m_violates():
     # Q = P = x^2+y^2: conclusion fails at every m, so no transition exists.
     report = gvc_probe(laplace, x ** 2 + y ** 2, x ** 2 + y ** 2, 3)
     assert report.conclusion_transition is None
+
+
+def test_gvc_probe_on_slices_keeps_signs():
+    # The Laplacian in x1, x2 leaves x3 alone.  (x1^2 - x2^2)^m changes sign
+    # when x1 and x2 are swapped for odd m, and the Laplacian commutes with
+    # that swap, so its m-th power kills the m-th power exactly for odd m.
+    x1, x2, x3 = (MultiPolyQ.variable(3, i) for i in range(3))
+    laplace = ConstCoeffOp(MultiPolyQ(3, {(2, 0, 0): 1, (0, 2, 0): 1}))
+    report = gvc_probe(laplace, x3 * (x1 * x1 - x2 * x2), x3 * x3, 4)
+    assert report.hypothesis_violations == report.conclusion_violations == (2, 4)
+    assert gvc_probe(laplace, x3 * (x1 * x1 + x2 * x2), x3, 3).hypothesis_violations == (1, 2, 3)
+
+
+def test_gvc_probe_constant_and_zero_operators():
+    # Neither touches a variable: a nonzero constant kills nothing nonzero,
+    # and the zero operator kills everything.
+    p, q = MultiPolyQ.variable(2, 0), MultiPolyQ.variable(2, 1)
+    report = gvc_probe(ConstCoeffOp(MultiPolyQ.constant(2, Fraction(5, 2))), p, q, 3)
+    assert (report.hypothesis_violations, report.conclusion_violations) == ((1, 2, 3), (1, 2, 3))
+    report = gvc_probe(ConstCoeffOp(MultiPolyQ(2)), p, q, 3)
+    assert (report.hypothesis_violations, report.conclusion_violations) == ((), ())
+
+
+def test_slices_differing_by_an_integer_factor_come_once():
+    # x3^5 (x1^2 - x2^2) - 3 x3 (x1^2 - x2^2) + 4 x3^7 over (x1, x2): two
+    # slices, each divided by its content with its least term made positive.
+    f = {(2, 0, 5): 1, (0, 2, 5): -1, (2, 0, 1): -3, (0, 2, 1): 3, (0, 0, 7): 4}
+    assert list(_slices(f, (0, 1), (2,))) == [{(0, 2): 1, (2, 0): -1}, {(0, 0): 1}]
 
 
 def test_gvc_probe_rejects_bad_m_max():

@@ -119,6 +119,16 @@ def test_parse_and_format_roundtrip():
     assert format_rational(Fraction(-8, 2)) == "-4"
 
 
+def test_parse_rational_keeps_integers_as_ints():
+    # Only num/den builds a Fraction, even when it reduces to an integer.
+    for text, value in ((5, 5), ("7", 7), ("-3", -3), ("-0", 0)):
+        parsed = parse_rational(text)
+        assert type(parsed) is int and parsed == value
+    for text, value in (("-3/4", Fraction(-3, 4)), ("6/3", Fraction(2))):
+        parsed = parse_rational(text)
+        assert type(parsed) is Fraction and parsed == value
+
+
 def test_parse_rational_rejects_garbage():
     for bad in ("", "one", "1/0", "2.5.1", "1//2", None,
                 "1e10000000", "1e-2", "1_0", " 0.5 ", "0.5", 0.5, "-", "1/-2", "+1",
