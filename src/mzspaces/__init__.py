@@ -42,7 +42,7 @@ _EXPORTS = {
     ), "probes"),
     **dict.fromkeys(("all_idempotents", "crt_idempotents"), "quotient"),
     **dict.fromkeys((
-        "PADIC_INF", "is_prime", "padic_valuation",
+        "PADIC_INF", "Rational", "is_prime", "padic_valuation",
     ), "scalars"),
     "run_selftest": "selftest",
     "LaurentPoly": "sparse",

@@ -10,13 +10,18 @@ that motivated the prime search.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
-from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError, SearchExhaustedError
-from .scalars import PADIC_INF, clear_denominators, is_prime, padic_valuation, require_rational
+from .scalars import (
+    PADIC_INF,
+    Rational,
+    clear_denominators,
+    is_prime,
+    padic_valuation,
+    require_rational,
+)
 from .upoly import Poly
 
 DEFAULT_SEARCH_BOUND = 10**6
@@ -26,16 +31,43 @@ MAX_EXPANSION_BITS = 4_000_000
 MAX_EXPANSION_TERMS = 12_000
 
 
-class MomentRule(enum.Enum):
-    UNIT_INTERVAL = "unit"
-    EXPONENTIAL = "exp"
+class _Members(type):
+    """Iterating the class yields its members, as for an enum.Enum; enum,
+    with the modules it loads, would cost several ms of start-up for two
+    constants."""
 
-    def moment(self, i: int) -> Fraction:
+    def __iter__(cls):
+        return iter((cls.UNIT_INTERVAL, cls.EXPONENTIAL))
+
+
+class MomentRule(metaclass=_Members):
+    """The two moment rules, UNIT_INTERVAL (value "unit") and EXPONENTIAL
+    (value "exp"), each one instance, so that `is` tells them apart."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: str):
+        self.name = name
+        self.value = value
+
+    def __repr__(self):
+        return f"<MomentRule.{self.name}: {self.value!r}>"
+
+    def __reduce__(self):
+        """A pickle or a copy of a member is the member itself, as for an
+        enum.Enum, so that `is` still tells the rules apart."""
+        return f"MomentRule.{self.name}"
+
+    def moment(self, i: int) -> Rational:
         if i < 0:
             raise DomainError("moment index must be >= 0")
         if self is MomentRule.UNIT_INTERVAL:
-            return Fraction(1, i + 1)
-        return Fraction(factorial(i))
+            return Rational(1, i + 1)
+        return Rational(factorial(i))
+
+
+MomentRule.UNIT_INTERVAL = MomentRule("UNIT_INTERVAL", "unit")
+MomentRule.EXPONENTIAL = MomentRule("EXPONENTIAL", "exp")
 
 
 class PAdicCertificate(namedtuple("PAdicCertificate", "prime exponent valuation value")):
@@ -43,7 +75,7 @@ class PAdicCertificate(namedtuple("PAdicCertificate", "prime exponent valuation 
 
     __slots__ = ()
 
-    def __new__(cls, prime: int, exponent: int, valuation: int, value: Fraction):
+    def __new__(cls, prime: int, exponent: int, valuation: int, value):
         if value == 0:
             raise DomainError("certificate value must be nonzero")
         actual = padic_valuation(value, prime)
@@ -83,7 +115,7 @@ def _expand_power(base, power: int):
     return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
 
 
-def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
+def power_moment(rule: MomentRule, f: Poly, power: int) -> Rational:
     """Exact termwise moment of f**power.
 
     With D the common denominator of f, (D*f)**power has integer
@@ -103,10 +135,10 @@ def power_moment(rule: MomentRule, f: Poly, power: int) -> Fraction:
         total = 0
         for i in range(len(expanded) - 1, -1, -1):
             total = total * (i + 1) + expanded[i]
-        return Fraction(total, scale)
+        return Rational(total, scale)
     lcm_all = lcm(*range(1, len(expanded) + 1))
     total = sum(c * (lcm_all // (i + 1)) for i, c in enumerate(expanded) if c)
-    return Fraction(total, lcm_all * scale)
+    return Rational(total, lcm_all * scale)
 
 
 def _first_certificate(rule: MomentRule, f: Poly, step: int, m_min: int,

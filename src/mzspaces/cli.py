@@ -40,10 +40,10 @@ _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
 # Work budgets of the probes and of moments, each chosen so that the capped
 # case runs in at most about a second on a 2-vCPU host: a dense 48x48 matrix
-# with entries a/b, |a|, b <= 9, takes 1.1-1.3 s in trace-test; m-max 40 takes
-# 0.7-0.8 s for p = x + 2y/3 - z, q = x under d1 d2 + d3^2/2 (861 predicted
-# terms) and 25 ms in-process for the heaviest benchmark shape, whose operator
-# touches one variable of three; --count 1500 takes 0.4-0.5 s on a degree-48
+# with entries a/b, |a|, b <= 9, takes 1.1-1.3 s in trace-test; gvc-probe
+# takes up to 1.2 s at its work cap (below) and 25 ms in-process at m-max 40
+# for the heaviest benchmark shape, whose operator touches one variable of
+# three; --count 1500 takes 0.4-0.5 s on a degree-48
 # functional with 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and about
 # 0.4 s with 8 roots of multiplicity 6.  `idempotents --all` prints 2^r
 # polynomials; at r = 12 that is 0.95 s and 1.1 MB, and each further root
@@ -60,10 +60,26 @@ _GVC_MAX_M = 40
 # 3-variable Laplacian with a 6-term p of degree 4 and q = x1 predicts 3003
 # terms at m-max 10 (1716 in fact) and takes 0.9-1.1 s; m-max 11 predicts 4368.
 _GVC_MAX_TERMS = 3500
+# The term operations of the kill tests up to m-max (`_gvc_predicted_work`).
+# The Laplacian case above predicts 844740 of them (0.8-1.0 s).  Timed
+# in-process at the largest m-max under the cap, with q = x1: the 7 squarefree
+# d-monomials in 3 variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (1.2-1.65
+# s with 30-digit coefficients); the 9 d-monomials of order 1-2 on that p,
+# m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7, 0.8-0.95 s;
+# d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s; each benchmark shape is
+# accepted up to m-max 35 and takes at most 45 ms there.  Neither cap reads
+# the size of the coefficients.
+# Under the term cap alone the 9 d-monomials took 4.6 s on the Laplacian's
+# p at m-max 10, and the 7 squarefree ones 24 s on x + 2y/3 - z at m-max 40.
+_GVC_MAX_WORK = 900_000
 _GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, predicted as "
              "min(C(m*deg p + n, n), C(|p| + m - 1, m)) times |q| before anything is expanded; "
              "the 3-variable Laplacian with a 6-term p of degree 4 predicts 3003 at m-max 10 "
-             "and takes about 1 s.")
+             "and takes about 1 s.  The kill tests, which apply the operator up to m times to "
+             f"p^m and q*p^m for each m, may take at most {_GVC_MAX_WORK} term operations, "
+             "predicted from the symbol's terms and least order, the term bound and the "
+             "degrees; near that cap it takes up to about 1.3 s with coefficients of a few "
+             "digits, and longer with larger ones.")
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
 # A rejected value is named by its type and length only once its repr is
@@ -176,8 +192,8 @@ def _is_ascii_int(text: str) -> bool:
 
 def parse_rational(value):
     """A JSON integer, or an ASCII string -?[0-9]+ or -?[0-9]+/[0-9]+, as a
-    rational scalar: the int itself for an integer, a Fraction (with
-    fractions imported only then) for num/den.  Anything else is a
+    rational scalar: the int itself for an integer, a scalars.Rational
+    (with scalars imported only then) for num/den.  Anything else is a
     DomainError: floats, exponents, blanks, underscores, a zero denominator,
     or more digits than the interpreter converts."""
     if isinstance(value, bool):
@@ -190,16 +206,16 @@ def parse_rational(value):
             try:
                 if not slash:
                     return int(num)
-                from fractions import Fraction
+                from .scalars import Rational
 
-                return Fraction(int(num), int(den))
+                return Rational(int(num), int(den))
             except (ValueError, ZeroDivisionError):
                 pass
     raise DomainError(f"not a rational: {_shown(value)}")
 
 
 def format_rational(value) -> str:
-    """An int or a Fraction as its canonical "num/den" string, denominator 1
+    """An int or a Rational as its canonical "num/den" string, denominator 1
     dropped.  A numerator or denominator longer than the interpreter's
     integer-to-string limit is a DomainError; the limit is not raised."""
     try:
@@ -543,6 +559,10 @@ def _cmd_gvc_probe(args):
     if predicted > _GVC_MAX_TERMS:
         raise DomainError(f"--m-max {args.m_max}: p^m and q*p^m may have {predicted} terms, "
                           f"over the cap {_GVC_MAX_TERMS}")
+    work = _gvc_predicted_work(op, p_poly, q_poly, args.m_max)
+    if work > _GVC_MAX_WORK:
+        raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
+                          f"operations, over the cap {_GVC_MAX_WORK}")
     report = gvc_probe(op, p_poly, q_poly, args.m_max)
     payload = {
         "mMax": report.m_max,
@@ -558,12 +578,44 @@ def _gvc_predicted_terms(p_poly: MultiPolyQ, q_poly: MultiPolyQ, m: int) -> int:
     per monomial of degree <= m*deg p in the n variables, C(m*deg p + n, n),
     and one per multiset of m terms of p, C(|p| + m - 1, m); q*p^m has at
     most |q| times as many.  An m below 1 counts as 0; gvc_probe rejects it."""
+    return _gvc_power_terms(p_poly, max(m, 0)) * max(len(q_poly.terms), 1)
+
+
+def _gvc_power_terms(p_poly: MultiPolyQ, m: int) -> int:
     from math import comb
 
-    m = max(m, 0)
-    bound = min(comb(m * (p_poly.total_degree or 0) + p_poly.nvars, p_poly.nvars),
-                comb(len(p_poly.terms) + m - 1, m))
-    return bound * max(len(q_poly.terms), 1)
+    return min(comb(m * (p_poly.total_degree or 0) + p_poly.nvars, p_poly.nvars),
+               comb(len(p_poly.terms) + m - 1, m))
+
+
+def _gvc_predicted_work(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
+                        m_max: int) -> int:
+    """A bound on the term operations of the kill tests.  For each m the
+    operator, with s symbol terms of least order o, is applied to f = p^m
+    and to f = q*p^m until f vanishes, at most m times, and at most
+    D // o + 1 times when o > 0 and f has degree D.  Application k (from 0)
+    pairs each of the s symbol terms with each term of op^k f, which has at
+    most T C(s + k - 1, k) terms (T bounds the terms of f, as in
+    `_gvc_predicted_terms`; each term of f spreads to one term per multiset
+    of k symbol terms) and at most C(D - k o + n, n), one per monomial of
+    its degree."""
+    from math import comb
+
+    symbol = op.symbol_poly.terms
+    if not symbol:
+        return 0
+    s, n = len(symbol), p_poly.nvars
+    order = min(sum(exps) for exps in symbol)
+    p_degree, q_degree = p_poly.total_degree or 0, q_poly.total_degree or 0
+    work = 0
+    for m in range(1, m_max + 1):
+        power = _gvc_power_terms(p_poly, m)
+        for degree, terms in ((m * p_degree, power),
+                              (m * p_degree + q_degree, _gvc_predicted_terms(p_poly, q_poly, m))):
+            steps = min(m, degree // order + 1) if order else m
+            work += s * sum(min(terms * comb(s + k - 1, k), comb(degree - k * order + n, n))
+                            for k in range(steps))
+    return work
 
 
 def _check_imagep_caps(polys, p: int, nvars: int):

@@ -21,7 +21,7 @@ divides by n! and by the node differences, so it needs characteristic zero.
 
 Both directions run on plain integers: every denominator is cleared once
 (`scalars.clear_denominators`), the arithmetic is on Python ints, and a
-Fraction, with its one normalising gcd, is built only for each value
+Rational, with its one normalising gcd, is built only for each value
 returned.  `integer_moments` puts the terms Q(n) a^n b^(N-n) of all roots
 a/b over one common denominator; `from_moments` uses the integer form of f,
 the integer idempotents of `quotient` and integer forward differences.
@@ -31,13 +31,12 @@ is the integer kernel's test reference.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import DomainError
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import clear_denominators, require_rational
+from .scalars import Rational, clear_denominators, require_rational
 from .upoly import Poly, RootData, int_times_linear, split_integer_form
 
 
@@ -66,7 +65,8 @@ class FunctionalNF:
                 raise DomainError(f"operator degree at root {lam} must stay below {mult}")
             cleaned[lam] = op
         if parts:
-            raise DomainError(f"operator attached to non-root value(s): {list(parts)}")
+            raise DomainError("operator attached to non-root value(s): "
+                              + ", ".join(map(str, parts)))
         self.parts = cleaned
 
     @property
@@ -150,10 +150,10 @@ def integer_moments(functional: FunctionalNF, count: int):
 
 
 def _moments(functional: FunctionalNF, count: int):
-    """[L(t^n) for n < count] by the closed form on integers, one Fraction
+    """[L(t^n) for n < count] by the closed form on integers, one Rational
     per value."""
     den, values = integer_moments(functional, count)
-    return [Fraction(v, den) for v in values]
+    return [Rational(v, den) for v in values]
 
 
 def evaluate(functional: FunctionalNF, g: Poly):
@@ -180,7 +180,7 @@ def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
     2D - 1 terms; the denominator grows only by the factor of B that each new
     term needs (about lcm(b)^n, not B^n).  The projection onto each root
     uses its integer idempotent and Newton's forward differences are taken
-    on integers; each output coefficient is one Fraction."""
+    on integers; each output coefficient is one Rational."""
     require_rational((*roots.roots, *moments.values, *moments.char_poly.coeffs),
                      "moment inversion")
     if roots.poly() != moments.char_poly:
@@ -202,13 +202,13 @@ def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
         projected = [sum(c * values[n + k] for k, c in enumerate(e)) for n in range(mult)]
         den *= values_den
         if lam == 0:
-            zero_part = Poly(tuple(Fraction(v * num, den * factorial(n))
+            zero_part = Poly(tuple(Rational(v * num, den * factorial(n))
                                    for n, v in enumerate(projected)))
         else:
             a, b = lam.numerator, lam.denominator
             scaled = [v * b**n * a ** (mult - 1 - n) for n, v in enumerate(projected)]
             den *= a ** (mult - 1) * factorial(mult - 1)
-            parts[lam] = Poly(tuple(Fraction(c * num, den)
+            parts[lam] = Poly(tuple(Rational(c * num, den)
                                     for c in _newton_interpolate(scaled)))
     return FunctionalNF(roots, zero_part, parts)
 

@@ -45,14 +45,13 @@ requires rational scalars.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 
 from .errors import DependentFunctionalsError, DomainError
 from .functionals import FunctionalNF, integer_moments, largest_ideal_exponents
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import require_rational
+from .scalars import Rational, require_rational
 from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
@@ -261,7 +260,7 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
         raise AssertionError(
             "normalized spec must admit a multiplier for a kernel idempotent"
         )
-    witness = Poly(tuple(Fraction(c, den) for c in g))
+    witness = Poly(tuple(Rational(c, den) for c in g))
     return MZVerdict(False, subset_roots, witness, Poly.monomial(j))
 
 

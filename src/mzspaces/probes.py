@@ -11,12 +11,8 @@ from math import gcd, perm, prod
 from operator import sub
 
 from .errors import DomainError
-from .scalars import clear_denominators
+from .scalars import Rational, clear_denominators
 from .sparse import LaurentPoly, add_tuples, collect, mul, power, shifted
-
-# fractions (with the decimal, numbers, re and enum it loads, ≈10 ms) is
-# imported in the functions that build a Fraction, so that an integer
-# gvc-probe job never loads it.
 
 
 class MatrixQ:
@@ -67,7 +63,7 @@ class MatrixQ:
 
 
 class TraceReport(namedtuple("TraceReport", "in_radical traces nilpotency_witness")):
-    """traces is a tuple of Fractions; nilpotency_witness is the least
+    """traces is a tuple of Rationals; nilpotency_witness is the least
     vanishing power, or None."""
 
     __slots__ = ()
@@ -82,8 +78,6 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
     arithmetic happens inside the loop.  Once a power vanishes, every later
     trace is 0 and no further power is formed.
     """
-    from fractions import Fraction
-
     n = matrix.dimension
     d, flat = clear_denominators([entry for row in matrix.rows for entry in row])
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -97,8 +91,8 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
         if not any(any(row) for row in power):
             witness = m
             break
-        traces.append(Fraction(sum(power[i][i] for i in range(n)), d**m))
-    traces = tuple(traces) + (Fraction(0),) * (n - len(traces))
+        traces.append(Rational(sum(power[i][i] for i in range(n)), d**m))
+    traces = tuple(traces) + (Rational(0),) * (n - len(traces))
     if any(t != 0 for t in traces):
         return TraceReport(in_radical=False, traces=traces, nilpotency_witness=None)
     if witness is None:
@@ -108,18 +102,14 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
 
 def laurent_apply_op(lam, g: LaurentPoly) -> LaurentPoly:
     """The weighted derivation d/dt + lam/t: sends t^i to (lam + i) t^(i-1)."""
-    from fractions import Fraction
-
-    lam = Fraction(lam)
+    lam = Rational(lam)
     return LaurentPoly({e - 1: (lam + e) * c for e, c in g.terms.items()})
 
 
 def laurent_image_membership(lam, g: LaurentPoly) -> bool:
     """Whether g is in the image of the weighted derivation: always for
     non-integer lam; for integer lam exactly when the t^(-lam-1) term is 0."""
-    from fractions import Fraction
-
-    lam = Fraction(lam)
+    lam = Rational(lam)
     if lam.denominator != 1:
         return True
     return g.coefficient(-int(lam) - 1) == 0
@@ -128,9 +118,7 @@ def laurent_image_membership(lam, g: LaurentPoly) -> bool:
 def laurent_preimage(lam, g: LaurentPoly) -> LaurentPoly | None:
     """A termwise preimage under the weighted derivation, or None exactly
     when membership fails."""
-    from fractions import Fraction
-
-    lam = Fraction(lam)
+    lam = Rational(lam)
     out = {}
     for e, c in g.terms.items():
         denom = lam + e + 1
@@ -143,9 +131,7 @@ def laurent_preimage(lam, g: LaurentPoly) -> LaurentPoly | None:
 def laurent_mz_class(lam) -> bool:
     """Whether the weighted derivation's image is a Mathieu-Zhao subspace of
     the Laurent ring: yes for non-integer lam and for lam = -1 only."""
-    from fractions import Fraction
-
-    lam = Fraction(lam)
+    lam = Rational(lam)
     return lam.denominator != 1 or lam == -1
 
 

@@ -8,18 +8,17 @@ The idempotent of a root is the cofactor times its inverse modulo the
 root's factor, a power series inverse, so no Euclidean algorithm runs.  The
 whole construction runs on integers (`integer_idempotent`): exact divisions
 by b t - a, Taylor coefficients at the integer a, the series inverse scaled
-by powers of its constant term, one integer product, and a Fraction only for
+by powers of its constant term, one integer product, and a Rational only for
 each output coefficient.  `selftest.idempotent_by_field_arithmetic` takes
 the same steps in Q and is the integer kernel's test reference.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .scalars import clear_denominators
+from .scalars import Rational, clear_denominators
 from .upoly import Poly, RootData, int_poly_mul, int_times_linear
 
 
@@ -102,7 +101,7 @@ def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
     It runs on integers (`integer_idempotent`)."""
     _, ints = clear_denominators(modulus.coeffs)
     coeffs, num, den = integer_idempotent(ints, lam, mult)
-    return Poly(tuple(Fraction(c * num, den) for c in coeffs))
+    return Poly(tuple(Rational(c * num, den) for c in coeffs))
 
 
 def crt_idempotents(roots: RootData):

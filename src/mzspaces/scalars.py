@@ -1,22 +1,249 @@
 """Exact scalars: rationals, p-adic valuations, primality.
 
-The scalar field is Q: a scalar is an int or a stdlib Fraction (always
-reduced, denominator > 0, zero is 0/1).  The p-adic valuation of 0 is the
-distinguished sentinel PADIC_INF, never an integer.
+The scalar field is Q.  A scalar is an int or a Rational: numerator over
+denominator, reduced, denominator > 0, zero as 0/1, immutable.  Rational
+never collapses to an int, so no int / int float can appear; it builds
+only from ints and rationals, never from strings or floats.  The library
+builds every non-integer scalar as a Rational, and reads the stdlib
+Fraction of a caller as readily: Rational takes one on either side of
+each operation, equal values hash alike across int, Rational and
+Fraction, and require_rational accepts all three.  No module of the
+package outside selftest imports fractions, which with the decimal,
+numbers, re and enum it loads costs about 12 ms of start-up; a Fraction
+is recognised only once its module is loaded (`sys.modules`).
 
-fractions (with the decimal, numbers, re and enum it loads) is imported in
-the three functions that use it, so that a job that never meets a Fraction
-never loads it: imagep needs only is_prime, and gvc-probe on integer
-coefficients, which cli.parse_rational reads as ints, none of them.
+The p-adic valuation of 0 is the distinguished sentinel PADIC_INF, never
+an integer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from math import gcd
 
 from .errors import DomainError
 
 PADIC_INF = math.inf
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _parts(x):
+    """(numerator, denominator) of an int, a Rational or a stdlib Fraction;
+    None for anything else.  A Fraction exists only once fractions is
+    loaded, so it is looked up there and never imported."""
+    if isinstance(x, Rational):
+        return x._numerator, x._denominator
+    if isinstance(x, int):
+        return x, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
+
+
+def _new(numerator, denominator):
+    """The Rational of coprime ints, denominator > 0, with no gcd taken."""
+    q = object.__new__(Rational)
+    q._numerator = numerator
+    q._denominator = denominator
+    return q
+
+
+# The kernels on (numerator, denominator) pairs in lowest terms are those of
+# the stdlib Fraction (Henrici's: Knuth, TAOCP vol. 2, section 4.5.1): each
+# takes the gcds of the smaller operands, so that the result needs no
+# reduction of its own.
+
+def _add(na, da, nb, db):
+    g = gcd(da, db)
+    if g == 1:
+        return _new(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _new(t, s * db)
+    return _new(t // g2, s * (db // g2))
+
+
+def _sub(na, da, nb, db):
+    return _add(na, da, -nb, db)
+
+
+def _mul(na, da, nb, db):
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _new(na * nb, db * da)
+
+
+def _div(na, da, nb, db):
+    if nb == 0:
+        raise ZeroDivisionError("division by zero")
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        n, d = -n, -d
+    return _new(n, d)
+
+
+def _operator(kernel):
+    """The method and its reflection for kernel(na, da, nb, db): an int,
+    Rational or stdlib Fraction on the other side, anything else
+    NotImplemented (so a float raises TypeError, never coerces)."""
+    def forward(a, b):
+        if type(b) is Rational:
+            return kernel(a._numerator, a._denominator, b._numerator, b._denominator)
+        if type(b) is int:
+            return kernel(a._numerator, a._denominator, b, 1)
+        parts = _parts(b)
+        if parts is None:
+            return NotImplemented
+        return kernel(a._numerator, a._denominator, *parts)
+
+    def reflected(b, a):
+        if type(a) is int:
+            return kernel(a, 1, b._numerator, b._denominator)
+        parts = _parts(a)
+        if parts is None:
+            return NotImplemented
+        return kernel(*parts, b._numerator, b._denominator)
+
+    return forward, reflected
+
+
+def _comparison(compare):
+    """The ordering method that applies the int comparison compare to the
+    cross products of the two fractions."""
+    def method(a, b):
+        parts = _parts(b)
+        if parts is None:
+            return NotImplemented
+        return compare(a._numerator * parts[1], parts[0] * a._denominator)
+
+    return method
+
+
+class Rational:
+    """An exact rational: numerator/denominator in lowest terms, denominator
+    > 0; immutable.  Rational(n, d) takes two ints, Rational(x) one int,
+    Rational or stdlib Fraction; anything else is a TypeError.  It hashes
+    as the equal int or Fraction, prints as "n/d" or "n", and arithmetic
+    with an int, a Rational or a Fraction on either side gives a Rational."""
+
+    __slots__ = ("_numerator", "_denominator")
+
+    def __new__(cls, numerator, denominator=None):
+        if denominator is None:
+            parts = _parts(numerator)
+            if parts is None:
+                raise TypeError(f"Rational() needs an int or a rational, not "
+                                f"{type(numerator).__name__}")
+            numerator, denominator = parts
+        elif not (isinstance(numerator, int) and isinstance(denominator, int)):
+            raise TypeError("Rational(numerator, denominator) needs two ints")
+        if denominator == 0:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        q = object.__new__(cls)
+        q._numerator = numerator // g
+        q._denominator = denominator // g
+        return q
+
+    @property
+    def numerator(self):
+        return self._numerator
+
+    @property
+    def denominator(self):
+        return self._denominator
+
+    __add__, __radd__ = _operator(_add)
+    __sub__, __rsub__ = _operator(_sub)
+    __mul__, __rmul__ = _operator(_mul)
+    __truediv__, __rtruediv__ = _operator(_div)
+
+    __lt__ = _comparison(int.__lt__)
+    __le__ = _comparison(int.__le__)
+    __gt__ = _comparison(int.__gt__)
+    __ge__ = _comparison(int.__ge__)
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self._denominator == 1 and self._numerator == other
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        return self._numerator == parts[0] and self._denominator == parts[1]
+
+    def __hash__(self):
+        """Fraction's hash, which an equal int shares: the numerator times
+        the inverse of the denominator modulo the hash modulus."""
+        n, d = self._numerator, self._denominator
+        if d == 1:
+            return hash(n)
+        try:
+            inverse = pow(d, -1, _HASH_MODULUS)
+        except ValueError:  # d is a multiple of the modulus
+            value = _HASH_INF
+        else:
+            value = hash(hash(abs(n)) * inverse)
+        value = value if n >= 0 else -value
+        return -2 if value == -1 else value
+
+    def __pow__(self, exponent):
+        """A power by an int; a negative one inverts first."""
+        if not isinstance(exponent, int):
+            return NotImplemented
+        n, d = self._numerator, self._denominator
+        if exponent < 0:
+            if n == 0:
+                raise ZeroDivisionError("zero to a negative power")
+            n, d, exponent = (d, n, -exponent) if n > 0 else (-d, -n, -exponent)
+        return _new(n**exponent, d**exponent)
+
+    def __neg__(self):
+        return _new(-self._numerator, self._denominator)
+
+    def __abs__(self):
+        return _new(abs(self._numerator), self._denominator)
+
+    def __bool__(self):
+        return self._numerator != 0
+
+    def __int__(self):
+        """Truncation toward zero, as int() of a Fraction."""
+        n, d = self._numerator, self._denominator
+        return n // d if n >= 0 else -(-n // d)
+
+    def __str__(self):
+        if self._denominator == 1:
+            return str(self._numerator)
+        return f"{self._numerator}/{self._denominator}"
+
+    def __repr__(self):
+        return f"Rational({self._numerator}, {self._denominator})"
+
+    def __reduce__(self):
+        """Pickles and copies rebuild the value, as for a Fraction."""
+        return Rational, (self._numerator, self._denominator)
+
 
 _TRIAL_LIMIT = 10**6
 # Miller-Rabin bases: the first 13 primes decide primality for every
@@ -72,15 +299,12 @@ def _miller_rabin(n):
 
 def padic_valuation(value, p: int):
     """Exponent of the prime p in the rational value; PADIC_INF for 0."""
-    from fractions import Fraction
-
     if not isinstance(p, int) or not is_prime(p):
         raise DomainError(f"valuation base {p!r} is not prime")
     require_rational((value,), "padic_valuation")
-    q = Fraction(value)
-    if q == 0:
+    if value == 0:
         return PADIC_INF
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+    return _int_valuation(value.numerator, p) - _int_valuation(value.denominator, p)
 
 
 def _int_valuation(n, p):
@@ -93,11 +317,12 @@ def _int_valuation(n, p):
 
 
 def require_rational(values, what: str) -> None:
-    """Reject any value that is not an int or a Fraction, the scalars the
-    integer kernels read, or is a bool, with a DomainError naming what needs them."""
-    from fractions import Fraction
-
-    if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values):
+    """Reject any value that is not an int, a Rational or a stdlib Fraction,
+    the scalars the integer kernels read, or is a bool, with a DomainError
+    naming what needs them."""
+    fractions = sys.modules.get("fractions")
+    kinds = (int, Rational) if fractions is None else (int, Rational, fractions.Fraction)
+    if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in values):
         raise DomainError(f"{what} needs rational scalars")
 
 
@@ -116,6 +341,5 @@ def scalar_inverse(c):
             return c
         if c == 0:
             raise ZeroDivisionError("inverse of zero")
-        from fractions import Fraction
-        return Fraction(1, c)
+        return Rational(1, c)
     return 1 / c

@@ -2,17 +2,16 @@
 built on them: substitution, derivative-operator application, and
 Euler-operator application (t d/dt).
 
-Coefficients are rationals: Fraction or plain int.  The zero polynomial has
-degree NEG_INF so degree comparisons never need a special case.
+Coefficients are rational scalars: int or scalars.Rational.  The zero
+polynomial has degree NEG_INF so degree comparisons never need a special case.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd, isqrt
 
 from .errors import DoesNotSplitError, DomainError
-from .scalars import clear_denominators, require_rational, scalar_inverse
+from .scalars import Rational, clear_denominators, require_rational, scalar_inverse
 
 NEG_INF = float("-inf")
 
@@ -301,7 +300,7 @@ class RootData:
     def poly(self) -> Poly:
         """prod (t - root)^mult: the integer form, divided once per coefficient."""
         scale, coeffs = split_integer_form(self)
-        return Poly(tuple(Fraction(c, scale) for c in coeffs))
+        return Poly(tuple(Rational(c, scale) for c in coeffs))
 
     def __iter__(self):
         return iter(self.pairs)
@@ -346,7 +345,7 @@ def rational_roots(f: Poly) -> RootData:
     zero_mult = f.low_order
     work = Poly(f.coeffs[zero_mult:])
     if zero_mult:
-        found.append((Fraction(0), zero_mult))
+        found.append((Rational(0), zero_mult))
     if work.degree > 0:
         _, ints = clear_denominators(work.coeffs)
         content = gcd(*ints)
@@ -359,7 +358,7 @@ def rational_roots(f: Poly) -> RootData:
         if count * work.degree > MAX_ROOT_STEPS:
             raise DomainError(f"{count} candidate roots times degree {work.degree} exceed "
                               f"{MAX_ROOT_STEPS}, the cap of the root search")
-        candidates = {Fraction(s * p, q) for p in numerators for q in denominators for s in (1, -1)}
+        candidates = {Rational(s * p, q) for p in numerators for q in denominators for s in (1, -1)}
         for r in sorted(candidates):
             mult = 0
             while work.degree > 0 and work(r) == 0:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -51,6 +53,15 @@ def test_moment_rules_on_monomials():
     for i in range(8):
         assert MomentRule.UNIT_INTERVAL.moment(i) == Fraction(1, i + 1)
         assert MomentRule.EXPONENTIAL.moment(i) == math.factorial(i)
+
+
+def test_moment_rules_are_two_members_that_survive_copies():
+    """MomentRule behaves as the enum it replaced: iterating it yields both
+    rules, and a copy or a pickle of a rule is the rule itself."""
+    assert [rule.value for rule in MomentRule] == ["unit", "exp"]
+    for rule in MomentRule:
+        assert copy.deepcopy(rule) is rule
+        assert pickle.loads(pickle.dumps(rule)) is rule
 
 
 def test_power_moment_monomial_and_unit_cases():

@@ -10,6 +10,7 @@ import pytest
 from mzspaces import certificates, cli, upoly
 from mzspaces.cli import main
 from mzspaces.mzdecide import DEFAULT_MAX_SUBSET_ROOTS
+from mzspaces.probes import ConstCoeffOp
 
 SIGN_DIFFERENCE_SPEC = {
     "roots": [["1", 1], ["-1", 1]],
@@ -432,6 +433,16 @@ def test_parts_given_as_a_list_is_a_domain_error(capsys):
     assert out["error"]["message"] == "roots[1] must be a [root, multiplicity] pair"
 
 
+def test_operator_at_a_non_root_names_the_values_as_written(capsys):
+    """The values are named as the CLI writes rationals, not by their repr."""
+    spec = {"roots": [["1", 1]],
+            "functionals": [{"parts": {"1": ["1"], "2/4": ["1"], "-3": ["2"]}}]}
+    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(spec)])
+    assert code == 2
+    assert out["error"] == {"kind": "domain",
+                            "message": "operator attached to non-root value(s): 1/2, -3"}
+
+
 @pytest.mark.parametrize("argv", [["decide", "--spec"], ["moments", "--input"]])
 def test_directory_argument_is_a_domain_error(tmp_path, capsys, argv):
     code, out, _ = _run(capsys, argv + [str(tmp_path)])
@@ -556,6 +567,33 @@ def test_gvc_probe_term_cap(capsys):
     assert cli._gvc_predicted_terms(two, one, cli._GVC_MAX_M) == cli._GVC_MAX_M + 1
 
 
+def _op_json(exponents):
+    """The sum of the d-monomials with the given exponent tuples, as --op JSON."""
+    return json.dumps([{"exps": list(e), "c": 1} for e in exponents])
+
+
+def test_gvc_probe_work_cap(capsys):
+    """The term cap does not bound the kill tests, which apply the operator
+    up to m times per power: these two inputs, within it, ran 4.6 s and 24 s
+    before the work cap."""
+    order_1_2 = _op_json(e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2)
+    squarefree = _op_json(e for e in product(range(2), repeat=3) if any(e))
+    p = json.dumps([{"exps": [1, 0, 0], "c": 1}, {"exps": [0, 1, 0], "c": "2/3"},
+                    {"exps": [0, 0, 1], "c": -1}])
+    for op, p_poly, m_max, work in ((order_1_2, LAPLACIAN_3["--p-poly"], 10, 3855681),
+                                    (squarefree, p, 40, 15681974)):
+        code, out, _ = _run(capsys, ["gvc-probe", "--op", op, "--p-poly", p_poly,
+                                     "--q-poly", LAPLACIAN_3["--q-poly"], "--m-max", str(m_max)])
+        assert code == 2
+        assert out["error"]["message"] == (f"--m-max {m_max}: the kill tests may take {work} "
+                                           f"term operations, over the cap {cli._GVC_MAX_WORK}")
+    # The Laplacian case of the help text stays within both caps.
+    symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(LAPLACIAN_3[key]), key)
+                              for key in ("--op", "--p-poly", "--q-poly"))
+    work = cli._gvc_predicted_work(ConstCoeffOp(symbol), p_poly, q_poly, 10)
+    assert work == 844740 <= cli._GVC_MAX_WORK
+
+
 # The help text is written by hand, so that building the parser imports no
 # library module; these cases tie it to the caps the code enforces.
 @pytest.mark.parametrize("command, text", [
@@ -563,6 +601,7 @@ def test_gvc_probe_term_cap(capsys):
     ("gvc-probe", f"at most {cli._GVC_MAX_M}"),
     ("gvc-probe", f"at most {cli._GVC_MAX_TERMS} terms"),
     ("gvc-probe", "predicts 3003 at m-max 10 and takes about 1 s"),
+    ("gvc-probe", f"at most {cli._GVC_MAX_WORK} term operations"),
     ("trace-test", "48x48 matrix of small rationals takes about 1.3 s"),
     ("moments", "--count 1500 on a degree-48 functional takes about 0.5 s"),
     ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),

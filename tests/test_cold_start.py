@@ -21,11 +21,12 @@ SRC = str(Path(mzspaces.__file__).resolve().parents[1])
 # about 15 ms, that no answer needs; the CLI reads and writes JSON through _json.
 NEVER = {"dataclasses", "typing", "inspect", "argparse", "gettext", "locale", "shutil",
          "hashlib", "_hashlib", "json"}
-# What json and fractions load; only a call that reads or writes a rational needs them.
+# What json and fractions load: no call but selftest needs them, rationals
+# included, since the library's rationals are scalars.Rational.
 RATIONAL_ONLY = {"re", "enum", "decimal", "numbers", "fractions"}
 
-SPEC = json.dumps({"roots": [["1", 1], ["-1", 1]],
-                   "functionals": [{"parts": {"1": ["1"], "-1": ["-1"]}}]})
+SPEC = json.dumps({"roots": [["1/2", 1], ["-1/2", 1]],
+                   "functionals": [{"parts": {"1/2": ["1/3"], "-1/2": ["-1/3"]}}]})
 DECIDE = {"mzdecide", "functionals", "quotient", "upoly", "linalg", "scalars"}
 PROBES = {"probes", "sparse", "scalars"}
 
@@ -64,16 +65,16 @@ def test_importing_the_cli_loads_no_library_module():
 @pytest.mark.parametrize("argv, expected", [
     (["decide", "--spec", SPEC], DECIDE),
     (["oracle", "--spec", SPEC], DECIDE),
-    (["idempotents", "--roots", '[["1", 1], ["2", 2]]'], {"quotient", "upoly", "scalars"}),
-    (["moments", "--input", '{"values": ["1", "2"], "roots": [["1", 1], ["2", 1]]}'],
+    (["idempotents", "--roots", '[["1/2", 1], ["2/3", 2]]'], {"quotient", "upoly", "scalars"}),
+    (["moments", "--input", '{"values": ["1/2", "2"], "roots": [["1/3", 1], ["2", 1]]}'],
      {"functionals", "quotient", "upoly", "linalg", "scalars"}),
     (["certify", "--rule", "unit", "--poly", '["-1/2", "1"]'],
      {"certificates", "upoly", "scalars"}),
-    (["trace-test", "--matrix", '[["0", "1"], ["0", "0"]]'], PROBES),
-    (["gvc-probe", "--op", '[{"exps": [1, 1], "c": "1"}]',
-      "--p-poly", '[{"exps": [1, 0], "c": "1"}]', "--q-poly", '[{"exps": [1, 0], "c": "1"}]'],
+    (["trace-test", "--matrix", '[["1/2", "1"], ["-1/4", "-1/2"]]'], PROBES),
+    (["gvc-probe", "--op", '[{"exps": [2, 0], "c": "1/2"}]',
+      "--p-poly", '[{"exps": [1, 0], "c": 1}]', "--q-poly", '[{"exps": [3, 1], "c": "2/3"}]'],
      PROBES),
-    (["laurent", "--lam", "-1", "--poly", '{"-1": "3", "2": "1"}'], PROBES),
+    (["laurent", "--lam", "1/2", "--poly", '{"-1": "3/2", "2": "1"}'], PROBES),
     (["imagep", "decide", "--p", "3", "--n", "1", "--input", '[{"zeta": [2], "x": [1], "c": 1}]'],
      {"imagep", "sparse", "scalars"}),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
@@ -81,17 +82,7 @@ def test_each_subcommand_loads_only_its_layers(argv, expected):
     code, modules, _ = _loaded(f"code = cli.main({argv!r})")
     assert code == 0
     assert _library(modules) == expected
-    assert not modules & (NEVER | {"random"})
-    if argv[0] in ("imagep", "gvc-probe"):  # integer coefficients only
-        assert not modules & RATIONAL_ONLY
-
-
-def test_a_rational_gvc_probe_loads_fractions():
-    argv = ["gvc-probe", "--op", '[{"exps": [2, 0], "c": "1/2"}]',
-            "--p-poly", '[{"exps": [1, 0], "c": 1}]', "--q-poly", '[{"exps": [3, 1], "c": 1}]']
-    code, modules, _ = _loaded(f"code = cli.main({argv!r})")
-    assert code == 0
-    assert "fractions" in modules
+    assert not modules & (NEVER | RATIONAL_ONLY | {"random"})
 
 
 def test_deep_nesting_is_a_domain_error():

@@ -16,6 +16,7 @@ from mzspaces.functionals import FunctionalNF, MomentSeq, from_moments
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from mzspaces.scalars import (
     PADIC_INF,
+    Rational,
     is_prime,
     padic_valuation,
     scalar_inverse,
@@ -120,13 +121,13 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rational_keeps_integers_as_ints():
-    # Only num/den builds a Fraction, even when it reduces to an integer.
+    # Only num/den builds a Rational, even when it reduces to an integer.
     for text, value in ((5, 5), ("7", 7), ("-3", -3), ("-0", 0)):
         parsed = parse_rational(text)
         assert type(parsed) is int and parsed == value
     for text, value in (("-3/4", Fraction(-3, 4)), ("6/3", Fraction(2))):
         parsed = parse_rational(text)
-        assert type(parsed) is Fraction and parsed == value
+        assert type(parsed) is Rational and parsed == value
 
 
 def test_parse_rational_rejects_garbage():
