@@ -85,6 +85,35 @@ def test_each_subcommand_loads_only_its_layers(argv, expected):
     assert not modules & (NEVER | RATIONAL_ONLY | {"random"})
 
 
+def test_a_rational_gvc_probe_loads_fractions():
+    """A rational gvc-probe loads fractions only when its caller does: the
+    CLI run reads 1/2 as a scalars.Rational and leaves fractions unloaded,
+    and a library caller that imports fractions and passes the same
+    coefficient as a Fraction gets the CLI's report."""
+    argv = ["gvc-probe", "--op", '[{"exps": [2, 0], "c": "1/2"}]',
+            "--p-poly", '[{"exps": [1, 0], "c": 1}]', "--q-poly", '[{"exps": [3, 1], "c": 1}]']
+    run = f"""
+code = cli.main({argv!r})
+print("fractions" in sys.modules)
+from fractions import Fraction
+from mzspaces.probes import ConstCoeffOp, MultiPolyQ, gvc_probe
+report = gvc_probe(ConstCoeffOp(MultiPolyQ(2, {{(2, 0): Fraction(1, 2)}})),
+                   MultiPolyQ(2, {{(1, 0): 1}}), MultiPolyQ(2, {{(3, 1): 1}}), 12)
+print([report.m_max, list(report.hypothesis_violations),
+       list(report.conclusion_violations), report.conclusion_transition])
+"""
+    code, modules, printed = _loaded(run)
+    assert code == 0
+    *cli_output, cli_loaded, library_report = printed.splitlines()
+    assert cli_loaded == "False"
+    assert "fractions" in modules
+    payload = json.loads("\n".join(cli_output))
+    assert library_report == str([payload["mMax"], payload["hypothesisViolations"],
+                                  payload["conclusionViolations"],
+                                  payload["conclusionTransition"]])
+    assert payload["conclusionTransition"] == 4
+
+
 def test_deep_nesting_is_a_domain_error():
     """50,000 nested arrays exceed the recursion limit of the scanner; the
     report is a domain error with exit 2, not an internal error."""
