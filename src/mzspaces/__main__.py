@@ -1,6 +1,32 @@
+"""The `mz` process: `python -m mzspaces` and the `mz` console script.
+
+One call answers one question and exits, so the process runs without the
+cyclic garbage collector and leaves by `os._exit`, skipping interpreter
+teardown.  Both are safe here: the CLI writes only stdout and stderr, which
+are flushed before the exit, registers no `atexit` handler, starts no thread,
+creates no temporary file, and the library builds no reference cycles
+(`tests/test_one_shot.py` gates both).  `cli.main` stays a plain library call
+that touches neither the collector nor the exit.
+"""
+
+import gc
+import os
 import sys
 
-from .cli import main
+
+def run():
+    """Run `cli.main` on sys.argv and end the process with its exit code."""
+    gc.disable()
+    from .cli import main
+
+    try:
+        code = main()
+    except SystemExit as exc:  # usage errors and --help
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -63,23 +63,36 @@ _GVC_MAX_TERMS = 3500
 # The term operations of the kill tests up to m-max (`_gvc_predicted_work`).
 # The Laplacian case above predicts 844740 of them (0.8-1.0 s).  Timed
 # in-process at the largest m-max under the cap, with q = x1: the 7 squarefree
-# d-monomials in 3 variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (1.2-1.65
-# s with 30-digit coefficients); the 9 d-monomials of order 1-2 on that p,
-# m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7, 0.8-0.95 s;
+# d-monomials in 3 variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (with
+# 30-digit coefficients it is over the bit cap below); the 9 d-monomials of
+# order 1-2 on that p, m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7,
+# 0.8-0.95 s;
 # d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s; each benchmark shape is
-# accepted up to m-max 35 and takes at most 45 ms there.  Neither cap reads
-# the size of the coefficients.
+# accepted up to m-max 35 and takes at most 45 ms there.
 # Under the term cap alone the 9 d-monomials took 4.6 s on the Laplacian's
 # p at m-max 10, and the 7 squarefree ones 24 s on x + 2y/3 - z at m-max 40.
 _GVC_MAX_WORK = 900_000
+# The term operations times the bound on the bits of their coefficients
+# (`_gvc_coefficient_bits`), as certify caps terms times bits: neither cap
+# above reads the size of the coefficients.  On the 7 squarefree d-monomials
+# with q = x1, m-max 21 and p = a x + (a/(a + 2)) y - a z, both within the
+# work cap, a = 11 predicts 363 bits (3.1e8 in all, 0.9-1.25 s) and
+# a = 10^3 + 7 615 bits (5.3e8, 1.25 s); a = 10^6 + 7 (8.9e8) took 1.1-1.55 s,
+# 10^15 + 7 1.85 s, 10^100 + 7 2.5-3.9 s and 10^1000 + 7 23 s before this
+# cap.  Far from the work cap the big coefficients stay fast: 10^1000 + 7 at
+# m-max 7 predicts 4.7e8 and takes 0.11 s.  Each benchmark shape is accepted
+# up to m-max 35 (3.2e8 at most).
+_GVC_MAX_BITS = 600_000_000
 _GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, predicted as "
              "min(C(m*deg p + n, n), C(|p| + m - 1, m)) times |q| before anything is expanded; "
              "the 3-variable Laplacian with a 6-term p of degree 4 predicts 3003 at m-max 10 "
              "and takes about 1 s.  The kill tests, which apply the operator up to m times to "
              f"p^m and q*p^m for each m, may take at most {_GVC_MAX_WORK} term operations, "
              "predicted from the symbol's terms and least order, the term bound and the "
-             "degrees; near that cap it takes up to about 1.3 s with coefficients of a few "
-             "digits, and longer with larger ones.")
+             f"degrees, and at most {_GVC_MAX_BITS} term operations times the bits of the "
+             "largest coefficient they may form, predicted from the sums of the absolute "
+             "values of the coefficients of op, p and q scaled to integers; it takes up to "
+             "about 1.3 s near either cap.")
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
 # A rejected value is named by its type and length only once its repr is
@@ -563,6 +576,11 @@ def _cmd_gvc_probe(args):
     if work > _GVC_MAX_WORK:
         raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
                           f"operations, over the cap {_GVC_MAX_WORK}")
+    bits = _gvc_coefficient_bits(op, p_poly, q_poly, args.m_max)
+    if work * bits > _GVC_MAX_BITS:
+        raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
+                          f"operations on coefficients of up to {bits} bits, {work * bits} "
+                          f"in all, over the cap {_GVC_MAX_BITS}")
     report = gvc_probe(op, p_poly, q_poly, args.m_max)
     payload = {
         "mMax": report.m_max,
@@ -616,6 +634,35 @@ def _gvc_predicted_work(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ
             work += s * sum(min(terms * comb(s + k - 1, k), comb(degree - k * order + n, n))
                             for k in range(steps))
     return work
+
+
+def _gvc_coefficient_bits(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
+                          m_max: int) -> int:
+    """A bound on the bit length of the integer coefficients the kill tests
+    form.  gvc_probe scales op, p and q to integer coefficients; with S, P
+    and Q the sums of their absolute values, p^m has coefficients of at most
+    P^m and q*p^m of at most Q P^m.  Let D bound the degree of q*p^m in the
+    variables the operator touches.  The derivative d^k sends x^e to
+    e!/(e-k)! x^(e-k), so a term gains one factor of at most D per order
+    taken off that degree, at most D of them in all.  So k applications of
+    the operator, whose symbol terms have order at most o, multiply the
+    bound by at most S^k D^min(k o, D), and k is at most m_max."""
+    from .scalars import clear_denominators
+
+    def bits(poly: MultiPolyQ) -> int:
+        _, ints = clear_denominators(list(poly.terms.values()))
+        return sum(map(abs, ints)).bit_length()
+
+    symbol = op.symbol_poly.terms
+    touched = [i for i in range(op.nvars) if any(exps[i] for exps in symbol)]
+
+    def touched_degree(poly: MultiPolyQ) -> int:
+        return max((sum(exps[i] for i in touched) for exps in poly.terms), default=0)
+
+    order = max((sum(exps) for exps in symbol), default=0)
+    degree = m_max * touched_degree(p_poly) + touched_degree(q_poly)
+    return (m_max * (bits(p_poly) + bits(op.symbol_poly)) + bits(q_poly)
+            + min(m_max * order, degree) * degree.bit_length())
 
 
 def _check_imagep_caps(polys, p: int, nvars: int):
@@ -903,7 +950,3 @@ def _run(argv) -> int:
     if args.command == "selftest" and not payload["passed"]:
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

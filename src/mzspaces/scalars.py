@@ -143,7 +143,11 @@ class Rational:
     > 0; immutable.  Rational(n, d) takes two ints, Rational(x) one int,
     Rational or stdlib Fraction; anything else is a TypeError.  It hashes
     as the equal int or Fraction, prints as "n/d" or "n", and arithmetic
-    with an int, a Rational or a Fraction on either side gives a Rational."""
+    with an int, a Rational or a Fraction on either side gives a Rational.
+
+    It is not registered as a numbers.Rational (that would import numbers),
+    so Fraction(x) raises TypeError; Fraction(x.numerator, x.denominator)
+    converts back, and Rational(Fraction) converts forth."""
 
     __slots__ = ("_numerator", "_denominator")
 

@@ -7,7 +7,7 @@ from itertools import islice, product
 
 import pytest
 
-from mzspaces import certificates, cli, upoly
+from mzspaces import certificates, cli, probes, upoly
 from mzspaces.cli import main
 from mzspaces.mzdecide import DEFAULT_MAX_SUBSET_ROOTS
 from mzspaces.probes import ConstCoeffOp
@@ -594,6 +594,39 @@ def test_gvc_probe_work_cap(capsys):
     assert work == 844740 <= cli._GVC_MAX_WORK
 
 
+def _scaled_p(a: int) -> str:
+    """p = a x + (a/(a + 2)) y - a z as --p-poly JSON."""
+    return json.dumps([{"exps": [1, 0, 0], "c": str(a)}, {"exps": [0, 1, 0], "c": f"{a}/{a + 2}"},
+                       {"exps": [0, 0, 1], "c": str(-a)}])
+
+
+def test_gvc_probe_coefficient_bits_cap(capsys, monkeypatch):
+    """The term and work caps do not read the size of the coefficients: on
+    the 7 squarefree d-monomials at m-max 21 with q = x1, both within them,
+    a = 10^1000 + 7 ran 23 s and a = 10^3000 + 7 69 s.  The bit cap rejects
+    both before anything is expanded; a = 11 stays within it."""
+    squarefree = _op_json(e for e in product(range(2), repeat=3) if any(e))
+    q_poly = LAPLACIAN_3["--q-poly"]
+
+    def unreached(*args):
+        raise AssertionError("gvc_probe ran past the bit cap")
+
+    monkeypatch.setattr(probes, "gvc_probe", unreached)
+    for a, bits in ((10**1000 + 7, 139719), (10**3000 + 7, 418767)):
+        code, out, _ = _run(capsys, ["gvc-probe", "--op", squarefree, "--p-poly", _scaled_p(a),
+                                     "--q-poly", q_poly, "--m-max", "21"])
+        assert code == 2
+        assert out["error"]["message"] == (
+            f"--m-max 21: the kill tests may take 856464 term operations on coefficients of "
+            f"up to {bits} bits, {856464 * bits} in all, over the cap {cli._GVC_MAX_BITS}")
+    symbol, p_poly, q = (cli._multipoly_from_json(json.loads(text), "p")
+                         for text in (squarefree, _scaled_p(11), q_poly))
+    op = ConstCoeffOp(symbol)
+    assert cli._gvc_predicted_work(op, p_poly, q, 21) == 856464 <= cli._GVC_MAX_WORK
+    bits = cli._gvc_coefficient_bits(op, p_poly, q, 21)
+    assert bits == 363 and 856464 * bits <= cli._GVC_MAX_BITS
+
+
 # The help text is written by hand, so that building the parser imports no
 # library module; these cases tie it to the caps the code enforces.
 @pytest.mark.parametrize("command, text", [
@@ -602,6 +635,7 @@ def test_gvc_probe_work_cap(capsys):
     ("gvc-probe", f"at most {cli._GVC_MAX_TERMS} terms"),
     ("gvc-probe", "predicts 3003 at m-max 10 and takes about 1 s"),
     ("gvc-probe", f"at most {cli._GVC_MAX_WORK} term operations"),
+    ("gvc-probe", f"at most {cli._GVC_MAX_BITS} term operations times the bits"),
     ("trace-test", "48x48 matrix of small rationals takes about 1.3 s"),
     ("moments", "--count 1500 on a degree-48 functional takes about 0.5 s"),
     ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),

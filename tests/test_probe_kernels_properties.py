@@ -6,17 +6,27 @@ termwise sum for `power_moment`."""
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mzspaces import cli
 from mzspaces.certificates import MomentRule, power_moment
-from mzspaces.probes import ConstCoeffOp, MatrixQ, MultiPolyQ, gvc_probe, trace_radical_test
+from mzspaces.probes import (
+    ConstCoeffOp,
+    MatrixQ,
+    MultiPolyQ,
+    _int_apply,
+    _integer_terms,
+    gvc_probe,
+    trace_radical_test,
+)
 from mzspaces.scalars import Rational, clear_denominators
 from mzspaces.selftest import (
     gvc_by_operator_application,
     power_moment_by_expansion,
     traces_by_matrix_powers,
 )
+from mzspaces.sparse import add_tuples, mul
 from mzspaces.upoly import Poly
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None,
@@ -154,6 +164,27 @@ def test_sliced_gvc_kernel_matches_operator_application(case):
     report = gvc_probe(op, p, q, m_max)
     assert (report.hypothesis_violations, report.conclusion_violations) == \
         gvc_by_operator_application(op, p, q, m_max)
+
+
+@SETTINGS
+@given(st.one_of(gvc_inputs(), sliced_gvc_inputs()))
+# d applied to (x^10)^4: the falling factorials 40*39*38*37 fill 21 of the 32 bits.
+@example((ConstCoeffOp(MultiPolyQ(1, {(1,): 1})), MultiPolyQ(1, {(10,): 1}), MultiPolyQ(1, {}), 4))
+def test_gvc_coefficient_bits_bound_the_kill_tests(case):
+    """The bit bound of gvc-probe's cap holds for every coefficient of
+    op^k p^m and op^k q*p^m, k <= m <= m-max, with op, p and q scaled to
+    integers as gvc_probe scales them."""
+    op, p, q, m_max = case
+    bits = cli._gvc_coefficient_bits(op, p, q, m_max)
+    symbol = tuple(_integer_terms(op.symbol_poly).items())
+    p_ints, q_ints = _integer_terms(p), _integer_terms(q)
+    power = {(0,) * p.nvars: 1}
+    for m in range(1, m_max + 1):
+        power = mul(power, p_ints, add_tuples)
+        for f in (power, mul(q_ints, power, add_tuples)):
+            for _ in range(m + 1):
+                assert all(abs(c).bit_length() <= bits for c in f.values())
+                f = _int_apply(symbol, f)
 
 
 @st.composite

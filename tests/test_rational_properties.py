@@ -106,6 +106,23 @@ def test_no_silent_coercion():
     assert hash(Rational(3, modulus)) == hash(Fraction(3, modulus))
 
 
+@SETTINGS
+@given(OPERAND)
+def test_fraction_of_numerator_and_denominator_converts_back(x):
+    """Rational is not a numbers.Rational, so Fraction(x) refuses it; the
+    documented way back is Fraction(x.numerator, x.denominator), for an
+    int too, and Rational(Fraction) is the way forth."""
+    if type(x) is Rational:
+        with pytest.raises(TypeError):
+            Fraction(x)
+    back = Fraction(x.numerator, x.denominator)
+    assert type(back) is Fraction
+    assert back == x and str(back) == str(x) and hash(back) == hash(x)
+    forth = Rational(back)
+    _same(forth, back)
+    assert (forth.numerator, forth.denominator) == (x.numerator, x.denominator)
+
+
 COEFF = st.one_of(st.builds(Fraction, st.integers(-5, 5)),
                   st.fractions(min_value=-4, max_value=4, max_denominator=9))
 
