@@ -23,8 +23,9 @@ def run():
         code = main()
     except SystemExit as exc:  # usage errors and --help
         code = exc.code
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with the fd closed
+            stream.flush()
     os._exit(code)
 
 

@@ -64,7 +64,7 @@ _GVC_MAX_TERMS = 3500
 # The Laplacian case above predicts 844740 of them (0.8-1.0 s).  Timed
 # in-process at the largest m-max under the cap, with q = x1: the 7 squarefree
 # d-monomials in 3 variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (with
-# 30-digit coefficients it is over the bit cap below); the 9 d-monomials of
+# 30-digit coefficients it is over the cost cap below); the 9 d-monomials of
 # order 1-2 on that p, m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7,
 # 0.8-0.95 s;
 # d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s; each benchmark shape is
@@ -72,27 +72,32 @@ _GVC_MAX_TERMS = 3500
 # Under the term cap alone the 9 d-monomials took 4.6 s on the Laplacian's
 # p at m-max 10, and the 7 squarefree ones 24 s on x + 2y/3 - z at m-max 40.
 _GVC_MAX_WORK = 900_000
-# The term operations times the bound on the bits of their coefficients
-# (`_gvc_coefficient_bits`), as certify caps terms times bits: neither cap
-# above reads the size of the coefficients.  On the 7 squarefree d-monomials
-# with q = x1, m-max 21 and p = a x + (a/(a + 2)) y - a z, both within the
-# work cap, a = 11 predicts 363 bits (3.1e8 in all, 0.9-1.25 s) and
-# a = 10^3 + 7 615 bits (5.3e8, 1.25 s); a = 10^6 + 7 (8.9e8) took 1.1-1.55 s,
-# 10^15 + 7 1.85 s, 10^100 + 7 2.5-3.9 s and 10^1000 + 7 23 s before this
-# cap.  Far from the work cap the big coefficients stay fast: 10^1000 + 7 at
-# m-max 7 predicts 4.7e8 and takes 0.11 s.  Each benchmark shape is accepted
-# up to m-max 35 (3.2e8 at most).
-_GVC_MAX_BITS = 600_000_000
+# The cost of the kill tests: term operations times the bound on the bits of
+# their coefficients (`_gvc_coefficient_bits`) plus a fixed part per
+# operation, as certify caps terms times bits; neither cap above reads the
+# size of the coefficients.  On the 7 squarefree d-monomials with q = x1 and
+# p = a x + (a/(a + 2)) y - a z, timed in-process at m-max 21 (856464 term
+# operations): a = 11 (363 bits) 0.8 s, 10^9 + 7 (1455) 0.9 s, 10^15 + 7
+# (2295) 1.0 s, 10^30 + 7 (4395) 1.1 s, 10^60 + 7 (8574) 1.4-1.9 s, and before
+# this cap 10^100 + 7 (14160) 2.5 s, 10^1000 + 7 23 s and 10^3000 + 7 69 s.
+# With a fixed part of 6000 bits every row takes 1.1-2e-10 s per unit of
+# cost; without it the rows with small coefficients, where the fixed part
+# dominates, would look up to 17 times cheaper than they are.  At
+# the largest m-max under the cap it takes 0.7-0.9 s for a = 10^15 + 7 to
+# 10^1000 + 7 and 1.25 s for 10^3000 + 7 (m-max 10).  Each benchmark shape is
+# accepted up to m-max 35 (5.4e9 at most).
+_GVC_OP_BITS = 6000
+_GVC_MAX_COST = 8_000_000_000
 _GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, predicted as "
              "min(C(m*deg p + n, n), C(|p| + m - 1, m)) times |q| before anything is expanded; "
              "the 3-variable Laplacian with a 6-term p of degree 4 predicts 3003 at m-max 10 "
              "and takes about 1 s.  The kill tests, which apply the operator up to m times to "
              f"p^m and q*p^m for each m, may take at most {_GVC_MAX_WORK} term operations, "
              "predicted from the symbol's terms and least order, the term bound and the "
-             f"degrees, and at most {_GVC_MAX_BITS} term operations times the bits of the "
-             "largest coefficient they may form, predicted from the sums of the absolute "
-             "values of the coefficients of op, p and q scaled to integers; it takes up to "
-             "about 1.3 s near either cap.")
+             f"degrees, and at most {_GVC_MAX_COST} in cost: term operations times "
+             f"({_GVC_OP_BITS} + the bits of the largest coefficient they may form), "
+             "the bits predicted from the sums of the absolute values of the coefficients "
+             "of op, p and q scaled to integers; it takes up to about 1.3 s near any cap.")
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
 # A rejected value is named by its type and length only once its repr is
@@ -558,7 +563,7 @@ def _cmd_laurent(args):
 
 
 def _cmd_gvc_probe(args):
-    from .probes import ConstCoeffOp, gvc_probe
+    from .probes import ConstCoeffOp, check_gvc_inputs, gvc_probe
 
     op_data = _load_json_arg(args.op, "--op")
     p_data = _load_json_arg(args.p_poly, "--p-poly")
@@ -568,6 +573,7 @@ def _cmd_gvc_probe(args):
     op = ConstCoeffOp(_multipoly_from_json(op_data, "--op"))
     p_poly = _multipoly_from_json(p_data, "--p-poly")
     q_poly = _multipoly_from_json(q_data, "--q-poly")
+    check_gvc_inputs(op, p_poly, q_poly, args.m_max)
     predicted = _gvc_predicted_terms(p_poly, q_poly, args.m_max)
     if predicted > _GVC_MAX_TERMS:
         raise DomainError(f"--m-max {args.m_max}: p^m and q*p^m may have {predicted} terms, "
@@ -577,10 +583,12 @@ def _cmd_gvc_probe(args):
         raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
                           f"operations, over the cap {_GVC_MAX_WORK}")
     bits = _gvc_coefficient_bits(op, p_poly, q_poly, args.m_max)
-    if work * bits > _GVC_MAX_BITS:
+    cost = work * (bits + _GVC_OP_BITS)
+    if cost > _GVC_MAX_COST:
         raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
-                          f"operations on coefficients of up to {bits} bits, {work * bits} "
-                          f"in all, over the cap {_GVC_MAX_BITS}")
+                          f"operations on coefficients of up to {bits} bits, a cost of "
+                          f"{work} * ({bits} + {_GVC_OP_BITS}) = {cost}, over the cap "
+                          f"{_GVC_MAX_COST}")
     report = gvc_probe(op, p_poly, q_poly, args.m_max)
     payload = {
         "mMax": report.m_max,
@@ -647,14 +655,13 @@ def _gvc_coefficient_bits(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPol
     taken off that degree, at most D of them in all.  So k applications of
     the operator, whose symbol terms have order at most o, multiply the
     bound by at most S^k D^min(k o, D), and k is at most m_max."""
-    from .scalars import clear_denominators
+    from .probes import _integer_terms, _touched
 
     def bits(poly: MultiPolyQ) -> int:
-        _, ints = clear_denominators(list(poly.terms.values()))
-        return sum(map(abs, ints)).bit_length()
+        return sum(map(abs, _integer_terms(poly).values())).bit_length()
 
     symbol = op.symbol_poly.terms
-    touched = [i for i in range(op.nvars) if any(exps[i] for exps in symbol)]
+    touched = _touched(op)
 
     def touched_degree(poly: MultiPolyQ) -> int:
         return max((sum(exps[i] for i in touched) for exps in poly.terms), default=0)

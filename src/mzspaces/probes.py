@@ -298,6 +298,22 @@ def _killed_by_power(symbol, f: dict, m: int) -> bool:
     return not f
 
 
+def _touched(op: ConstCoeffOp) -> tuple:
+    """The indices of the variables the operator differentiates in."""
+    symbol = op.symbol_poly.terms
+    return tuple(i for i in range(op.nvars) if any(exps[i] for exps in symbol))
+
+
+def check_gvc_inputs(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int):
+    """Raise DomainError unless `gvc_probe` can run on these inputs."""
+    if m_max < 1:
+        raise DomainError("m_max must be >= 1")
+    if op.nvars != p_poly.nvars:
+        raise DomainError("operator and polynomial variable counts differ")
+    if p_poly.nvars != q_poly.nvars:
+        raise DomainError("variable count mismatch")
+
+
 def _slices(f: dict, touched: tuple, rest: tuple):
     """The distinct slices of f = sum_r x_R^r f_r(x_S), S the variables at
     the indices touched and R those at the indices rest: each f_r on
@@ -343,14 +359,9 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     slice over the variables it touches (`_killed`), and slices that differ
     by an integer factor are tested once.
     """
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    if op.nvars != p_poly.nvars:
-        raise DomainError("operator and polynomial variable counts differ")
-    if p_poly.nvars != q_poly.nvars:
-        raise DomainError("variable count mismatch")
+    check_gvc_inputs(op, p_poly, q_poly, m_max)
     symbol = tuple(_integer_terms(op.symbol_poly).items())
-    touched = tuple(i for i in range(op.nvars) if any(exps[i] for exps, _ in symbol))
+    touched = _touched(op)
     split = None
     if len(touched) < op.nvars:
         split = touched, tuple(i for i in range(op.nvars) if i not in touched)

@@ -603,28 +603,52 @@ def _scaled_p(a: int) -> str:
 def test_gvc_probe_coefficient_bits_cap(capsys, monkeypatch):
     """The term and work caps do not read the size of the coefficients: on
     the 7 squarefree d-monomials at m-max 21 with q = x1, both within them,
-    a = 10^1000 + 7 ran 23 s and a = 10^3000 + 7 69 s.  The bit cap rejects
-    both before anything is expanded; a = 11 stays within it."""
+    a = 10^1000 + 7 ran 23 s and a = 10^3000 + 7 69 s.  The cost cap rejects
+    both before anything is expanded; a = 11 and a = 10^9 + 7 stay within
+    it and run."""
     squarefree = _op_json(e for e in product(range(2), repeat=3) if any(e))
     q_poly = LAPLACIAN_3["--q-poly"]
 
+    def argv(a):
+        return ["gvc-probe", "--op", squarefree, "--p-poly", _scaled_p(a),
+                "--q-poly", q_poly, "--m-max", "21"]
+
+    code, out, _ = _run(capsys, argv(10**9 + 7))
+    assert code == 0 and out["conclusionTransition"] is None
+
     def unreached(*args):
-        raise AssertionError("gvc_probe ran past the bit cap")
+        raise AssertionError("gvc_probe ran past the cost cap")
 
     monkeypatch.setattr(probes, "gvc_probe", unreached)
     for a, bits in ((10**1000 + 7, 139719), (10**3000 + 7, 418767)):
-        code, out, _ = _run(capsys, ["gvc-probe", "--op", squarefree, "--p-poly", _scaled_p(a),
-                                     "--q-poly", q_poly, "--m-max", "21"])
+        code, out, _ = _run(capsys, argv(a))
         assert code == 2
+        cost = 856464 * (bits + cli._GVC_OP_BITS)
         assert out["error"]["message"] == (
             f"--m-max 21: the kill tests may take 856464 term operations on coefficients of "
-            f"up to {bits} bits, {856464 * bits} in all, over the cap {cli._GVC_MAX_BITS}")
-    symbol, p_poly, q = (cli._multipoly_from_json(json.loads(text), "p")
-                         for text in (squarefree, _scaled_p(11), q_poly))
-    op = ConstCoeffOp(symbol)
-    assert cli._gvc_predicted_work(op, p_poly, q, 21) == 856464 <= cli._GVC_MAX_WORK
-    bits = cli._gvc_coefficient_bits(op, p_poly, q, 21)
-    assert bits == 363 and 856464 * bits <= cli._GVC_MAX_BITS
+            f"up to {bits} bits, a cost of 856464 * ({bits} + {cli._GVC_OP_BITS}) = {cost}, "
+            f"over the cap {cli._GVC_MAX_COST}")
+    q = cli._multipoly_from_json(json.loads(q_poly), "q")
+    op = ConstCoeffOp(cli._multipoly_from_json(json.loads(squarefree), "op"))
+    for a, bits in ((11, 363), (10**9 + 7, 1455)):
+        p_poly = cli._multipoly_from_json(json.loads(_scaled_p(a)), "p")
+        assert cli._gvc_predicted_work(op, p_poly, q, 21) == 856464 <= cli._GVC_MAX_WORK
+        assert cli._gvc_coefficient_bits(op, p_poly, q, 21) == bits
+        assert 856464 * (bits + cli._GVC_OP_BITS) <= cli._GVC_MAX_COST
+
+
+@pytest.mark.parametrize("op, p_poly, q_poly, message", [
+    ('[{"exps": [0, 0, 1], "c": 1}]', '[{"exps": [1, 0], "c": 1}]', '[{"exps": [1, 0], "c": 1}]',
+     "operator and polynomial variable counts differ"),
+    ('[{"exps": [0, 1], "c": 1}]', '[{"exps": [1, 0], "c": 1}]', '[{"exps": [1, 0, 2], "c": 1}]',
+     "variable count mismatch"),
+])
+def test_gvc_probe_variable_count_mismatch_is_a_domain_error(capsys, op, p_poly, q_poly, message):
+    """The counts are checked before the caps predict anything from them."""
+    code, out, _ = _run(capsys, ["gvc-probe", "--op", op, "--p-poly", p_poly,
+                                 "--q-poly", q_poly, "--m-max", "2"])
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
 
 
 # The help text is written by hand, so that building the parser imports no
@@ -635,7 +659,8 @@ def test_gvc_probe_coefficient_bits_cap(capsys, monkeypatch):
     ("gvc-probe", f"at most {cli._GVC_MAX_TERMS} terms"),
     ("gvc-probe", "predicts 3003 at m-max 10 and takes about 1 s"),
     ("gvc-probe", f"at most {cli._GVC_MAX_WORK} term operations"),
-    ("gvc-probe", f"at most {cli._GVC_MAX_BITS} term operations times the bits"),
+    ("gvc-probe", f"at most {cli._GVC_MAX_COST} in cost: term operations times "
+                  f"({cli._GVC_OP_BITS} + the bits"),
     ("trace-test", "48x48 matrix of small rationals takes about 1.3 s"),
     ("moments", "--count 1500 on a degree-48 functional takes about 0.5 s"),
     ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),

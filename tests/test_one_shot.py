@@ -120,6 +120,27 @@ def test_the_console_script_is_the_same_process(argv):
     assert _masked(by_script.stderr.decode()) == _masked(by_module.stderr.decode())
 
 
+# The process as it was before run(): import cli and exit by sys.exit(main()).
+PLAIN_ENTRY = ["-c", "import sys; from mzspaces.cli import main; sys.exit(main())"]
+
+
+@pytest.mark.parametrize("argv", [EXIT_PATHS["oracle"], EXIT_PATHS["parse-error"],
+                                  EXIT_PATHS["usage-missing"], EXIT_PATHS["help"]],
+                         ids=["success", "parse", "usage", "help"])
+def test_a_closed_stderr_ends_as_with_the_plain_entry(argv):
+    """Started with fd 2 closed, the process prints and exits as the plain
+    entry does.  sys.stderr is then None, and print sends the elapsed_ms
+    line to stdout."""
+    by_run, by_plain = (
+        subprocess.run([sys.executable, "-S", *launcher, *argv], stdout=subprocess.PIPE,
+                       env=ENV, preexec_fn=lambda: os.close(2))
+        for launcher in (["-m", "mzspaces"], PLAIN_ENTRY))
+    assert by_run.returncode == by_plain.returncode
+    assert _masked(by_run.stdout.decode()) == _masked(by_plain.stdout.decode())
+    if argv == EXIT_PATHS["oracle"]:
+        assert by_run.returncode == 0 and b"elapsed_ms=" in by_run.stdout
+
+
 def test_importing_the_entry_module_leaves_the_collector_on():
     child = subprocess.run([sys.executable, "-S", "-c", "import gc, mzspaces.__main__; "
                             "print(gc.isenabled())"],
