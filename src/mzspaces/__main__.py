@@ -23,9 +23,14 @@ def run():
         code = main()
     except SystemExit as exc:  # usage errors and --help
         code = exc.code
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when the process started with the fd closed
-            stream.flush()
+    # A stream is None when the process started with its fd closed.
+    if sys.stdout is not None:
+        sys.stdout.flush()
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:  # fd 2 closed by the shell and reopened read-only by a launcher
+            pass
     os._exit(code)
 
 

@@ -40,10 +40,11 @@ _IMAGEP_MAX_VARS = 3
 _IMAGEP_MAX_DEGREE = 24
 # Work budgets of the probes and of moments, each chosen so that the capped
 # case runs in at most about a second on a 2-vCPU host: a dense 48x48 matrix
-# with entries a/b, |a|, b <= 9, takes 1.1-1.3 s in trace-test; gvc-probe
-# takes up to 1.2 s at its work cap (below) and 25 ms in-process at m-max 40
-# for the heaviest benchmark shape, whose operator touches one variable of
-# three; --count 1500 takes 0.4-0.5 s on a degree-48
+# with entries a/b, |a|, b <= 9, takes 0.65-0.7 s in trace-test as a process
+# (0.37-0.64 s in the kernel, BENCH_probe_kernels.json); gvc-probe
+# takes up to 1.2 s at its work cap (below) and 1-47 ms in-process at m-max 40
+# for the benchmark shapes, whose operator touches one variable of three and
+# whose p factors over it; --count 1500 takes 0.4-0.5 s on a degree-48
 # functional with 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and about
 # 0.4 s with 8 roots of multiplicity 6.  `idempotents --all` prints 2^r
 # polynomials; at r = 12 that is 0.95 s and 1.1 MB, and each further root
@@ -67,8 +68,11 @@ _GVC_MAX_TERMS = 3500
 # 30-digit coefficients it is over the cost cap below); the 9 d-monomials of
 # order 1-2 on that p, m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7,
 # 0.8-0.95 s;
-# d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s; each benchmark shape is
-# accepted up to m-max 35 and takes at most 45 ms there.
+# d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s.  When p = h(x_R) s(x_S),
+# S the variables the operator touches, the kill tests run on s and on the
+# slices of q (`probes.gvc_factor`), and so do the bounds (`_gvc_bounds`):
+# each benchmark shape is then accepted up to the m-max cap, 40, where it
+# takes at most 80 ms as a process (it was rejected above m-max 35).
 # Under the term cap alone the 9 d-monomials took 4.6 s on the Laplacian's
 # p at m-max 10, and the 7 squarefree ones 24 s on x + 2y/3 - z at m-max 40.
 _GVC_MAX_WORK = 900_000
@@ -85,7 +89,7 @@ _GVC_MAX_WORK = 900_000
 # dominates, would look up to 17 times cheaper than they are.  At
 # the largest m-max under the cap it takes 0.7-0.9 s for a = 10^15 + 7 to
 # 10^1000 + 7 and 1.25 s for 10^3000 + 7 (m-max 10).  Each benchmark shape is
-# accepted up to m-max 35 (5.4e9 at most).
+# accepted up to m-max 40 (a cost of 2.8e8 at most).
 _GVC_OP_BITS = 6000
 _GVC_MAX_COST = 8_000_000_000
 _GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, predicted as "
@@ -97,7 +101,9 @@ _GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, p
              f"degrees, and at most {_GVC_MAX_COST} in cost: term operations times "
              f"({_GVC_OP_BITS} + the bits of the largest coefficient they may form), "
              "the bits predicted from the sums of the absolute values of the coefficients "
-             "of op, p and q scaled to integers; it takes up to about 1.3 s near any cap.")
+             "of op, p and q scaled to integers; it takes up to about 1.8 s near any cap.  "
+             "When p = h(x_R) s(x_S), S the variables op touches, the kill tests run on s "
+             "and on the slices of q over S, and the three bounds are taken from those.")
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
 # A rejected value is named by its type and length only once its repr is
@@ -574,15 +580,13 @@ def _cmd_gvc_probe(args):
     p_poly = _multipoly_from_json(p_data, "--p-poly")
     q_poly = _multipoly_from_json(q_data, "--q-poly")
     check_gvc_inputs(op, p_poly, q_poly, args.m_max)
-    predicted = _gvc_predicted_terms(p_poly, q_poly, args.m_max)
+    predicted, work, bits = _gvc_bounds(op, p_poly, q_poly, args.m_max)
     if predicted > _GVC_MAX_TERMS:
         raise DomainError(f"--m-max {args.m_max}: p^m and q*p^m may have {predicted} terms, "
                           f"over the cap {_GVC_MAX_TERMS}")
-    work = _gvc_predicted_work(op, p_poly, q_poly, args.m_max)
     if work > _GVC_MAX_WORK:
         raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
                           f"operations, over the cap {_GVC_MAX_WORK}")
-    bits = _gvc_coefficient_bits(op, p_poly, q_poly, args.m_max)
     cost = work * (bits + _GVC_OP_BITS)
     if cost > _GVC_MAX_COST:
         raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
@@ -597,6 +601,23 @@ def _cmd_gvc_probe(args):
         "conclusionTransition": report.conclusion_transition,
     }
     return payload, {"op": op_data, "p": p_data, "q": q_data, "mMax": args.m_max}
+
+
+def _gvc_bounds(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int) -> tuple:
+    """(terms, work, bits) as `_gvc_predicted_terms`, `_gvc_predicted_work`
+    and `_gvc_coefficient_bits` bound them for the kill tests gvc_probe
+    runs: on p and q, or, when p factors over the variables the operator
+    touches (`probes.gvc_factor`), on its factor s and on each slice of q in
+    turn, the largest of the terms and bits and the sum of the work."""
+    from .probes import gvc_factor
+
+    kill_p, kill_qs = p_poly, (q_poly,)
+    factor = gvc_factor(op, p_poly, q_poly)
+    if factor is not None:
+        kill_p, kill_qs = factor[0], factor[1] or kill_qs  # a zero q has no slice
+    return (max(_gvc_predicted_terms(kill_p, q, m_max) for q in kill_qs),
+            sum(_gvc_predicted_work(op, kill_p, q, m_max) for q in kill_qs),
+            max(_gvc_coefficient_bits(op, kill_p, q, m_max) for q in kill_qs))
 
 
 def _gvc_predicted_terms(p_poly: MultiPolyQ, q_poly: MultiPolyQ, m: int) -> int:
@@ -781,7 +802,7 @@ def _build_parser() -> dict:
             _option("--m-min", int, default=1),
             _option("--search-bound", int, default=10**6))),
         "trace-test": (_cmd_trace_test, "nilpotency via power traces",
-                       "A dense 48x48 matrix of small rationals takes about 1.3 s.", (
+                       "A dense 48x48 matrix of small rationals takes about 0.7 s.", (
             _option("--matrix", required=True, help="matrix JSON: rows of rationals, "
                     f"dimension at most {_TRACE_MAX_DIMENSION}"),)),
         "laurent": (_cmd_laurent, "weighted-derivation image probes",
@@ -953,7 +974,10 @@ def _run(argv) -> int:
     report["inputsDigest"] = _digest(inputs)
     print(_dumps(report), flush=True)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
+    try:
+        print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
+    except OSError:  # fd 2 closed by the shell (2>&-) and reopened read-only; the report is out
+        pass
     if args.command == "selftest" and not payload["passed"]:
         return 1
     return 0

@@ -49,6 +49,16 @@ class ZXPoly:
                 raise DomainError("exponents must be >= 0")
             yield (zexp, xexp), c
 
+    def _derived(self, terms: dict) -> "ZXPoly":
+        """A ZXPoly with self's variable count and modulus on a term dict
+        derived from valid ones: exponent pairs of the right length and
+        residues in [1, p).  The public constructor checks each pair and
+        runs is_prime on the modulus; a result of arithmetic on valid
+        polynomials needs neither."""
+        poly = object.__new__(ZXPoly)
+        poly.nvars, poly.modulus, poly.terms = self.nvars, self.modulus, terms
+        return poly
+
     @classmethod
     def zero(cls, nvars: int, modulus: int) -> "ZXPoly":
         return cls(nvars, modulus)
@@ -81,48 +91,44 @@ class ZXPoly:
 
     def __add__(self, other):
         self._check(other)
-        return ZXPoly(self.nvars, self.modulus, [*self.terms.items(), *other.terms.items()])
+        return self._derived(collect([*self.terms.items(), *other.terms.items()], self.modulus))
 
     def __neg__(self):
-        return ZXPoly(self.nvars, self.modulus, {k: -c for k, c in self.terms.items()})
+        return self._derived({k: self.modulus - c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        return ZXPoly(self.nvars, self.modulus,
-                      mul(self.terms, other.terms, _add_pairs, self.modulus))
+        return self._derived(mul(self.terms, other.terms, _add_pairs, self.modulus))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise DomainError("powers must be >= 0")
-        return power(self, exponent, ZXPoly.one(self.nvars, self.modulus))
+        zeros = (0,) * self.nvars
+        return power(self, exponent, self._derived({(zeros, zeros): 1}))
 
     def frobenius(self) -> "ZXPoly":
         """self^p: over F_p, (sum c m)^p = sum c^p m^p and c^p = c, so each
         exponent is multiplied by p and each coefficient stays."""
         p = self.modulus
-        return ZXPoly(self.nvars, p, {(tuple(e * p for e in z), tuple(e * p for e in x)): c
-                                      for (z, x), c in self.terms.items()})
+        return self._derived({(tuple(e * p for e in z), tuple(e * p for e in x)): c
+                              for (z, x), c in self.terms.items()})
 
     def partial_x(self, index: int) -> "ZXPoly":
         if not 0 <= index < self.nvars:
             raise DomainError("variable index out of range")
-        out = {}
-        for (zexp, xexp), c in self.terms.items():
-            if xexp[index] == 0:
-                continue
-            out[(zexp, shifted(xexp, index, -1))] = c * xexp[index]
-        return ZXPoly(self.nvars, self.modulus, out)
+        p = self.modulus
+        return self._derived({(zexp, shifted(xexp, index, -1)): r
+                              for (zexp, xexp), c in self.terms.items()
+                              if (r := c * xexp[index] % p)})
 
     def shift_zeta(self, index: int) -> "ZXPoly":
         if not 0 <= index < self.nvars:
             raise DomainError("variable index out of range")
-        out = {}
-        for (zexp, xexp), c in self.terms.items():
-            out[(shifted(zexp, index, 1), xexp)] = c
-        return ZXPoly(self.nvars, self.modulus, out)
+        return self._derived({(shifted(zexp, index, 1), xexp): c
+                              for (zexp, xexp), c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ZXPoly):
@@ -147,7 +153,7 @@ class ImDCertificate(namedtuple("ImDCertificate", "preimages")):
     __slots__ = ()
 
     def reconstruct(self) -> ZXPoly:
-        total = ZXPoly.zero(self.preimages[0].nvars, self.preimages[0].modulus)
+        total = self.preimages[0]._derived({})
         for i, q in enumerate(self.preimages):
             total = total + apply_d(i, q)
         return total
@@ -193,7 +199,7 @@ def imd_decide(b: ZXPoly, var_order=None):
             if xexp[index] > 0:
                 lowered_x = shifted(xexp, index, -1)
                 accumulate(work, (lowered_z, lowered_x), c * xexp[index], p)
-    certificate = ImDCertificate(tuple(ZXPoly(n, p, terms) for terms in preimages))
+    certificate = ImDCertificate(tuple(map(b._derived, preimages)))
     if certificate.reconstruct() != b:
         raise AssertionError("image certificate failed to reconstruct the input")
     return certificate
@@ -204,12 +210,12 @@ def j_ideal_witness(b: ZXPoly) -> ImDCertificate | None:
     via the operator identity (d/dx_i - zeta_i)^p = -zeta_i^p.  Returns None
     (no claim) when some term has all zeta exponents below p."""
     n, p = b.nvars, b.modulus
-    preimages = [ZXPoly.zero(n, p) for _ in range(n)]
+    preimages = [b._derived({}) for _ in range(n)]
     for (zexp, xexp), c in sorted(b.terms.items()):
         index = next((i for i in range(n) if zexp[i] >= p), None)
         if index is None:
             return None
-        piece = ZXPoly.monomial(n, p, shifted(zexp, index, -p), xexp, -c)
+        piece = b._derived({(shifted(zexp, index, -p), xexp): p - c})
         for _ in range(p - 1):
             piece = apply_d(index, piece)
         preimages[index] = preimages[index] + piece

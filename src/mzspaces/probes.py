@@ -7,8 +7,9 @@ coefficient differential operators.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from math import gcd, perm, prod
-from operator import sub
+from operator import mul as _times, sub
 
 from .errors import DomainError
 from .scalars import Rational, clear_denominators
@@ -75,23 +76,34 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
 
     The powers are those of the integer matrix A = d*C, d the common
     denominator of the entries, so tr(C^m) = tr(A^m) / d^m and no rational
-    arithmetic happens inside the loop.  Once a power vanishes, every later
-    trace is 0 and no further power is formed.
+    arithmetic happens inside the loop.  Each row of A^m is packed into one
+    integer, entry j as the signed base-2^w digit j (Kronecker substitution):
+    with R the largest absolute row sum of A, |(A^m)_ij| <= R^m < 2^(w-2)
+    for m <= n when w = n * bit_length(R) + 2, so the digits never carry
+    into one another.  Row i of A^(m+1) is sum_k A_ik * (row k of A^m),
+    n^2 big-integer products per power instead of n^3 entry products.
+    Adding 2^(w-1) to every digit makes them all nonnegative, so the
+    diagonal entry is read off with a shift and a mask.  Once a power
+    vanishes, every later trace is 0 and no further power is formed.
     """
     n = matrix.dimension
     d, flat = clear_denominators([entry for row in matrix.rows for entry in row])
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
-    cols = list(zip(*a))
-    power = a
+    width = n * max(sum(map(abs, row)) for row in a).bit_length() + 2
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = sum(half << (width * j) for j in range(n))
+    rows = [sum(entry << (width * j) for j, entry in enumerate(row)) for row in a]
     traces = []
     witness = None
     for m in range(1, n + 1):
         if m > 1:
-            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
-        if not any(any(row) for row in power):
+            rows = [sum(map(_times, a_row, rows)) for a_row in a]
+        if not any(rows):
             witness = m
             break
-        traces.append(Rational(sum(power[i][i] for i in range(n)), d**m))
+        trace = sum((row + bias) >> (width * i) & mask for i, row in enumerate(rows))
+        traces.append(Rational(trace - n * half, d**m))
     traces = tuple(traces) + (Rational(0),) * (n - len(traces))
     if any(t != 0 for t in traces):
         return TraceReport(in_radical=False, traces=traces, nilpotency_witness=None)
@@ -340,10 +352,59 @@ def _killed(symbol, f: dict, m: int, split) -> bool:
     differentiates only in the variables it touches, so it commutes with
     the monomials in the rest, and op^m kills f exactly when it kills every
     slice of f.  split is (touched, rest), the indices of both, or None
-    when the operator touches every variable; f is then tested whole."""
+    when f is to be tested whole."""
     if split is None:
         return _killed_by_power(symbol, f, m)
     return all(_killed_by_power(symbol, part, m) for part in _slices(f, *split))
+
+
+def _split(op: ConstCoeffOp):
+    """(touched, rest): the indices of the variables the operator
+    differentiates in and of the others; None when it touches them all."""
+    touched = _touched(op)
+    if len(touched) == op.nvars:
+        return None
+    return touched, tuple(i for i in range(op.nvars) if i not in touched)
+
+
+def _factor(p: dict, q: dict, split):
+    """(s, the slices of q) when p has exactly one distinct slice s over the
+    touched variables S, that is p = h(x_R) s(x_S) with h != 0 in the rest
+    R; None otherwise.  Then op^m(h^m F) = h^m op^m(F), and the polynomials
+    are an integral domain, so op^m kills p^m exactly when it kills s^m;
+    and since q*p^m = h^m sum_r x_R^r q_r s^m, with q_r the slices of q, it
+    kills q*p^m exactly when it kills every q_r s^m.  The parts are term
+    dicts on exponent tuples over S."""
+    slices = list(islice(_slices(p, *split), 2))
+    if len(slices) != 1:
+        return None
+    return slices[0], tuple(_slices(q, *split))
+
+
+def gvc_factor(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ):
+    """(s, the slices of q) on which `gvc_probe` runs its kill tests when p
+    factors as in `_factor`, each as a MultiPolyQ over all the variables
+    with exponent 0 at those the operator leaves alone; None when it runs
+    them on p and q themselves."""
+    split = _split(op)
+    if split is None:
+        return None
+    factor = _factor(_integer_terms(p_poly), _integer_terms(q_poly), split)
+    if factor is None:
+        return None
+    touched = split[0]
+
+    def embed(part: dict) -> MultiPolyQ:
+        terms = {}
+        for exps, c in part.items():
+            full = [0] * op.nvars
+            for i, e in zip(touched, exps):
+                full[i] = e
+            terms[tuple(full)] = c
+        return MultiPolyQ(op.nvars, terms)
+
+    s, q_slices = factor
+    return embed(s), tuple(map(embed, q_slices))
 
 
 def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
@@ -355,27 +416,33 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     Only vanishing is reported, and scaling op, p or q by a nonzero rational
     does not change it, so each is scaled to integer coefficients once and
     the powers and operator applications run on integer term dicts.  When
-    the operator leaves some variables alone, each power is tested slice by
-    slice over the variables it touches (`_killed`), and slices that differ
-    by an integer factor are tested once.
+    the operator leaves some variables R alone and touches S, two paths:
+    if p = h(x_R) s(x_S), that is p has one distinct slice s over S, the
+    kill tests run on s^m and on q_r s^m for each slice q_r of q, all over
+    S alone (`_factor`), since h^m != 0 factors out of op^m; otherwise each
+    power is tested slice by slice over S (`_killed`), and slices that
+    differ by an integer factor are tested once.  The path follows from
+    this factorisation of p alone.
     """
     check_gvc_inputs(op, p_poly, q_poly, m_max)
     symbol = tuple(_integer_terms(op.symbol_poly).items())
-    touched = _touched(op)
-    split = None
-    if len(touched) < op.nvars:
-        split = touched, tuple(i for i in range(op.nvars) if i not in touched)
+    p_terms, q_parts = _integer_terms(p_poly), (_integer_terms(q_poly),)
+    one = (0,) * p_poly.nvars
+    split = _split(op)
+    if split is not None:
+        touched = split[0]
         symbol = tuple((tuple(map(exps.__getitem__, touched)), c) for exps, c in symbol)
-    p_terms = _integer_terms(p_poly)
-    q_terms = _integer_terms(q_poly)
+        factor = _factor(p_terms, q_parts[0], split)
+        if factor is not None:
+            (p_terms, q_parts), split, one = factor, None, (0,) * len(touched)
     hypothesis_violations = []
     conclusion_violations = []
-    p_power = {(0,) * p_poly.nvars: 1}
+    p_power = {one: 1}
     for m in range(1, m_max + 1):
         p_power = mul(p_power, p_terms, add_tuples)
         if not _killed(symbol, p_power, m, split):
             hypothesis_violations.append(m)
-        if not _killed(symbol, mul(q_terms, p_power, add_tuples), m, split):
+        if not all(_killed(symbol, mul(q, p_power, add_tuples), m, split) for q in q_parts):
             conclusion_violations.append(m)
     if not conclusion_violations:
         transition = 1

@@ -637,6 +637,33 @@ def test_gvc_probe_coefficient_bits_cap(capsys, monkeypatch):
         assert 856464 * (bits + cli._GVC_OP_BITS) <= cli._GVC_MAX_COST
 
 
+# The heaviest benchmark gvc shape: op = d1^3 - d1^4, p = x1 h(x2, x3) with
+# two terms in h, q = x1^3 g(x2, x3); op^m kills x1^N H exactly when N < 3m.
+BENCH_GVC = {
+    "--op": json.dumps([{"exps": [3, 0, 0], "c": "1"}, {"exps": [4, 0, 0], "c": "-1"}]),
+    "--p-poly": json.dumps([{"exps": [1, 2, 1], "c": "1"}, {"exps": [1, 0, 3], "c": "-1"}]),
+    "--q-poly": json.dumps([{"exps": [3, 1, 1], "c": "-1"}]),
+}
+
+
+def test_gvc_probe_caps_bound_the_factor_of_p(capsys):
+    """p = x1 (x2^2 x3 - x3^3) factors over x1, the one variable the
+    operator touches, so gvc_probe runs its kill tests on s = x1 and on
+    q's one slice x1^3, and the caps bound those: the shape runs at the
+    m-max cap.  Bounded on p and q themselves it would predict 1435000
+    term operations, over the work cap, and exit 2."""
+    argv = ["gvc-probe"] + [item for pair in BENCH_GVC.items() for item in pair]
+    code, out, _ = _run(capsys, argv + ["--m-max", str(cli._GVC_MAX_M)])
+    assert code == 0
+    assert out["hypothesisViolations"] == []
+    assert out["conclusionViolations"] == [1]
+    symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(BENCH_GVC[key]), key)
+                              for key in ("--op", "--p-poly", "--q-poly"))
+    op = ConstCoeffOp(symbol)
+    assert cli._gvc_bounds(op, p_poly, q_poly, 40) == (1, 6308, 379)
+    assert cli._gvc_predicted_work(op, p_poly, q_poly, 40) == 1435000 > cli._GVC_MAX_WORK
+
+
 @pytest.mark.parametrize("op, p_poly, q_poly, message", [
     ('[{"exps": [0, 0, 1], "c": 1}]', '[{"exps": [1, 0], "c": 1}]', '[{"exps": [1, 0], "c": 1}]',
      "operator and polynomial variable counts differ"),
@@ -661,7 +688,7 @@ def test_gvc_probe_variable_count_mismatch_is_a_domain_error(capsys, op, p_poly,
     ("gvc-probe", f"at most {cli._GVC_MAX_WORK} term operations"),
     ("gvc-probe", f"at most {cli._GVC_MAX_COST} in cost: term operations times "
                   f"({cli._GVC_OP_BITS} + the bits"),
-    ("trace-test", "48x48 matrix of small rationals takes about 1.3 s"),
+    ("trace-test", "48x48 matrix of small rationals takes about 0.7 s"),
     ("moments", "--count 1500 on a degree-48 functional takes about 0.5 s"),
     ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),
     ("idempotents", f"at most {cli._IDEMPOTENTS_MAX_ROOTS} roots"),

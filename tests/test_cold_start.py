@@ -85,6 +85,32 @@ def test_each_subcommand_loads_only_its_layers(argv, expected):
     assert not modules & (NEVER | RATIONAL_ONLY | {"random"})
 
 
+# All that trace-test and gvc-probe load besides the CLI: their layers and
+# what `collections` (for namedtuple), `operator` and `math` bring with them.
+PROBE_JOB_EXTRA = {"mzspaces.probes", "mzspaces.sparse", "mzspaces.scalars", "collections",
+                   "_collections", "keyword", "reprlib", "itertools", "operator", "_operator",
+                   "math"}
+GVC_INPUTS = ('[{"exps": [2, 0], "c": "1/2"}]', '[{"exps": [3, 1], "c": "2/3"}]')
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-test", "--matrix", '[["1/2", "1"], ["-1/4", "-1/2"]]'],
+    ["gvc-probe", "--op", GVC_INPUTS[0], "--p-poly", '[{"exps": [1, 2], "c": 1}]',
+     "--q-poly", GVC_INPUTS[1]],
+    ["gvc-probe", "--op", GVC_INPUTS[0], "--p-poly",
+     '[{"exps": [1, 0], "c": 1}, {"exps": [0, 1], "c": 1}]', "--q-poly", GVC_INPUTS[1]],
+    ["gvc-probe", "--op", '[{"exps": [1, 1], "c": 1}]', "--p-poly",
+     '[{"exps": [1, 0], "c": 1}, {"exps": [0, 1], "c": 1}]', "--q-poly", GVC_INPUTS[1]],
+], ids=["trace-test", "gvc-factored", "gvc-sliced", "gvc-whole"])
+def test_probe_kernels_load_no_further_module(argv):
+    """The packed trace rows and each gvc path (p factored over the touched
+    variables, sliced, or whole) load nothing beyond PROBE_JOB_EXTRA."""
+    _, before, _ = _loaded("cli._build_parser(); code = None")
+    code, modules, _ = _loaded(f"code = cli.main({argv!r})")
+    assert code == 0
+    assert modules - before <= PROBE_JOB_EXTRA
+
+
 def test_a_rational_gvc_probe_loads_fractions():
     """A rational gvc-probe loads fractions only when its caller does: the
     CLI run reads 1/2 as a scalars.Rational and leaves fractions unloaded,

@@ -141,6 +141,32 @@ def test_a_closed_stderr_ends_as_with_the_plain_entry(argv):
         assert by_run.returncode == 0 and b"elapsed_ms=" in by_run.stdout
 
 
+@pytest.mark.parametrize("argv", [["laurent", "--lam", "1/2"], EXIT_PATHS["oracle"],
+                                  EXIT_PATHS["selftest"]], ids=["laurent", "oracle", "selftest"])
+def test_a_stderr_closed_by_the_shell_keeps_a_success(argv, tmp_path):
+    """`mz ... 2>&-` through a bash launcher script, as pyenv's shims are:
+    bash opens the script at the lowest free fd, 2, and the interpreter it
+    execs inherits that fd, read-only, so sys.stderr exists and writing
+    elapsed_ms to it fails with EBADF.  The report is out by then: exit 0,
+    with stdout byte-identical to a run with stderr open."""
+    launcher = tmp_path / "launch"
+    launcher.write_text('#!/bin/bash\nexec "$@"\n')
+    launcher.chmod(0o755)
+
+    def closed(*command):
+        return subprocess.run(["bash", "-c", '"$0" "$@" 2>&-', str(launcher), *command],
+                              stdout=subprocess.PIPE, env=ENV)
+
+    premise = closed(sys.executable, "-S", "-c", "import sys; print(sys.stderr is not None)")
+    assert premise.stdout == b"True\n"
+    by_closed = closed(sys.executable, "-S", "-m", "mzspaces", *argv)
+    by_open = subprocess.run([sys.executable, "-S", "-m", "mzspaces", *argv],
+                             capture_output=True, env=ENV)
+    assert by_open.returncode == 0 and b"elapsed_ms=" in by_open.stderr
+    assert by_closed.returncode == 0
+    assert by_closed.stdout == by_open.stdout
+
+
 def test_importing_the_entry_module_leaves_the_collector_on():
     child = subprocess.run([sys.executable, "-S", "-c", "import gc, mzspaces.__main__; "
                             "print(gc.isenabled())"],
