@@ -57,29 +57,29 @@ _IMAGEP_MAX_DEGREE = 24
 # cap (19200 candidates at degree 6, 10240 at degree 12, 2048 at degree 117).
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
-# The predicted terms of p^m and q*p^m at m-max (`_gvc_predicted_terms`).  The
+# The three gvc-probe caps bound what `probes.gvc_bounds` predicts for the
+# kill tests gvc_probe runs.  First, the terms of p^m and q*p^m at m-max: the
 # 3-variable Laplacian with a 6-term p of degree 4 and q = x1 predicts 3003
 # terms at m-max 10 (1716 in fact) and takes 0.9-1.1 s; m-max 11 predicts 4368.
 _GVC_MAX_TERMS = 3500
-# The term operations of the kill tests up to m-max (`_gvc_predicted_work`).
-# The Laplacian case above predicts 844740 of them (0.8-1.0 s).  Timed
-# in-process at the largest m-max under the cap, with q = x1: the 7 squarefree
-# d-monomials in 3 variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (with
-# 30-digit coefficients it is over the cost cap below); the 9 d-monomials of
-# order 1-2 on that p, m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7,
-# 0.8-0.95 s;
-# d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s.  When p = h(x_R) s(x_S),
-# S the variables the operator touches, the kill tests run on s and on the
-# slices of q (`probes.gvc_factor`), and so do the bounds (`_gvc_bounds`):
-# each benchmark shape is then accepted up to the m-max cap, 40, where it
-# takes at most 80 ms as a process (it was rejected above m-max 35).
-# Under the term cap alone the 9 d-monomials took 4.6 s on the Laplacian's
-# p at m-max 10, and the 7 squarefree ones 24 s on x + 2y/3 - z at m-max 40.
+# The term operations of the kill tests up to m-max.  The Laplacian case
+# above predicts 844740 of them (0.8-1.0 s).  Timed in-process at the largest
+# m-max under the cap, with q = x1: the 7 squarefree d-monomials in 3
+# variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (with 30-digit
+# coefficients it is over the cost cap below); the 9 d-monomials of order 1-2
+# on that p, m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7,
+# 0.8-0.95 s; d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s.  When
+# p = h(x_R) s(x_S), S the variables the operator touches, the kill tests run
+# on s and on the slices of q, and so do the bounds: each benchmark shape is
+# then accepted up to the m-max cap, 40, where it takes at most 80 ms as a
+# process (it was rejected above m-max 35).  Under the term cap alone the 9
+# d-monomials took 4.6 s on the Laplacian's p at m-max 10, and the 7
+# squarefree ones 24 s on x + 2y/3 - z at m-max 40.
 _GVC_MAX_WORK = 900_000
 # The cost of the kill tests: term operations times the bound on the bits of
-# their coefficients (`_gvc_coefficient_bits`) plus a fixed part per
-# operation, as certify caps terms times bits; neither cap above reads the
-# size of the coefficients.  On the 7 squarefree d-monomials with q = x1 and
+# their coefficients plus a fixed part per operation, as certify caps terms
+# times bits; neither cap above reads the size of the coefficients.  On the
+# 7 squarefree d-monomials with q = x1 and
 # p = a x + (a/(a + 2)) y - a z, timed in-process at m-max 21 (856464 term
 # operations): a = 11 (363 bits) 0.8 s, 10^9 + 7 (1455) 0.9 s, 10^15 + 7
 # (2295) 1.0 s, 10^30 + 7 (4395) 1.1 s, 10^60 + 7 (8574) 1.4-1.9 s, and before
@@ -569,7 +569,7 @@ def _cmd_laurent(args):
 
 
 def _cmd_gvc_probe(args):
-    from .probes import ConstCoeffOp, check_gvc_inputs, gvc_probe
+    from .probes import ConstCoeffOp, gvc_bounds, gvc_probe
 
     op_data = _load_json_arg(args.op, "--op")
     p_data = _load_json_arg(args.p_poly, "--p-poly")
@@ -579,8 +579,7 @@ def _cmd_gvc_probe(args):
     op = ConstCoeffOp(_multipoly_from_json(op_data, "--op"))
     p_poly = _multipoly_from_json(p_data, "--p-poly")
     q_poly = _multipoly_from_json(q_data, "--q-poly")
-    check_gvc_inputs(op, p_poly, q_poly, args.m_max)
-    predicted, work, bits = _gvc_bounds(op, p_poly, q_poly, args.m_max)
+    predicted, work, bits = gvc_bounds(op, p_poly, q_poly, args.m_max)
     if predicted > _GVC_MAX_TERMS:
         raise DomainError(f"--m-max {args.m_max}: p^m and q*p^m may have {predicted} terms, "
                           f"over the cap {_GVC_MAX_TERMS}")
@@ -601,96 +600,6 @@ def _cmd_gvc_probe(args):
         "conclusionTransition": report.conclusion_transition,
     }
     return payload, {"op": op_data, "p": p_data, "q": q_data, "mMax": args.m_max}
-
-
-def _gvc_bounds(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int) -> tuple:
-    """(terms, work, bits) as `_gvc_predicted_terms`, `_gvc_predicted_work`
-    and `_gvc_coefficient_bits` bound them for the kill tests gvc_probe
-    runs: on p and q, or, when p factors over the variables the operator
-    touches (`probes.gvc_factor`), on its factor s and on each slice of q in
-    turn, the largest of the terms and bits and the sum of the work."""
-    from .probes import gvc_factor
-
-    kill_p, kill_qs = p_poly, (q_poly,)
-    factor = gvc_factor(op, p_poly, q_poly)
-    if factor is not None:
-        kill_p, kill_qs = factor[0], factor[1] or kill_qs  # a zero q has no slice
-    return (max(_gvc_predicted_terms(kill_p, q, m_max) for q in kill_qs),
-            sum(_gvc_predicted_work(op, kill_p, q, m_max) for q in kill_qs),
-            max(_gvc_coefficient_bits(op, kill_p, q, m_max) for q in kill_qs))
-
-
-def _gvc_predicted_terms(p_poly: MultiPolyQ, q_poly: MultiPolyQ, m: int) -> int:
-    """A bound on the terms of p^m and of q*p^m: p^m has at most one term
-    per monomial of degree <= m*deg p in the n variables, C(m*deg p + n, n),
-    and one per multiset of m terms of p, C(|p| + m - 1, m); q*p^m has at
-    most |q| times as many.  An m below 1 counts as 0; gvc_probe rejects it."""
-    return _gvc_power_terms(p_poly, max(m, 0)) * max(len(q_poly.terms), 1)
-
-
-def _gvc_power_terms(p_poly: MultiPolyQ, m: int) -> int:
-    from math import comb
-
-    return min(comb(m * (p_poly.total_degree or 0) + p_poly.nvars, p_poly.nvars),
-               comb(len(p_poly.terms) + m - 1, m))
-
-
-def _gvc_predicted_work(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
-                        m_max: int) -> int:
-    """A bound on the term operations of the kill tests.  For each m the
-    operator, with s symbol terms of least order o, is applied to f = p^m
-    and to f = q*p^m until f vanishes, at most m times, and at most
-    D // o + 1 times when o > 0 and f has degree D.  Application k (from 0)
-    pairs each of the s symbol terms with each term of op^k f, which has at
-    most T C(s + k - 1, k) terms (T bounds the terms of f, as in
-    `_gvc_predicted_terms`; each term of f spreads to one term per multiset
-    of k symbol terms) and at most C(D - k o + n, n), one per monomial of
-    its degree."""
-    from math import comb
-
-    symbol = op.symbol_poly.terms
-    if not symbol:
-        return 0
-    s, n = len(symbol), p_poly.nvars
-    order = min(sum(exps) for exps in symbol)
-    p_degree, q_degree = p_poly.total_degree or 0, q_poly.total_degree or 0
-    work = 0
-    for m in range(1, m_max + 1):
-        power = _gvc_power_terms(p_poly, m)
-        for degree, terms in ((m * p_degree, power),
-                              (m * p_degree + q_degree, _gvc_predicted_terms(p_poly, q_poly, m))):
-            steps = min(m, degree // order + 1) if order else m
-            work += s * sum(min(terms * comb(s + k - 1, k), comb(degree - k * order + n, n))
-                            for k in range(steps))
-    return work
-
-
-def _gvc_coefficient_bits(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
-                          m_max: int) -> int:
-    """A bound on the bit length of the integer coefficients the kill tests
-    form.  gvc_probe scales op, p and q to integer coefficients; with S, P
-    and Q the sums of their absolute values, p^m has coefficients of at most
-    P^m and q*p^m of at most Q P^m.  Let D bound the degree of q*p^m in the
-    variables the operator touches.  The derivative d^k sends x^e to
-    e!/(e-k)! x^(e-k), so a term gains one factor of at most D per order
-    taken off that degree, at most D of them in all.  So k applications of
-    the operator, whose symbol terms have order at most o, multiply the
-    bound by at most S^k D^min(k o, D), and k is at most m_max."""
-    from .probes import _integer_terms, _touched
-
-    def bits(poly: MultiPolyQ) -> int:
-        return sum(map(abs, _integer_terms(poly).values())).bit_length()
-
-    symbol = op.symbol_poly.terms
-    touched = _touched(op)
-
-    def touched_degree(poly: MultiPolyQ) -> int:
-        return max((sum(exps[i] for i in touched) for exps in poly.terms), default=0)
-
-    order = max((sum(exps) for exps in symbol), default=0)
-    degree = m_max * touched_degree(p_poly) + touched_degree(q_poly)
-    return (m_max * (bits(p_poly) + bits(op.symbol_poly)) + bits(q_poly)
-            + min(m_max * order, degree) * degree.bit_length())
 
 
 def _check_imagep_caps(polys, p: int, nvars: int):
@@ -854,7 +763,11 @@ def _parse_args(table: dict, argv) -> SimpleNamespace:
     usage, prog = "usage: mz [-h] {" + ",".join(table) + "} ...", "mz"
 
     def fail(message: str):
-        sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+        if sys.stderr is not None:  # None when the process started with fd 2 closed
+            try:
+                sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+            except OSError:  # fd 2 closed by the shell (2>&-) and reopened read-only
+                pass
         raise SystemExit(2)
 
     if argv[:1] in (["-h"], ["--help"]):

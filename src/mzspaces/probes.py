@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice
-from math import gcd, perm, prod
+from math import comb, gcd, perm, prod
 from operator import mul as _times, sub
 
 from .errors import DomainError
@@ -310,22 +310,6 @@ def _killed_by_power(symbol, f: dict, m: int) -> bool:
     return not f
 
 
-def _touched(op: ConstCoeffOp) -> tuple:
-    """The indices of the variables the operator differentiates in."""
-    symbol = op.symbol_poly.terms
-    return tuple(i for i in range(op.nvars) if any(exps[i] for exps in symbol))
-
-
-def check_gvc_inputs(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int):
-    """Raise DomainError unless `gvc_probe` can run on these inputs."""
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    if op.nvars != p_poly.nvars:
-        raise DomainError("operator and polynomial variable counts differ")
-    if p_poly.nvars != q_poly.nvars:
-        raise DomainError("variable count mismatch")
-
-
 def _slices(f: dict, touched: tuple, rest: tuple):
     """The distinct slices of f = sum_r x_R^r f_r(x_S), S the variables at
     the indices touched and R those at the indices rest: each f_r on
@@ -358,53 +342,113 @@ def _killed(symbol, f: dict, m: int, split) -> bool:
     return all(_killed_by_power(symbol, part, m) for part in _slices(f, *split))
 
 
-def _split(op: ConstCoeffOp):
-    """(touched, rest): the indices of the variables the operator
-    differentiates in and of the others; None when it touches them all."""
-    touched = _touched(op)
+def _gvc_plan(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int):
+    """(symbol, p, qs, split): the kill tests `gvc_probe` runs, after
+    checking its inputs.  Vanishing does not change when op, p or q is
+    scaled by a nonzero rational, so each is scaled to integer coefficients
+    once: symbol as (exponents, coefficient) pairs, p and each q in qs as
+    term dicts.  Three paths:
+
+    - whole: the operator touches every variable; qs = (q,), split None.
+    - factored: the operator leaves the variables R alone, touches S, and
+      p has exactly one distinct slice s over S, that is p = h(x_R) s(x_S)
+      with h != 0.  Then op^m(h^m F) = h^m op^m(F), and the polynomials are
+      an integral domain, so op^m kills p^m exactly when it kills s^m; and
+      since q*p^m = h^m sum_r x_R^r q_r s^m, with q_r the slices of q, it
+      kills q*p^m exactly when it kills every q_r s^m.  p is s and qs the
+      slices of q ({} alone when q is 0), symbol and all over S; split None.
+    - sliced: any other p; each power is tested slice by slice over S
+      (`_killed`); symbol is over S, p and qs = (q,) over all the
+      variables, and split is (the indices of S, those of R).
+
+    The path follows from the operator and from p alone."""
+    if m_max < 1:
+        raise DomainError("m_max must be >= 1")
+    if op.nvars != p_poly.nvars:
+        raise DomainError("operator and polynomial variable counts differ")
+    if p_poly.nvars != q_poly.nvars:
+        raise DomainError("variable count mismatch")
+    symbol = tuple(_integer_terms(op.symbol_poly).items())
+    p_terms, q_terms = _integer_terms(p_poly), _integer_terms(q_poly)
+    touched = tuple(i for i in range(op.nvars) if any(exps[i] for exps, _ in symbol))
     if len(touched) == op.nvars:
-        return None
-    return touched, tuple(i for i in range(op.nvars) if i not in touched)
+        return symbol, p_terms, (q_terms,), None
+    split = touched, tuple(i for i in range(op.nvars) if i not in touched)
+    symbol = tuple((tuple(map(exps.__getitem__, touched)), c) for exps, c in symbol)
+    slices = list(islice(_slices(p_terms, *split), 2))
+    if len(slices) == 1:
+        return symbol, slices[0], tuple(_slices(q_terms, *split)) or ({},), None
+    return symbol, p_terms, (q_terms,), split
 
 
-def _factor(p: dict, q: dict, split):
-    """(s, the slices of q) when p has exactly one distinct slice s over the
-    touched variables S, that is p = h(x_R) s(x_S) with h != 0 in the rest
-    R; None otherwise.  Then op^m(h^m F) = h^m op^m(F), and the polynomials
-    are an integral domain, so op^m kills p^m exactly when it kills s^m;
-    and since q*p^m = h^m sum_r x_R^r q_r s^m, with q_r the slices of q, it
-    kills q*p^m exactly when it kills every q_r s^m.  The parts are term
-    dicts on exponent tuples over S."""
-    slices = list(islice(_slices(p, *split), 2))
-    if len(slices) != 1:
-        return None
-    return slices[0], tuple(_slices(q, *split))
+def gvc_bounds(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int) -> tuple:
+    """(terms, work, bits): bounds on the kill tests `gvc_probe` runs on
+    these inputs, read off its plan (`_gvc_plan`) before anything is
+    expanded, for each q in the plan's qs: the largest terms and bits and
+    the summed work.  n is the full variable count on every path.
 
+    terms: p^m has at most one term per monomial of degree <= m deg p in n
+    variables, C(m deg p + n, n), and one per multiset of m terms of p,
+    C(|p| + m - 1, m); q*p^m has at most |q| times as many (a 0 q counts
+    1), at m = m_max.
 
-def gvc_factor(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ):
-    """(s, the slices of q) on which `gvc_probe` runs its kill tests when p
-    factors as in `_factor`, each as a MultiPolyQ over all the variables
-    with exponent 0 at those the operator leaves alone; None when it runs
-    them on p and q themselves."""
-    split = _split(op)
-    if split is None:
-        return None
-    factor = _factor(_integer_terms(p_poly), _integer_terms(q_poly), split)
-    if factor is None:
-        return None
-    touched = split[0]
+    work: the term operations.  For each m the operator, with s symbol
+    terms of least order o, is applied to f = p^m and to f = q*p^m until f
+    vanishes, at most m times, and at most D // o + 1 times when o > 0 and
+    f has degree D.  Application k (from 0) pairs each symbol term with
+    each term of op^k f, which has at most T C(s + k - 1, k) terms (T the
+    term bound of f; each term of f spreads to one per multiset of k symbol
+    terms) and at most C(D - k o + n, n), one per monomial of its degree.
 
-    def embed(part: dict) -> MultiPolyQ:
-        terms = {}
-        for exps, c in part.items():
-            full = [0] * op.nvars
-            for i, e in zip(touched, exps):
-                full[i] = e
-            terms[tuple(full)] = c
-        return MultiPolyQ(op.nvars, terms)
+    bits: the bit length of the integer coefficients formed.  With S, P and
+    Q the sums of the absolute values of the scaled symbol, p and q, p^m
+    has coefficients of at most P^m and q*p^m of at most Q P^m.  Let D bound
+    the degree of q*p^m in the variables the operator touches.  The
+    derivative d^k sends x^e to e!/(e-k)! x^(e-k), so a term gains one
+    factor of at most D per order taken off that degree, at most D of them
+    in all.  So k applications of the operator, whose symbol terms have
+    order at most O, multiply the bound by at most S^k D^min(k O, D), and k
+    is at most m_max."""
+    symbol, p_terms, qs, split = _gvc_plan(op, p_poly, q_poly, m_max)
+    n, s = op.nvars, len(symbol)
+    orders = [sum(exps) for exps, _ in symbol]
+    order, max_order = min(orders, default=0), max(orders, default=0)
+    touched = split and split[0]  # None: the plan's p and qs are over S alone
 
-    s, q_slices = factor
-    return embed(s), tuple(map(embed, q_slices))
+    def degree(f: dict, indices=None) -> int:
+        if indices is None:
+            return max(map(sum, f), default=0)
+        return max((sum(map(exps.__getitem__, indices)) for exps in f), default=0)
+
+    def bits(values) -> int:
+        return sum(map(abs, values)).bit_length()
+
+    p_degree = degree(p_terms)
+
+    def power_terms(m: int) -> int:
+        return min(comb(m * p_degree + n, n), comb(len(p_terms) + m - 1, m))
+
+    def work(q: dict) -> int:
+        if not symbol:
+            return 0
+        total, q_degree = 0, degree(q)
+        for m in range(1, m_max + 1):
+            power = power_terms(m)
+            for f_degree, terms in ((m * p_degree, power),
+                                    (m * p_degree + q_degree, power * max(len(q), 1))):
+                steps = min(m, f_degree // order + 1) if order else m
+                total += s * sum(min(terms * comb(s + k - 1, k),
+                                     comb(f_degree - k * order + n, n)) for k in range(steps))
+        return total
+
+    def coefficient_bits(q: dict) -> int:
+        top = m_max * degree(p_terms, touched) + degree(q, touched)
+        return (m_max * (bits(p_terms.values()) + bits(c for _, c in symbol))
+                + bits(q.values()) + min(m_max * max_order, top) * top.bit_length())
+
+    return (power_terms(m_max) * max(1, *map(len, qs)),
+            sum(map(work, qs)),
+            max(map(coefficient_bits, qs)))
 
 
 def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
@@ -413,33 +457,18 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     whether op^m kills q*p^m (conclusion); the transition is the least m0
     from which the conclusion holds through m_max.
 
-    Only vanishing is reported, and scaling op, p or q by a nonzero rational
-    does not change it, so each is scaled to integer coefficients once and
-    the powers and operator applications run on integer term dicts.  When
-    the operator leaves some variables R alone and touches S, two paths:
-    if p = h(x_R) s(x_S), that is p has one distinct slice s over S, the
-    kill tests run on s^m and on q_r s^m for each slice q_r of q, all over
-    S alone (`_factor`), since h^m != 0 factors out of op^m; otherwise each
-    power is tested slice by slice over S (`_killed`), and slices that
-    differ by an integer factor are tested once.  The path follows from
-    this factorisation of p alone.
+    The kill tests run on the integer term dicts of `_gvc_plan`: on p and
+    q themselves, on the factor s of p and the slices of q, or slice by
+    slice over the variables the operator touches; slices that differ by an
+    integer factor are tested once.
     """
-    check_gvc_inputs(op, p_poly, q_poly, m_max)
-    symbol = tuple(_integer_terms(op.symbol_poly).items())
-    p_terms, q_parts = _integer_terms(p_poly), (_integer_terms(q_poly),)
-    one = (0,) * p_poly.nvars
-    split = _split(op)
-    if split is not None:
-        touched = split[0]
-        symbol = tuple((tuple(map(exps.__getitem__, touched)), c) for exps, c in symbol)
-        factor = _factor(p_terms, q_parts[0], split)
-        if factor is not None:
-            (p_terms, q_parts), split, one = factor, None, (0,) * len(touched)
+    symbol, p_terms, q_parts, split = _gvc_plan(op, p_poly, q_poly, m_max)
     hypothesis_violations = []
     conclusion_violations = []
-    p_power = {one: 1}
+    p_power = p_terms
     for m in range(1, m_max + 1):
-        p_power = mul(p_power, p_terms, add_tuples)
+        if m > 1:
+            p_power = mul(p_power, p_terms, add_tuples)
         if not _killed(symbol, p_power, m, split):
             hypothesis_violations.append(m)
         if not all(_killed(symbol, mul(q, p_power, add_tuples), m, split) for q in q_parts):

@@ -548,6 +548,12 @@ LAPLACIAN_3 = {
 }
 
 
+def _laplacian_3():
+    symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(LAPLACIAN_3[key]), key)
+                              for key in ("--op", "--p-poly", "--q-poly"))
+    return ConstCoeffOp(symbol), p_poly, q_poly
+
+
 def test_gvc_probe_term_cap(capsys):
     # The case the help text times: 3003 predicted terms at m-max 10, 4368 at 11.
     argv = ["gvc-probe"] + [item for pair in LAPLACIAN_3.items() for item in pair]
@@ -555,16 +561,17 @@ def test_gvc_probe_term_cap(capsys):
     assert code == 2
     assert out["error"]["message"] == (
         f"--m-max 11: p^m and q*p^m may have 4368 terms, over the cap {cli._GVC_MAX_TERMS}")
-    p_poly = cli._multipoly_from_json(json.loads(LAPLACIAN_3["--p-poly"]), "p")
-    q_poly = cli._multipoly_from_json(json.loads(LAPLACIAN_3["--q-poly"]), "q")
-    assert cli._gvc_predicted_terms(p_poly, q_poly, 10) == 3003 <= cli._GVC_MAX_TERMS
+    op, p_poly, q_poly = _laplacian_3()
+    assert probes.gvc_bounds(op, p_poly, q_poly, 10)[0] == 3003 <= cli._GVC_MAX_TERMS
+    assert probes.gvc_bounds(op, p_poly, q_poly, 11)[0] == 4368
     assert len((p_poly ** 10).terms) <= 3003
     # A 2-term p = x1^b h(x2, x3) and a 1-term q, the shape of the benchmark's
-    # gvc jobs, predict m + 1 terms: C(|p| + m - 1, m) is the smaller bound.
+    # gvc jobs, predict m + 1 terms under an operator that touches every
+    # variable: C(|p| + m - 1, m) is the smaller bound.
     two = cli._multipoly_from_json([{"exps": [1, 3, 0], "c": 1}, {"exps": [1, 0, 2], "c": -1}],
                                    "p")
     one = cli._multipoly_from_json([{"exps": [2, 1, 1], "c": 1}], "q")
-    assert cli._gvc_predicted_terms(two, one, cli._GVC_MAX_M) == cli._GVC_MAX_M + 1
+    assert probes.gvc_bounds(op, two, one, cli._GVC_MAX_M)[0] == cli._GVC_MAX_M + 1
 
 
 def _op_json(exponents):
@@ -587,11 +594,11 @@ def test_gvc_probe_work_cap(capsys):
         assert code == 2
         assert out["error"]["message"] == (f"--m-max {m_max}: the kill tests may take {work} "
                                            f"term operations, over the cap {cli._GVC_MAX_WORK}")
+        symbol, p_value, q_value = (cli._multipoly_from_json(json.loads(text), "poly")
+                                    for text in (op, p_poly, LAPLACIAN_3["--q-poly"]))
+        assert probes.gvc_bounds(ConstCoeffOp(symbol), p_value, q_value, m_max)[1] == work
     # The Laplacian case of the help text stays within both caps.
-    symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(LAPLACIAN_3[key]), key)
-                              for key in ("--op", "--p-poly", "--q-poly"))
-    work = cli._gvc_predicted_work(ConstCoeffOp(symbol), p_poly, q_poly, 10)
-    assert work == 844740 <= cli._GVC_MAX_WORK
+    assert probes.gvc_bounds(*_laplacian_3(), 10)[1] == 844740 <= cli._GVC_MAX_WORK
 
 
 def _scaled_p(a: int) -> str:
@@ -630,11 +637,13 @@ def test_gvc_probe_coefficient_bits_cap(capsys, monkeypatch):
             f"over the cap {cli._GVC_MAX_COST}")
     q = cli._multipoly_from_json(json.loads(q_poly), "q")
     op = ConstCoeffOp(cli._multipoly_from_json(json.loads(squarefree), "op"))
-    for a, bits in ((11, 363), (10**9 + 7, 1455)):
+    assert 856464 <= cli._GVC_MAX_WORK
+    for a, bits in ((11, 363), (10**9 + 7, 1455), (10**1000 + 7, 139719),
+                    (10**3000 + 7, 418767)):
         p_poly = cli._multipoly_from_json(json.loads(_scaled_p(a)), "p")
-        assert cli._gvc_predicted_work(op, p_poly, q, 21) == 856464 <= cli._GVC_MAX_WORK
-        assert cli._gvc_coefficient_bits(op, p_poly, q, 21) == bits
-        assert 856464 * (bits + cli._GVC_OP_BITS) <= cli._GVC_MAX_COST
+        assert probes.gvc_bounds(op, p_poly, q, 21)[1:] == (856464, bits)
+        within = 856464 * (bits + cli._GVC_OP_BITS) <= cli._GVC_MAX_COST
+        assert within == (a < 10**1000)
 
 
 # The heaviest benchmark gvc shape: op = d1^3 - d1^4, p = x1 h(x2, x3) with
@@ -659,9 +668,13 @@ def test_gvc_probe_caps_bound_the_factor_of_p(capsys):
     assert out["conclusionViolations"] == [1]
     symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(BENCH_GVC[key]), key)
                               for key in ("--op", "--p-poly", "--q-poly"))
-    op = ConstCoeffOp(symbol)
-    assert cli._gvc_bounds(op, p_poly, q_poly, 40) == (1, 6308, 379)
-    assert cli._gvc_predicted_work(op, p_poly, q_poly, 40) == 1435000 > cli._GVC_MAX_WORK
+    assert probes.gvc_bounds(ConstCoeffOp(symbol), p_poly, q_poly, 40) == (1, 6308, 379)
+    # d1^3 - d1 d2^2 d3 has the same terms and least order but touches every
+    # variable, so the kill tests and their bounds are on p and q themselves.
+    whole = cli._multipoly_from_json([{"exps": [3, 0, 0], "c": 1},
+                                      {"exps": [1, 2, 1], "c": -1}], "op")
+    work = probes.gvc_bounds(ConstCoeffOp(whole), p_poly, q_poly, 40)[1]
+    assert work == 1435000 > cli._GVC_MAX_WORK
 
 
 @pytest.mark.parametrize("op, p_poly, q_poly, message", [

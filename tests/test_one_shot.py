@@ -167,6 +167,31 @@ def test_a_stderr_closed_by_the_shell_keeps_a_success(argv, tmp_path):
     assert by_closed.stdout == by_open.stdout
 
 
+@pytest.mark.parametrize("launcher, stderr_is_none", [(True, "False"), (False, "True")],
+                         ids=["bash-launcher", "sh"])
+def test_a_usage_error_with_stderr_closed_exits_2(launcher, stderr_is_none, tmp_path):
+    """`mz decide 2>&-` is still a usage error, exit 2 with nothing on
+    stdout, however the shell closed fd 2: through a bash launcher script
+    the interpreter inherits a read-only fd 2 and writing the usage message
+    fails with EBADF; started by sh itself it has no fd 2 and sys.stderr is
+    None."""
+    prefix = []
+    if launcher:
+        script = tmp_path / "launch"
+        script.write_text('#!/bin/bash\nexec "$@"\n')
+        script.chmod(0o755)
+        prefix = [str(script)]
+
+    def closed(*command):
+        return subprocess.run(["sh", "-c", '"$0" "$@" 2>&-', *prefix, *command],
+                              stdout=subprocess.PIPE, env=ENV)
+
+    premise = closed(sys.executable, "-S", "-c", "import sys; print(sys.stderr is None)")
+    assert premise.stdout == f"{stderr_is_none}\n".encode()
+    child = closed(sys.executable, "-S", "-m", "mzspaces", *EXIT_PATHS["usage-missing"])
+    assert (child.returncode, child.stdout) == (2, b"")
+
+
 def test_importing_the_entry_module_leaves_the_collector_on():
     child = subprocess.run([sys.executable, "-S", "-c", "import gc, mzspaces.__main__; "
                             "print(gc.isenabled())"],

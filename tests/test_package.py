@@ -179,3 +179,15 @@ def test_only_the_cli_speaks_json():
                     node.name.endswith("_json") or node.name in CODEC_NAMES):
                 offences.append((path.name, node.name))
     assert offences == []
+
+
+def test_the_cli_imports_no_private_library_name():
+    # The CLI reaches the library through public names only, so what a
+    # module keeps private can change without the CLI following it.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    offences = [f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "mzspaces")
+                for alias in node.names if alias.name.startswith("_")]
+    assert offences == []

@@ -12,19 +12,17 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from mzspaces import cli
 from mzspaces.certificates import MomentRule, power_moment
 from mzspaces.imagep import ZXPoly, apply_d, imd_decide, j_ideal_witness
 from mzspaces.probes import (
     ConstCoeffOp,
     MatrixQ,
     MultiPolyQ,
-    _factor,
+    _gvc_plan,
     _int_apply,
     _integer_terms,
     _slices,
-    _split,
-    gvc_factor,
+    gvc_bounds,
     gvc_probe,
     trace_radical_test,
 )
@@ -251,19 +249,14 @@ def test_sliced_gvc_kernel_matches_operator_application(case):
 @example((ConstCoeffOp(MultiPolyQ(1, {(1,): 1})), MultiPolyQ(1, {(10,): 1}), MultiPolyQ(1, {}), 4))
 def test_gvc_coefficient_bits_bound_the_kill_tests(case):
     """The bit bound of gvc-probe's cap holds for every coefficient of
-    op^k p^m and op^k q*p^m, k <= m <= m-max, with op, p and q scaled to
-    integers as gvc_probe scales them."""
+    op^k f, k <= m <= m-max, for each f = p^m and q*p^m of the kill tests
+    gvc_probe plans, with op, p and q scaled to integers as it scales them."""
     op, p, q, m_max = case
-    bits = cli._gvc_coefficient_bits(op, p, q, m_max)
-    symbol = tuple(_integer_terms(op.symbol_poly).items())
-    p_ints, q_ints = _integer_terms(p), _integer_terms(q)
-    power = {(0,) * p.nvars: 1}
-    for m in range(1, m_max + 1):
-        power = mul(power, p_ints, add_tuples)
-        for f in (power, mul(q_ints, power, add_tuples)):
-            for _ in range(m + 1):
-                assert all(abs(c).bit_length() <= bits for c in f.values())
-                f = _int_apply(symbol, f)
+    bits = gvc_bounds(op, p, q, m_max)[2]
+    for m, f, symbol in _kill_test_path(op, p, q, m_max):
+        for _ in range(m + 1):
+            assert all(abs(c).bit_length() <= bits for c in f.values())
+            f = _int_apply(symbol, f)
 
 
 def _sum(first, *rest):
@@ -285,9 +278,10 @@ def factored_gvc_inputs(draw):
                                                              max_size=3))))
     p = draw(sliced_polys(nvars, touched, rest))
     q = _sum(*(draw(sliced_polys(nvars, touched, rest)) for _ in range(draw(st.integers(2, 3)))))
-    factor = gvc_factor(op, p, q)
-    assume(factor is not None and len(factor[1]) >= 2)
-    return op, p, q, draw(st.integers(1, 4))
+    m_max = draw(st.integers(1, 4))
+    _, _, q_parts, split = _gvc_plan(op, p, q, m_max)
+    assume(split is None and len(q_parts) >= 2)  # the factored path
+    return op, p, q, m_max
 
 
 @SETTINGS
@@ -316,9 +310,10 @@ def two_slice_gvc_inputs(draw):
 @given(two_slice_gvc_inputs())
 def test_a_p_with_two_slices_stays_on_the_general_path(case):
     op, p, q, m_max = case
-    assume(len(list(_slices(_integer_terms(p), *_split(op)))) == 2)
-    assert _factor(_integer_terms(p), _integer_terms(q), _split(op)) is None
-    assert gvc_factor(op, p, q) is None
+    split = ((0,), (1, 2))  # unless the operator is a constant
+    assume(any(exps[0] for exps in op.symbol_poly.terms))
+    assume(len(list(_slices(_integer_terms(p), *split))) == 2)
+    assert _gvc_plan(op, p, q, m_max)[3] == split  # the sliced path
     report = gvc_probe(op, p, q, m_max)
     assert (report.hypothesis_violations, report.conclusion_violations) == \
         gvc_by_operator_application(op, p, q, m_max)
@@ -326,19 +321,17 @@ def test_a_p_with_two_slices_stays_on_the_general_path(case):
 
 def _kill_test_path(op, p, q, m_max):
     """Every polynomial the kill tests of gvc_probe form, in the order they
-    form them, with the symbol they apply: p^m and q*p^m and their images,
-    or, when p factors, s^m and q_r s^m over the touched variables."""
-    symbol = tuple(_integer_terms(op.symbol_poly).items())
-    p_int, q_parts, width = _integer_terms(p), [_integer_terms(q)], p.nvars
-    split = _split(op)
+    form them, with the symbol they apply: p^m and q*p^m, or, when p
+    factors, s^m and q_r s^m over the touched variables.  On the sliced
+    path they are replayed whole, with the full symbol: a slice has no more
+    terms than its polynomial and no larger coefficients."""
+    symbol, p_int, q_parts, split = _gvc_plan(op, p, q, m_max)
     if split is not None:
-        factor = _factor(p_int, q_parts[0], split)
-        if factor is not None:
-            symbol = tuple((tuple(e[i] for i in split[0]), c) for e, c in symbol)
-            p_int, q_parts, width = factor[0], list(factor[1]), len(split[0])
-    power = {(0,) * width: 1}
+        symbol = tuple(_integer_terms(op.symbol_poly).items())
+    power = p_int
     for m in range(1, m_max + 1):
-        power = mul(power, p_int, add_tuples)
+        if m > 1:
+            power = mul(power, p_int, add_tuples)
         for f in (power, *(mul(part, power, add_tuples) for part in q_parts)):
             yield m, f, symbol
 
@@ -352,7 +345,7 @@ def test_gvc_caps_bound_the_path_taken(case):
     kill test is replayed to its end; slicing on the general path only
     shrinks what it applies the operator to."""
     op, p, q, m_max = case
-    terms, work, bits = cli._gvc_bounds(op, p, q, m_max)
+    terms, work, bits = gvc_bounds(op, p, q, m_max)
     spent = 0
     for m, f, symbol in _kill_test_path(op, p, q, m_max):
         assert len(f) <= terms
