@@ -18,9 +18,12 @@ from .scalars import (
     PADIC_INF,
     Rational,
     clear_denominators,
+    digit_width,
     is_prime,
+    pack,
     padic_valuation,
     require_rational,
+    unpack,
 )
 from .upoly import Poly
 
@@ -97,22 +100,16 @@ def expansion_size(base, power: int):
 
 
 def _expand_power(base, power: int):
-    """The coefficients of (sum base[i] t^i)^power by Kronecker substitution:
-    pack base into one integer at t = 2^w, raise it to the power, and read
-    the base-2^w digits back.  w, whole bytes, holds every coefficient
-    (`expansion_size`); each digit is packed and read with a bias of
-    2^(w-1), so that the bytes of a digit are those of a nonnegative int."""
+    """The coefficients of (sum base[i] t^i)^power by Kronecker substitution
+    (`scalars.pack`): base packed into one integer, raised to the power, and
+    unpacked.  Every coefficient of the power, and of base itself, is below
+    2^(bits - 1) in absolute value (`expansion_size`), which sets the digit
+    width."""
     if power == 0 or not base:
         return [] if power else [1]
     terms, bits = expansion_size(base, power)
-    width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
-    digit = bytes(width - 1) + b"\x80"  # half in one little-endian digit
-    packed = int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in base), "little")
-    packed -= int.from_bytes(digit * len(base), "little")
-    raw = packed**power + int.from_bytes(digit * terms, "little")
-    raw = raw.to_bytes(width * terms, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
+    width = digit_width((1 << (bits - 1)) - 1)
+    return unpack(pack(base, width) ** power, width, terms)
 
 
 def power_moment(rule: MomentRule, f: Poly, power: int) -> Rational:
@@ -188,6 +185,8 @@ def certify_unit_interval(f: Poly, m_min: int = 1,
         raise DomainError("polynomial must be monic")
     if m_min < 1:
         raise DomainError("m_min must be >= 1")
+    if search_bound < 1:
+        raise DomainError("search_bound must be >= 1")
     return _first_certificate(MomentRule.UNIT_INTERVAL, f, f.degree, m_min, search_bound)
 
 
@@ -206,6 +205,8 @@ def certify_exponential(f: Poly, m_min: int = 1,
         raise DomainError("certificates need degree >= 1")
     if m_min < 1:
         raise DomainError("m_min must be >= 1")
+    if search_bound < 1:
+        raise DomainError("search_bound must be >= 1")
     r = f.low_order
     if r < 1:
         raise DomainError("lowest term must be t^r with r >= 1 (nonzero constant term)")

@@ -23,10 +23,10 @@ over S of L(t^j e_i).  Per spec, each functional's moments L(t^n), n <
 (`quotient.integer_idempotent`); then L(t^j g) = sum_n g_n M[n + j] is one
 integer dot product and no shift is reduced mod f.  The oracle computes
 L_k(e_i) once per root and functional, packs each root's values into one
-integer, and walks all 2^r subsets in Gray-code order, one big-integer
-addition per subset; only a subset whose sum vanishes (an idempotent in the
-kernel) gets the full check that all its shifts t^j e_S, j < deg f, stay in
-the kernel.  `decide --oracle` shares the tables and the idempotents with
+integer (`scalars.pack`), and walks all 2^r subsets in Gray-code order, one
+big-integer addition per subset; only a subset whose sum vanishes (an
+idempotent in the kernel) gets the full check that all its shifts t^j e_S,
+j < deg f, stay in the kernel.  `decide --oracle` shares the tables and the idempotents with
 `decide_mz`, whose multiplier search is the same dot products on the
 witness idempotent, the sum over the balanced subset.  The walk stays
 exponential in r, so the oracle has the subset search's root cap,
@@ -51,7 +51,7 @@ from .errors import DependentFunctionalsError, DomainError
 from .functionals import FunctionalNF, integer_moments, largest_ideal_exponents
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import Rational, require_rational
+from .scalars import Rational, digit_width, pack, require_rational
 from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
@@ -264,23 +264,14 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     return MZVerdict(False, subset_roots, witness, Poly.monomial(j))
 
 
-def _pack(rows):
-    """One integer per row (Kronecker substitution): entry k of a row sits
-    in the k-th base-2^B digit, B wide enough that every sum of rows keeps
-    each entry below 2^(B-1) in absolute value.  Signed digits of that size
-    are unique, so a sum of packed rows is 0 exactly when the same sum of
-    rows is the zero vector."""
-    bound = max(sum(abs(row[k]) for row in rows) for k in range(len(rows[0])))
-    width = bound.bit_length() + 1
-    return [sum(v << (width * k) for k, v in enumerate(row)) for row in rows]
-
-
 def oracle_decide_mz(spec: SubspaceSpec) -> bool:
     """Independent re-decision by linearity: every idempotent of the
     quotient ring is a sum of root idempotents e_i, so L(t^j e_S) is the sum
     over S of L(t^j e_i).  The values L_k(e_i) are computed once per root
-    and functional and packed into one integer per root; a Gray-code walk
-    over the subsets then costs one addition per subset.  A subset whose
+    and functional and packed into one integer per root (`scalars.pack`),
+    at a width that holds the sum of |L_k(e_i)| over all roots, so a packed
+    subset sum is 0 exactly when its values are; a Gray-code walk over the
+    subsets then costs one addition per subset.  A subset whose
     sum vanishes is an idempotent in the kernel, and it must keep all its
     shifts t^j e_S, j < deg f, in the kernel."""
     _require_normalized(spec)
@@ -292,7 +283,9 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
         )
     data = _kernel_data(spec)
     _, vectors = data.idempotent_vectors(spec.roots.roots)
-    packed = _pack([data.values(e, 0) for e in vectors])
+    rows = [data.values(e, 0) for e in vectors]
+    width = digit_width(max(sum(map(abs, column)) for column in zip(*rows)))
+    packed = [pack(row, width) for row in rows]
     total = 0
     chosen = 0
     for step in range(1, 1 << len(vectors)):

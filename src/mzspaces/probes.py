@@ -12,7 +12,7 @@ from math import comb, gcd, perm, prod
 from operator import mul as _times, sub
 
 from .errors import DomainError
-from .scalars import Rational, clear_denominators
+from .scalars import Rational, clear_denominators, digit_width, pack, packed_digit
 from .sparse import LaurentPoly, add_tuples, collect, mul, power, shifted
 
 
@@ -77,23 +77,19 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
     The powers are those of the integer matrix A = d*C, d the common
     denominator of the entries, so tr(C^m) = tr(A^m) / d^m and no rational
     arithmetic happens inside the loop.  Each row of A^m is packed into one
-    integer, entry j as the signed base-2^w digit j (Kronecker substitution):
-    with R the largest absolute row sum of A, |(A^m)_ij| <= R^m < 2^(w-2)
-    for m <= n when w = n * bit_length(R) + 2, so the digits never carry
-    into one another.  Row i of A^(m+1) is sum_k A_ik * (row k of A^m),
-    n^2 big-integer products per power instead of n^3 entry products.
-    Adding 2^(w-1) to every digit makes them all nonnegative, so the
-    diagonal entry is read off with a shift and a mask.  Once a power
-    vanishes, every later trace is 0 and no further power is formed.
+    integer (`scalars.pack`), entry j as the signed digit j: with R the
+    largest absolute row sum of A, |(A^m)_ij| <= R^m <= R^n for m <= n, so
+    digits wide enough for R^n never carry into one another.  Row i of
+    A^(m+1) is sum_k A_ik * (row k of A^m), n^2 big-integer products per
+    power instead of n^3 entry products.  The trace reads only the n
+    diagonal digits (`scalars.packed_digit`).  Once a power vanishes, every
+    later trace is 0 and no further power is formed.
     """
     n = matrix.dimension
     d, flat = clear_denominators([entry for row in matrix.rows for entry in row])
     a = [flat[i * n:(i + 1) * n] for i in range(n)]
-    width = n * max(sum(map(abs, row)) for row in a).bit_length() + 2
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    bias = sum(half << (width * j) for j in range(n))
-    rows = [sum(entry << (width * j) for j, entry in enumerate(row)) for row in a]
+    width = digit_width(max(sum(map(abs, row)) for row in a) ** n)
+    rows = [pack(row, width) for row in a]
     traces = []
     witness = None
     for m in range(1, n + 1):
@@ -102,8 +98,8 @@ def trace_radical_test(matrix: MatrixQ) -> TraceReport:
         if not any(rows):
             witness = m
             break
-        trace = sum((row + bias) >> (width * i) & mask for i, row in enumerate(rows))
-        traces.append(Rational(trace - n * half, d**m))
+        trace = sum(packed_digit(row, width, i) for i, row in enumerate(rows))
+        traces.append(Rational(trace, d**m))
     traces = tuple(traces) + (Rational(0),) * (n - len(traces))
     if any(t != 0 for t in traces):
         return TraceReport(in_radical=False, traces=traces, nilpotency_witness=None)

@@ -1,4 +1,6 @@
-"""Exact scalars: rationals, p-adic valuations, primality.
+"""Exact scalars: rationals, p-adic valuations, primality, and the one
+packed-integer kernel (`pack`, `unpack`, `packed_digit`) that carries the
+library's Kronecker products.
 
 The scalar field is Q.  A scalar is an int or a Rational: numerator over
 denominator, reduced, denominator > 0, zero as 0/1, immutable.  Rational
@@ -335,6 +337,48 @@ def clear_denominators(values):
     rational values (1 for none) and ints lists d*v for each value v."""
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+# The packed-integer kernel, Kronecker substitution (von zur Gathen and
+# Gerhard, Modern Computer Algebra, section 8.4): signed ints become the
+# base-2^(8 width) digits of one int, so a polynomial product or power, or a
+# sum of vectors, is one big-integer operation, exact while every digit stays
+# below 2^(8 width - 1) in absolute value, a bound each caller proves where it
+# calls.  Digits pass through bytes with a bias of 2^(8 width - 1), in time
+# linear in the size (shifting them out one by one is quadratic).
+
+def digit_width(bound: int) -> int:
+    """Bytes per digit for signed values of absolute value at most bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _bias(width, count):
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def pack(values, width: int) -> int:
+    """sum values[k] * 2^(8 width k), each |value| below 2^(8 width - 1)."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(v + half).to_bytes(width, "little") for v in values])
+    return int.from_bytes(raw, "little") - _bias(width, len(values))
+
+
+def unpack(packed: int, width: int, count: int) -> list:
+    """The count signed digits of packed, lowest first; pack's inverse."""
+    half = 1 << (8 * width - 1)
+    raw = (packed + _bias(width, count)).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
+
+
+def packed_digit(packed: int, width: int, index: int) -> int:
+    """Signed digit index of packed, read alone: the digits below it sum to
+    less than half of 2^(8 width index), so packed rounded to that power is
+    the digits from index up."""
+    bits = 8 * width
+    if index:
+        packed = ((packed >> (bits * index - 1) & ((2 << bits) - 1)) + 1) >> 1
+    half = 1 << (bits - 1)
+    return ((packed + half) & ((half << 1) - 1)) - half
 
 
 def scalar_inverse(c):

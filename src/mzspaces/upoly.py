@@ -11,7 +11,8 @@ from __future__ import annotations
 from math import comb, gcd, isqrt
 
 from .errors import DoesNotSplitError, DomainError
-from .scalars import Rational, clear_denominators, require_rational, scalar_inverse
+from .scalars import (Rational, clear_denominators, digit_width, pack, require_rational,
+                      scalar_inverse, unpack)
 
 NEG_INF = float("-inf")
 
@@ -230,15 +231,19 @@ def extended_gcd(a: Poly, b: Poly):
 
 
 def int_poly_mul(a, b):
-    """Product of two integer coefficient lists (index = exponent)."""
+    """Product of two integer coefficient lists (index = exponent) by
+    Kronecker substitution (`scalars.pack`).  Each product coefficient sums
+    at most min(len a, len b) products of a coefficient of a and one of b,
+    so |digit| <= min(len a, len b) * max|a| * max|b|, which also bounds the
+    inputs unless one is all zeros.  `Poly.__mul__` is the schoolbook
+    reference."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * (len(a) + len(b) - 1)
+    width = digit_width(bound)
+    return unpack(pack(a, width) * pack(b, width), width, len(a) + len(b) - 1)
 
 
 def int_times_linear(coeffs, a: int, b: int):

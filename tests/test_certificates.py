@@ -193,6 +193,14 @@ def test_unit_certificate_search_can_exhaust():
         certify_unit_interval(Poly([Fraction(-1, 2), 1]), search_bound=1)
 
 
+@pytest.mark.parametrize("search_bound", [0, -1])
+def test_certificate_search_bound_must_be_positive(search_bound):
+    with pytest.raises(DomainError, match="search_bound must be >= 1"):
+        certify_unit_interval(Poly([Fraction(-1, 2), 1]), search_bound=search_bound)
+    with pytest.raises(DomainError, match="search_bound must be >= 1"):
+        certify_exponential(Poly([0, 1, 1]), search_bound=search_bound)
+
+
 def test_exponential_certificate_frozen_cases():
     cert = certify_exponential(Poly([0, 1, 1]))  # t + t^2
     assert (cert.prime, cert.exponent) == (2, 1)

@@ -197,6 +197,15 @@ def test_certify_search_bound_exhaustion(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rule, poly", [("unit", '["-1/2", "1"]'), ("exp", '["0", "1", "1"]')])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_certify_rejects_a_search_bound_below_1(capsys, rule, poly, bound):
+    code, out, _ = _run(capsys, ["certify", "--rule", rule, "--poly", poly,
+                                 "--search-bound", bound])
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": "search_bound must be >= 1"}
+
+
 def test_trace_test(capsys):
     code, out, _ = _run(capsys, [
         "trace-test", "--matrix",

@@ -191,3 +191,13 @@ def test_the_cli_imports_no_private_library_name():
                 and (node.level or (node.module or "").split(".")[0] == "mzspaces")
                 for alias in node.names if alias.name.startswith("_")]
     assert offences == []
+
+
+def test_only_scalars_packs_integers():
+    # One packed-integer kernel (scalars.pack, unpack, packed_digit): no other
+    # module converts between ints and bytes, the route a second packer takes.
+    offences = [(path.name, node.lineno)
+                for path in sorted(PACKAGE.glob("*.py")) if path.name != "scalars.py"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")]
+    assert offences == []

@@ -94,9 +94,10 @@ def test_trace_kernel_reports_the_nilpotency_index(matrix):
     assert (report.traces, report.nilpotency_witness) == traces_by_matrix_powers(matrix)
 
 
-# The packed rows have digits of w = n * bit_length(R) + 2 bits, R the
-# largest absolute row sum; c^n for the diagonal c I, c = 2^k - 1, is the
-# largest entry that bound admits at the last power (c^n < 2^(w-2)).
+# The packed rows have digits of whole bytes that hold R^n, R the largest
+# absolute row sum (`scalars.digit_width`); c^n for the diagonal c I is the
+# largest entry that bound admits at the last power.  The byte-exact bound
+# is tested in test_packed_kernel_properties.py.
 WIDE = st.integers(-10**30, 10**30)
 
 
