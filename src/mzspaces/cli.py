@@ -41,10 +41,8 @@ _IMAGEP_MAX_DEGREE = 24
 # Work budgets of the probes and of moments, each chosen so that the capped
 # case runs in at most about a second on a 2-vCPU host: a dense 48x48 matrix
 # with entries a/b, |a|, b <= 9, takes 0.65-0.7 s in trace-test as a process
-# (0.37-0.64 s in the kernel, BENCH_probe_kernels.json); gvc-probe
-# takes up to 1.2 s at its work cap (below) and 1-47 ms in-process at m-max 40
-# for the benchmark shapes, whose operator touches one variable of three and
-# whose p factors over it; --count 1500 takes 0.4-0.5 s on a degree-48
+# (0.37-0.64 s in the kernel, BENCH_probe_kernels.json); gvc-probe meters
+# its own budget (probes.GVC_MAX_COST); --count 1500 takes 0.4-0.5 s on a degree-48
 # functional with 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and about
 # 0.4 s with 8 roots of multiplicity 6.  `idempotents --all` prints 2^r
 # polynomials; at r = 12 that is 0.95 s and 1.1 MB, and each further root
@@ -57,53 +55,6 @@ _IMAGEP_MAX_DEGREE = 24
 # cap (19200 candidates at degree 6, 10240 at degree 12, 2048 at degree 117).
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
-# The three gvc-probe caps bound what `probes.gvc_bounds` predicts for the
-# kill tests gvc_probe runs.  First, the terms of p^m and q*p^m at m-max: the
-# 3-variable Laplacian with a 6-term p of degree 4 and q = x1 predicts 3003
-# terms at m-max 10 (1716 in fact) and takes 0.9-1.1 s; m-max 11 predicts 4368.
-_GVC_MAX_TERMS = 3500
-# The term operations of the kill tests up to m-max.  The Laplacian case
-# above predicts 844740 of them (0.8-1.0 s).  Timed in-process at the largest
-# m-max under the cap, with q = x1: the 7 squarefree d-monomials in 3
-# variables on p = x + 2y/3 - z, m-max 21, 1.1-1.25 s (with 30-digit
-# coefficients it is over the cost cap below); the 9 d-monomials of order 1-2
-# on that p, m-max 20, 1.1-1.2 s, and on the Laplacian's p, m-max 7,
-# 0.8-0.95 s; d1 d2 + d3^2/2 on that p, m-max 36, 0.36-0.54 s.  When
-# p = h(x_R) s(x_S), S the variables the operator touches, the kill tests run
-# on s and on the slices of q, and so do the bounds: each benchmark shape is
-# then accepted up to the m-max cap, 40, where it takes at most 80 ms as a
-# process (it was rejected above m-max 35).  Under the term cap alone the 9
-# d-monomials took 4.6 s on the Laplacian's p at m-max 10, and the 7
-# squarefree ones 24 s on x + 2y/3 - z at m-max 40.
-_GVC_MAX_WORK = 900_000
-# The cost of the kill tests: term operations times the bound on the bits of
-# their coefficients plus a fixed part per operation, as certify caps terms
-# times bits; neither cap above reads the size of the coefficients.  On the
-# 7 squarefree d-monomials with q = x1 and
-# p = a x + (a/(a + 2)) y - a z, timed in-process at m-max 21 (856464 term
-# operations): a = 11 (363 bits) 0.8 s, 10^9 + 7 (1455) 0.9 s, 10^15 + 7
-# (2295) 1.0 s, 10^30 + 7 (4395) 1.1 s, 10^60 + 7 (8574) 1.4-1.9 s, and before
-# this cap 10^100 + 7 (14160) 2.5 s, 10^1000 + 7 23 s and 10^3000 + 7 69 s.
-# With a fixed part of 6000 bits every row takes 1.1-2e-10 s per unit of
-# cost; without it the rows with small coefficients, where the fixed part
-# dominates, would look up to 17 times cheaper than they are.  At
-# the largest m-max under the cap it takes 0.7-0.9 s for a = 10^15 + 7 to
-# 10^1000 + 7 and 1.25 s for 10^3000 + 7 (m-max 10).  Each benchmark shape is
-# accepted up to m-max 40 (a cost of 2.8e8 at most).
-_GVC_OP_BITS = 6000
-_GVC_MAX_COST = 8_000_000_000
-_GVC_COST = (f"p^m and q*p^m at m-max may have at most {_GVC_MAX_TERMS} terms, predicted as "
-             "min(C(m*deg p + n, n), C(|p| + m - 1, m)) times |q| before anything is expanded; "
-             "the 3-variable Laplacian with a 6-term p of degree 4 predicts 3003 at m-max 10 "
-             "and takes about 1 s.  The kill tests, which apply the operator up to m times to "
-             f"p^m and q*p^m for each m, may take at most {_GVC_MAX_WORK} term operations, "
-             "predicted from the symbol's terms and least order, the term bound and the "
-             f"degrees, and at most {_GVC_MAX_COST} in cost: term operations times "
-             f"({_GVC_OP_BITS} + the bits of the largest coefficient they may form), "
-             "the bits predicted from the sums of the absolute values of the coefficients "
-             "of op, p and q scaled to integers; it takes up to about 1.8 s near any cap.  "
-             "When p = h(x_R) s(x_S), S the variables op touches, the kill tests run on s "
-             "and on the slices of q over S, and the three bounds are taken from those.")
 _MOMENTS_MAX_COUNT = 1500
 _IDEMPOTENTS_MAX_ROOTS = 12
 # A rejected value is named by its type and length only once its repr is
@@ -569,29 +520,18 @@ def _cmd_laurent(args):
 
 
 def _cmd_gvc_probe(args):
-    from .probes import ConstCoeffOp, gvc_bounds, gvc_probe
+    from .probes import ConstCoeffOp, gvc_probe
 
     op_data = _load_json_arg(args.op, "--op")
     p_data = _load_json_arg(args.p_poly, "--p-poly")
     q_data = _load_json_arg(args.q_poly, "--q-poly")
     if args.m_max > _GVC_MAX_M:
         raise DomainError(f"--m-max {args.m_max} exceeds the cap {_GVC_MAX_M}")
+    if args.m_max < 1:
+        raise DomainError(f"--m-max {args.m_max} must be at least 1")
     op = ConstCoeffOp(_multipoly_from_json(op_data, "--op"))
     p_poly = _multipoly_from_json(p_data, "--p-poly")
     q_poly = _multipoly_from_json(q_data, "--q-poly")
-    predicted, work, bits = gvc_bounds(op, p_poly, q_poly, args.m_max)
-    if predicted > _GVC_MAX_TERMS:
-        raise DomainError(f"--m-max {args.m_max}: p^m and q*p^m may have {predicted} terms, "
-                          f"over the cap {_GVC_MAX_TERMS}")
-    if work > _GVC_MAX_WORK:
-        raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
-                          f"operations, over the cap {_GVC_MAX_WORK}")
-    cost = work * (bits + _GVC_OP_BITS)
-    if cost > _GVC_MAX_COST:
-        raise DomainError(f"--m-max {args.m_max}: the kill tests may take {work} term "
-                          f"operations on coefficients of up to {bits} bits, a cost of "
-                          f"{work} * ({bits} + {_GVC_OP_BITS}) = {cost}, over the cap "
-                          f"{_GVC_MAX_COST}")
     report = gvc_probe(op, p_poly, q_poly, args.m_max)
     payload = {
         "mMax": report.m_max,
@@ -719,7 +659,14 @@ def _build_parser() -> dict:
                     "100000 terms).", (
             _option("--lam", required=True, help="the weight, a rational"),
             _option("--poly", help="Laurent JSON: {exponent: rational}"))),
-        "gvc-probe": (_cmd_gvc_probe, "operator-power vanishing probe", _GVC_COST, (
+        "gvc-probe": (_cmd_gvc_probe, "operator-power vanishing probe",
+                      # probes.GVC_MAX_COST and GVC_OP_BITS, with the time at the budget.
+                      "The kill tests of op^m on p^m and q*p^m may cost at most 8000000000, "
+                      "counted as they run: each application of op and each product "
+                      "forming p^m or q*p^m costs its term pairs times (6000 + the bits of "
+                      "the largest coefficients it reads), with op, p and q scaled to "
+                      "integers.  A run that would pass the budget stops with exit 2 and "
+                      "names the m it reached; up to about 3.5 s at the budget.", (
             _option("--op", required=True, help="operator JSON: terms in derivative symbols"),
             _option("--p-poly", required=True),
             _option("--q-poly", required=True),

@@ -8,12 +8,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice
-from math import comb, gcd, perm, prod
+from math import gcd, perm, prod
 from operator import mul as _times, sub
 
 from .errors import DomainError
 from .scalars import Rational, clear_denominators, digit_width, pack, packed_digit
 from .sparse import LaurentPoly, add_tuples, collect, mul, power, shifted
+
+# The cost budget of gvc_probe's kill tests, charged as they run (see
+# gvc_probe); GVC_OP_BITS is the part of a term pair's cost that does not grow
+# with its coefficients.  At the budget a run takes up to about 3.5 s on a
+# 2-vCPU host (README).
+GVC_OP_BITS = 6000
+GVC_MAX_COST = 8_000_000_000
 
 
 class MatrixQ:
@@ -298,10 +305,16 @@ def _int_apply(symbol, f: dict) -> dict:
     )
 
 
-def _killed_by_power(symbol, f: dict, m: int) -> bool:
+def _bits(f: dict) -> int:
+    """The bit length of the largest coefficient of f, 0 when f is 0."""
+    return max(map(abs, f.values()), default=0).bit_length()
+
+
+def _killed_by_power(symbol, f: dict, m: int, charge) -> bool:
     for _ in range(m):
         if not f:
             break
+        charge(len(f) * len(symbol), _bits(f))
         f = _int_apply(symbol, f)
     return not f
 
@@ -327,15 +340,16 @@ def _slices(f: dict, touched: tuple, rest: tuple):
             yield dict(key)
 
 
-def _killed(symbol, f: dict, m: int, split) -> bool:
+def _killed(symbol, f: dict, m: int, split, charge) -> bool:
     """Whether op^m kills f.  The operator has constant coefficients and
     differentiates only in the variables it touches, so it commutes with
     the monomials in the rest, and op^m kills f exactly when it kills every
     slice of f.  split is (touched, rest), the indices of both, or None
-    when f is to be tested whole."""
+    when f is to be tested whole.  charge(pairs, bits) is called before
+    each application of the operator."""
     if split is None:
-        return _killed_by_power(symbol, f, m)
-    return all(_killed_by_power(symbol, part, m) for part in _slices(f, *split))
+        return _killed_by_power(symbol, f, m, charge)
+    return all(_killed_by_power(symbol, part, m, charge) for part in _slices(f, *split))
 
 
 def _gvc_plan(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int):
@@ -377,76 +391,6 @@ def _gvc_plan(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: i
     return symbol, p_terms, (q_terms,), split
 
 
-def gvc_bounds(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: int) -> tuple:
-    """(terms, work, bits): bounds on the kill tests `gvc_probe` runs on
-    these inputs, read off its plan (`_gvc_plan`) before anything is
-    expanded, for each q in the plan's qs: the largest terms and bits and
-    the summed work.  n is the full variable count on every path.
-
-    terms: p^m has at most one term per monomial of degree <= m deg p in n
-    variables, C(m deg p + n, n), and one per multiset of m terms of p,
-    C(|p| + m - 1, m); q*p^m has at most |q| times as many (a 0 q counts
-    1), at m = m_max.
-
-    work: the term operations.  For each m the operator, with s symbol
-    terms of least order o, is applied to f = p^m and to f = q*p^m until f
-    vanishes, at most m times, and at most D // o + 1 times when o > 0 and
-    f has degree D.  Application k (from 0) pairs each symbol term with
-    each term of op^k f, which has at most T C(s + k - 1, k) terms (T the
-    term bound of f; each term of f spreads to one per multiset of k symbol
-    terms) and at most C(D - k o + n, n), one per monomial of its degree.
-
-    bits: the bit length of the integer coefficients formed.  With S, P and
-    Q the sums of the absolute values of the scaled symbol, p and q, p^m
-    has coefficients of at most P^m and q*p^m of at most Q P^m.  Let D bound
-    the degree of q*p^m in the variables the operator touches.  The
-    derivative d^k sends x^e to e!/(e-k)! x^(e-k), so a term gains one
-    factor of at most D per order taken off that degree, at most D of them
-    in all.  So k applications of the operator, whose symbol terms have
-    order at most O, multiply the bound by at most S^k D^min(k O, D), and k
-    is at most m_max."""
-    symbol, p_terms, qs, split = _gvc_plan(op, p_poly, q_poly, m_max)
-    n, s = op.nvars, len(symbol)
-    orders = [sum(exps) for exps, _ in symbol]
-    order, max_order = min(orders, default=0), max(orders, default=0)
-    touched = split and split[0]  # None: the plan's p and qs are over S alone
-
-    def degree(f: dict, indices=None) -> int:
-        if indices is None:
-            return max(map(sum, f), default=0)
-        return max((sum(map(exps.__getitem__, indices)) for exps in f), default=0)
-
-    def bits(values) -> int:
-        return sum(map(abs, values)).bit_length()
-
-    p_degree = degree(p_terms)
-
-    def power_terms(m: int) -> int:
-        return min(comb(m * p_degree + n, n), comb(len(p_terms) + m - 1, m))
-
-    def work(q: dict) -> int:
-        if not symbol:
-            return 0
-        total, q_degree = 0, degree(q)
-        for m in range(1, m_max + 1):
-            power = power_terms(m)
-            for f_degree, terms in ((m * p_degree, power),
-                                    (m * p_degree + q_degree, power * max(len(q), 1))):
-                steps = min(m, f_degree // order + 1) if order else m
-                total += s * sum(min(terms * comb(s + k - 1, k),
-                                     comb(f_degree - k * order + n, n)) for k in range(steps))
-        return total
-
-    def coefficient_bits(q: dict) -> int:
-        top = m_max * degree(p_terms, touched) + degree(q, touched)
-        return (m_max * (bits(p_terms.values()) + bits(c for _, c in symbol))
-                + bits(q.values()) + min(m_max * max_order, top) * top.bit_length())
-
-    return (power_terms(m_max) * max(1, *map(len, qs)),
-            sum(map(work, qs)),
-            max(map(coefficient_bits, qs)))
-
-
 def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
               m_max: int) -> GvcProbeReport:
     """For m = 1..m_max, record whether op^m kills p^m (hypothesis) and
@@ -457,17 +401,37 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     q themselves, on the factor s of p and the slices of q, or slice by
     slice over the variables the operator touches; slices that differ by an
     integer factor are tested once.
+
+    Each application of the operator to f and each product a*b forming
+    p^m or q*p^m is charged before it runs, at len(f) len(symbol)
+    (GVC_OP_BITS + bits of f) or len(a) len(b) (GVC_OP_BITS + bits of a +
+    bits of b), the bits those of the largest coefficient.  A charge that
+    would take the total past GVC_MAX_COST raises DomainError naming the
+    m it was charged at, so an input stops at the same point every time.
     """
     symbol, p_terms, q_parts, split = _gvc_plan(op, p_poly, q_poly, m_max)
+    spent = 0
+
+    def charge(pairs: int, bits: int) -> None:
+        nonlocal spent
+        cost = pairs * (GVC_OP_BITS + bits)
+        if spent + cost > GVC_MAX_COST:
+            raise DomainError(f"the kill tests pass the cost budget {GVC_MAX_COST} at m = {m}")
+        spent += cost
+
+    def metered_mul(a: dict, b: dict) -> dict:
+        charge(len(a) * len(b), _bits(a) + _bits(b))
+        return mul(a, b, add_tuples)
+
     hypothesis_violations = []
     conclusion_violations = []
     p_power = p_terms
     for m in range(1, m_max + 1):
         if m > 1:
-            p_power = mul(p_power, p_terms, add_tuples)
-        if not _killed(symbol, p_power, m, split):
+            p_power = metered_mul(p_power, p_terms)
+        if not _killed(symbol, p_power, m, split, charge):
             hypothesis_violations.append(m)
-        if not all(_killed(symbol, mul(q, p_power, add_tuples), m, split) for q in q_parts):
+        if not all(_killed(symbol, metered_mul(q, p_power), m, split, charge) for q in q_parts):
             conclusion_violations.append(m)
     if not conclusion_violations:
         transition = 1

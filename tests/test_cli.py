@@ -10,7 +10,6 @@ import pytest
 from mzspaces import certificates, cli, probes, upoly
 from mzspaces.cli import main
 from mzspaces.mzdecide import DEFAULT_MAX_SUBSET_ROOTS
-from mzspaces.probes import ConstCoeffOp
 
 SIGN_DIFFERENCE_SPEC = {
     "roots": [["1", 1], ["-1", 1]],
@@ -546,68 +545,15 @@ def test_gvc_probe_m_max_cap(capsys):
     code, out, _ = _run(capsys, argv + ["--m-max", "41"])
     assert code == 2
     assert out["error"]["message"] == "--m-max 41 exceeds the cap 40"
-
-
-LAPLACIAN_3 = {
-    "--op": json.dumps([{"exps": e, "c": 1} for e in ([2, 0, 0], [0, 2, 0], [0, 0, 2])]),
-    "--p-poly": json.dumps([{"exps": e, "c": c} for e, c in (
-        ([2, 2, 0], 1), ([1, 1, 2], -1), ([0, 0, 4], 2), ([3, 0, 0], -1), ([0, 1, 1], 1),
-        ([0, 0, 0], 3))]),
-    "--q-poly": '[{"exps": [1, 0, 0], "c": 1}]',
-}
-
-
-def _laplacian_3():
-    symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(LAPLACIAN_3[key]), key)
-                              for key in ("--op", "--p-poly", "--q-poly"))
-    return ConstCoeffOp(symbol), p_poly, q_poly
-
-
-def test_gvc_probe_term_cap(capsys):
-    # The case the help text times: 3003 predicted terms at m-max 10, 4368 at 11.
-    argv = ["gvc-probe"] + [item for pair in LAPLACIAN_3.items() for item in pair]
-    code, out, _ = _run(capsys, argv + ["--m-max", "11"])
-    assert code == 2
-    assert out["error"]["message"] == (
-        f"--m-max 11: p^m and q*p^m may have 4368 terms, over the cap {cli._GVC_MAX_TERMS}")
-    op, p_poly, q_poly = _laplacian_3()
-    assert probes.gvc_bounds(op, p_poly, q_poly, 10)[0] == 3003 <= cli._GVC_MAX_TERMS
-    assert probes.gvc_bounds(op, p_poly, q_poly, 11)[0] == 4368
-    assert len((p_poly ** 10).terms) <= 3003
-    # A 2-term p = x1^b h(x2, x3) and a 1-term q, the shape of the benchmark's
-    # gvc jobs, predict m + 1 terms under an operator that touches every
-    # variable: C(|p| + m - 1, m) is the smaller bound.
-    two = cli._multipoly_from_json([{"exps": [1, 3, 0], "c": 1}, {"exps": [1, 0, 2], "c": -1}],
-                                   "p")
-    one = cli._multipoly_from_json([{"exps": [2, 1, 1], "c": 1}], "q")
-    assert probes.gvc_bounds(op, two, one, cli._GVC_MAX_M)[0] == cli._GVC_MAX_M + 1
+    for m_max in ("0", "-4"):
+        code, out, _ = _run(capsys, argv + ["--m-max", m_max])
+        assert code == 2
+        assert out["error"] == {"kind": "domain", "message": f"--m-max {m_max} must be at least 1"}
 
 
 def _op_json(exponents):
     """The sum of the d-monomials with the given exponent tuples, as --op JSON."""
     return json.dumps([{"exps": list(e), "c": 1} for e in exponents])
-
-
-def test_gvc_probe_work_cap(capsys):
-    """The term cap does not bound the kill tests, which apply the operator
-    up to m times per power: these two inputs, within it, ran 4.6 s and 24 s
-    before the work cap."""
-    order_1_2 = _op_json(e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2)
-    squarefree = _op_json(e for e in product(range(2), repeat=3) if any(e))
-    p = json.dumps([{"exps": [1, 0, 0], "c": 1}, {"exps": [0, 1, 0], "c": "2/3"},
-                    {"exps": [0, 0, 1], "c": -1}])
-    for op, p_poly, m_max, work in ((order_1_2, LAPLACIAN_3["--p-poly"], 10, 3855681),
-                                    (squarefree, p, 40, 15681974)):
-        code, out, _ = _run(capsys, ["gvc-probe", "--op", op, "--p-poly", p_poly,
-                                     "--q-poly", LAPLACIAN_3["--q-poly"], "--m-max", str(m_max)])
-        assert code == 2
-        assert out["error"]["message"] == (f"--m-max {m_max}: the kill tests may take {work} "
-                                           f"term operations, over the cap {cli._GVC_MAX_WORK}")
-        symbol, p_value, q_value = (cli._multipoly_from_json(json.loads(text), "poly")
-                                    for text in (op, p_poly, LAPLACIAN_3["--q-poly"]))
-        assert probes.gvc_bounds(ConstCoeffOp(symbol), p_value, q_value, m_max)[1] == work
-    # The Laplacian case of the help text stays within both caps.
-    assert probes.gvc_bounds(*_laplacian_3(), 10)[1] == 844740 <= cli._GVC_MAX_WORK
 
 
 def _scaled_p(a: int) -> str:
@@ -616,74 +562,70 @@ def _scaled_p(a: int) -> str:
                        {"exps": [0, 0, 1], "c": str(-a)}])
 
 
-def test_gvc_probe_coefficient_bits_cap(capsys, monkeypatch):
-    """The term and work caps do not read the size of the coefficients: on
-    the 7 squarefree d-monomials at m-max 21 with q = x1, both within them,
-    a = 10^1000 + 7 ran 23 s and a = 10^3000 + 7 69 s.  The cost cap rejects
-    both before anything is expanded; a = 11 and a = 10^9 + 7 stay within
-    it and run."""
-    squarefree = _op_json(e for e in product(range(2), repeat=3) if any(e))
-    q_poly = LAPLACIAN_3["--q-poly"]
-
-    def argv(a):
-        return ["gvc-probe", "--op", squarefree, "--p-poly", _scaled_p(a),
-                "--q-poly", q_poly, "--m-max", "21"]
-
-    code, out, _ = _run(capsys, argv(10**9 + 7))
-    assert code == 0 and out["conclusionTransition"] is None
-
-    def unreached(*args):
-        raise AssertionError("gvc_probe ran past the cost cap")
-
-    monkeypatch.setattr(probes, "gvc_probe", unreached)
-    for a, bits in ((10**1000 + 7, 139719), (10**3000 + 7, 418767)):
-        code, out, _ = _run(capsys, argv(a))
-        assert code == 2
-        cost = 856464 * (bits + cli._GVC_OP_BITS)
-        assert out["error"]["message"] == (
-            f"--m-max 21: the kill tests may take 856464 term operations on coefficients of "
-            f"up to {bits} bits, a cost of 856464 * ({bits} + {cli._GVC_OP_BITS}) = {cost}, "
-            f"over the cap {cli._GVC_MAX_COST}")
-    q = cli._multipoly_from_json(json.loads(q_poly), "q")
-    op = ConstCoeffOp(cli._multipoly_from_json(json.loads(squarefree), "op"))
-    assert 856464 <= cli._GVC_MAX_WORK
-    for a, bits in ((11, 363), (10**9 + 7, 1455), (10**1000 + 7, 139719),
-                    (10**3000 + 7, 418767)):
-        p_poly = cli._multipoly_from_json(json.loads(_scaled_p(a)), "p")
-        assert probes.gvc_bounds(op, p_poly, q, 21)[1:] == (856464, bits)
-        within = 856464 * (bits + cli._GVC_OP_BITS) <= cli._GVC_MAX_COST
-        assert within == (a < 10**1000)
-
-
+LAPLACIAN = _op_json(([2, 0, 0], [0, 2, 0], [0, 0, 2]))
+LAPLACIAN_P = json.dumps([{"exps": e, "c": c} for e, c in (
+    ([2, 2, 0], 1), ([1, 1, 2], -1), ([0, 0, 4], 2), ([3, 0, 0], -1), ([0, 1, 1], 1),
+    ([0, 0, 0], 3))])
+ORDER_1_2 = _op_json(e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2)
+SQUAREFREE = _op_json(e for e in product(range(2), repeat=3) if any(e))
+X1 = '[{"exps": [1, 0, 0], "c": 1}]'
+P_LINEAR = json.dumps([{"exps": [1, 0, 0], "c": 1}, {"exps": [0, 1, 0], "c": "2/3"},
+                       {"exps": [0, 0, 1], "c": -1}])
 # The heaviest benchmark gvc shape: op = d1^3 - d1^4, p = x1 h(x2, x3) with
 # two terms in h, q = x1^3 g(x2, x3); op^m kills x1^N H exactly when N < 3m.
-BENCH_GVC = {
-    "--op": json.dumps([{"exps": [3, 0, 0], "c": "1"}, {"exps": [4, 0, 0], "c": "-1"}]),
-    "--p-poly": json.dumps([{"exps": [1, 2, 1], "c": "1"}, {"exps": [1, 0, 3], "c": "-1"}]),
-    "--q-poly": json.dumps([{"exps": [3, 1, 1], "c": "-1"}]),
+BENCH_OP = json.dumps([{"exps": [3, 0, 0], "c": "1"}, {"exps": [4, 0, 0], "c": "-1"}])
+BENCH_P = json.dumps([{"exps": [1, 2, 1], "c": "1"}, {"exps": [1, 0, 3], "c": "-1"}])
+BENCH_Q = json.dumps([{"exps": [3, 1, 1], "c": "-1"}])
+# d1^3 - d1 d2^2 d3 touches every variable, so it runs on p and q whole.
+WHOLE_OP = json.dumps([{"exps": [3, 0, 0], "c": 1}, {"exps": [1, 2, 1], "c": -1}])
+
+
+def _all_violated(m_max):
+    return {"hypothesisViolations": list(range(1, m_max + 1)),
+            "conclusionViolations": list(range(1, m_max + 1)), "conclusionTransition": None}
+
+
+# (op, p, q, m-max, budget, expected): the inputs the caps predicted from the
+# plan accepted (the first six) or rejected (the rest), run under the metered
+# budget, probes.GVC_MAX_COST when budget is None.  expected is the report
+# an accepted input prints, the same as under the caps, or the m at which a
+# rejected one stops.  Each accepted input runs in 0.5-1 s on a 2-vCPU host;
+# of the rejected ones, two stop at the real budget and the rest under 10^8.
+GVC_BUDGET_CASES = {
+    "laplacian": (LAPLACIAN, LAPLACIAN_P, X1, 10, None, _all_violated(10)),
+    "order-1-2": (ORDER_1_2, LAPLACIAN_P, X1, 7, None, _all_violated(7)),
+    "squarefree": (SQUAREFREE, P_LINEAR, X1, 21, None, _all_violated(21)),
+    "a=11": (SQUAREFREE, _scaled_p(11), X1, 21, None, _all_violated(21)),
+    "a=10^9+7": (SQUAREFREE, _scaled_p(10**9 + 7), X1, 21, None, _all_violated(21)),
+    "bench": (BENCH_OP, BENCH_P, BENCH_Q, 40, None, {
+        "hypothesisViolations": [], "conclusionViolations": [1], "conclusionTransition": 2}),
+    # Over the old term cap (4368 predicted terms), and under the budget.
+    "laplacian-m11": (LAPLACIAN, LAPLACIAN_P, X1, 11, None, _all_violated(11)),
+    "whole-op": (WHOLE_OP, BENCH_P, BENCH_Q, 40, 10**8, 17),
+    "order-1-2-m10": (ORDER_1_2, LAPLACIAN_P, X1, 10, 10**8, 4),
+    # The pair count: 1.3 s to the budget; it ran 24 s before any cap.
+    "squarefree-m40": (SQUAREFREE, P_LINEAR, X1, 40, None, 25),
+    "a=10^1000+7": (SQUAREFREE, _scaled_p(10**1000 + 7), X1, 21, 10**8, 5),
+    # The bit weight: 1.7 s to the budget; it ran 69 s before any cap.
+    "a=10^3000+7": (SQUAREFREE, _scaled_p(10**3000 + 7), X1, 21, None, 11),
 }
 
 
-def test_gvc_probe_caps_bound_the_factor_of_p(capsys):
-    """p = x1 (x2^2 x3 - x3^3) factors over x1, the one variable the
-    operator touches, so gvc_probe runs its kill tests on s = x1 and on
-    q's one slice x1^3, and the caps bound those: the shape runs at the
-    m-max cap.  Bounded on p and q themselves it would predict 1435000
-    term operations, over the work cap, and exit 2."""
-    argv = ["gvc-probe"] + [item for pair in BENCH_GVC.items() for item in pair]
-    code, out, _ = _run(capsys, argv + ["--m-max", str(cli._GVC_MAX_M)])
-    assert code == 0
-    assert out["hypothesisViolations"] == []
-    assert out["conclusionViolations"] == [1]
-    symbol, p_poly, q_poly = (cli._multipoly_from_json(json.loads(BENCH_GVC[key]), key)
-                              for key in ("--op", "--p-poly", "--q-poly"))
-    assert probes.gvc_bounds(ConstCoeffOp(symbol), p_poly, q_poly, 40) == (1, 6308, 379)
-    # d1^3 - d1 d2^2 d3 has the same terms and least order but touches every
-    # variable, so the kill tests and their bounds are on p and q themselves.
-    whole = cli._multipoly_from_json([{"exps": [3, 0, 0], "c": 1},
-                                      {"exps": [1, 2, 1], "c": -1}], "op")
-    work = probes.gvc_bounds(ConstCoeffOp(whole), p_poly, q_poly, 40)[1]
-    assert work == 1435000 > cli._GVC_MAX_WORK
+@pytest.mark.parametrize("case", GVC_BUDGET_CASES)
+def test_gvc_probe_budget(capsys, monkeypatch, case):
+    op, p_poly, q_poly, m_max, budget, expected = GVC_BUDGET_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(probes, "GVC_MAX_COST", budget)
+    code, out, _ = _run(capsys, ["gvc-probe", "--op", op, "--p-poly", p_poly,
+                                 "--q-poly", q_poly, "--m-max", str(m_max)])
+    if isinstance(expected, dict):
+        assert code == 0
+        assert out == {"mMax": m_max, **expected, "command": "gvc-probe",
+                       "inputsDigest": out["inputsDigest"]}
+    else:
+        assert code == 2
+        assert out["error"] == {"kind": "domain", "message": "the kill tests pass the cost "
+                                f"budget {probes.GVC_MAX_COST} at m = {expected}"}
 
 
 @pytest.mark.parametrize("op, p_poly, q_poly, message", [
@@ -705,11 +647,9 @@ def test_gvc_probe_variable_count_mismatch_is_a_domain_error(capsys, op, p_poly,
 @pytest.mark.parametrize("command, text", [
     ("trace-test", f"at most {cli._TRACE_MAX_DIMENSION}"),
     ("gvc-probe", f"at most {cli._GVC_MAX_M}"),
-    ("gvc-probe", f"at most {cli._GVC_MAX_TERMS} terms"),
-    ("gvc-probe", "predicts 3003 at m-max 10 and takes about 1 s"),
-    ("gvc-probe", f"at most {cli._GVC_MAX_WORK} term operations"),
-    ("gvc-probe", f"at most {cli._GVC_MAX_COST} in cost: term operations times "
-                  f"({cli._GVC_OP_BITS} + the bits"),
+    ("gvc-probe", f"may cost at most {probes.GVC_MAX_COST}"),
+    ("gvc-probe", f"times ({probes.GVC_OP_BITS} + the bits"),
+    ("gvc-probe", "up to about 3.5 s at the budget"),
     ("trace-test", "48x48 matrix of small rationals takes about 0.7 s"),
     ("moments", "--count 1500 on a degree-48 functional takes about 0.5 s"),
     ("moments", f"at most {cli._MOMENTS_MAX_COUNT}"),

@@ -19,10 +19,8 @@ from mzspaces.probes import (
     MatrixQ,
     MultiPolyQ,
     _gvc_plan,
-    _int_apply,
     _integer_terms,
     _slices,
-    gvc_bounds,
     gvc_probe,
     trace_radical_test,
 )
@@ -32,7 +30,7 @@ from mzspaces.selftest import (
     power_moment_by_expansion,
     traces_by_matrix_powers,
 )
-from mzspaces.sparse import add_tuples, mul
+from mzspaces.sparse import add_tuples
 from mzspaces.upoly import Poly
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None,
@@ -244,22 +242,6 @@ def test_sliced_gvc_kernel_matches_operator_application(case):
         gvc_by_operator_application(op, p, q, m_max)
 
 
-@SETTINGS
-@given(st.one_of(gvc_inputs(), sliced_gvc_inputs()))
-# d applied to (x^10)^4: the falling factorials 40*39*38*37 fill 21 of the 32 bits.
-@example((ConstCoeffOp(MultiPolyQ(1, {(1,): 1})), MultiPolyQ(1, {(10,): 1}), MultiPolyQ(1, {}), 4))
-def test_gvc_coefficient_bits_bound_the_kill_tests(case):
-    """The bit bound of gvc-probe's cap holds for every coefficient of
-    op^k f, k <= m <= m-max, for each f = p^m and q*p^m of the kill tests
-    gvc_probe plans, with op, p and q scaled to integers as it scales them."""
-    op, p, q, m_max = case
-    bits = gvc_bounds(op, p, q, m_max)[2]
-    for m, f, symbol in _kill_test_path(op, p, q, m_max):
-        for _ in range(m + 1):
-            assert all(abs(c).bit_length() <= bits for c in f.values())
-            f = _int_apply(symbol, f)
-
-
 def _sum(first, *rest):
     return sum(rest, first)
 
@@ -318,45 +300,6 @@ def test_a_p_with_two_slices_stays_on_the_general_path(case):
     report = gvc_probe(op, p, q, m_max)
     assert (report.hypothesis_violations, report.conclusion_violations) == \
         gvc_by_operator_application(op, p, q, m_max)
-
-
-def _kill_test_path(op, p, q, m_max):
-    """Every polynomial the kill tests of gvc_probe form, in the order they
-    form them, with the symbol they apply: p^m and q*p^m, or, when p
-    factors, s^m and q_r s^m over the touched variables.  On the sliced
-    path they are replayed whole, with the full symbol: a slice has no more
-    terms than its polynomial and no larger coefficients."""
-    symbol, p_int, q_parts, split = _gvc_plan(op, p, q, m_max)
-    if split is not None:
-        symbol = tuple(_integer_terms(op.symbol_poly).items())
-    power = p_int
-    for m in range(1, m_max + 1):
-        if m > 1:
-            power = mul(power, p_int, add_tuples)
-        for f in (power, *(mul(part, power, add_tuples) for part in q_parts)):
-            yield m, f, symbol
-
-
-@SETTINGS
-@given(st.one_of(factored_gvc_inputs(), sliced_gvc_inputs()))
-def test_gvc_caps_bound_the_path_taken(case):
-    """The terms, term operations and coefficient bits that gvc-probe's
-    caps predict bound those of the kill tests gvc_probe runs, on the
-    factor of p when it takes that path and on p itself otherwise.  Each
-    kill test is replayed to its end; slicing on the general path only
-    shrinks what it applies the operator to."""
-    op, p, q, m_max = case
-    terms, work, bits = gvc_bounds(op, p, q, m_max)
-    spent = 0
-    for m, f, symbol in _kill_test_path(op, p, q, m_max):
-        assert len(f) <= terms
-        for k in range(m + 1):
-            assert all(abs(c).bit_length() <= bits for c in f.values())
-            if not f or k == m:
-                break
-            spent += len(f) * len(symbol)
-            f = _int_apply(symbol, f)
-    assert spent <= work
 
 
 @st.composite

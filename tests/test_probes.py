@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from mzspaces import probes
 from mzspaces.errors import DomainError
 from mzspaces.probes import (
     ConstCoeffOp,
@@ -290,3 +291,60 @@ def test_gvc_probe_rejects_bad_m_max():
     op = ConstCoeffOp(MultiPolyQ(2, {(1, 1): Fraction(1)}))
     with pytest.raises(DomainError):
         gvc_probe(op, _x_plus_y(), _x_plus_y(), 0)
+
+
+def _gvc_meter_cases():
+    """(op, p, q, m_max) on each path of the kill tests: the whole power, p
+    with two slices over the variables the operator touches, and p with
+    one (p = x3 s(x1, x2))."""
+    x1, x2, x3 = (MultiPolyQ.variable(3, i) for i in range(3))
+    laplace = ConstCoeffOp(MultiPolyQ(3, {(2, 0, 0): 1, (0, 2, 0): 1}))
+    return {
+        "whole": (ConstCoeffOp(MultiPolyQ(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})),
+                  x1 * x1 + x2 * x3 - x3.scale(Fraction(1, 2)), x1 + x2, 6),
+        "sliced": (laplace, x3 * (x1 * x1 - x2 * x2) + x1 * x2, x3, 6),
+        "factored": (laplace, x3 * (x1 * x1 + x1 * x2), x3 * x1 + x2, 6),
+    }
+
+
+GVC_METER_CASES = _gvc_meter_cases()
+
+
+@pytest.mark.parametrize("case", GVC_METER_CASES)
+def test_gvc_meter_charges_before_it_spends(monkeypatch, case):
+    """The operator applications and products that run, charged as the
+    meter charges them, cost what a whole run costs when the budget admits
+    it and never more than the budget when it stops the run; a run stops
+    at the same m, having spent the same, every time."""
+    op, p, q, m_max = GVC_METER_CASES[case]
+    spent = [0]
+    apply, times = probes._int_apply, probes.mul
+
+    def bits(f):
+        return max(map(abs, f.values()), default=0).bit_length()
+
+    def counted_apply(symbol, f):
+        spent[0] += len(f) * len(symbol) * (probes.GVC_OP_BITS + bits(f))
+        return apply(symbol, f)
+
+    def counted_mul(a, b, add_keys):
+        spent[0] += len(a) * len(b) * (probes.GVC_OP_BITS + bits(a) + bits(b))
+        return times(a, b, add_keys)
+
+    monkeypatch.setattr(probes, "_int_apply", counted_apply)
+    monkeypatch.setattr(probes, "mul", counted_mul)
+    report = gvc_probe(op, p, q, m_max)
+    total = spent[0]
+    monkeypatch.setattr(probes, "GVC_MAX_COST", total)
+    spent[0] = 0
+    assert gvc_probe(op, p, q, m_max) == report and spent[0] == total
+    for budget in (total - 1, total // 2, total // 5):
+        monkeypatch.setattr(probes, "GVC_MAX_COST", budget)
+        stops = []
+        for _ in range(2):
+            spent[0] = 0
+            with pytest.raises(DomainError, match=f"cost budget {budget} at m = ") as stop:
+                gvc_probe(op, p, q, m_max)
+            assert spent[0] <= budget
+            stops.append((str(stop.value), spent[0]))
+        assert stops[0] == stops[1]
