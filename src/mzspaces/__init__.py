@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "DEFAULT_SEARCH_BOUND", "MomentRule", "PAdicCertificate",
-        "certify_exponential", "certify_unit_interval", "power_moment",
+        "PAdicCertificate", "certify_exponential", "certify_unit_interval", "power_moment",
     ), "certificates"),
     **dict.fromkeys((
         "format_rational", "functional_from_json", "functional_to_json",
@@ -21,7 +20,6 @@ _EXPORTS = {
     ), "cli"),
     **dict.fromkeys((
         "DependentFunctionalsError", "DoesNotSplitError", "DomainError",
-        "SearchExhaustedError",
     ), "errors"),
     **dict.fromkeys((
         "FunctionalNF", "MomentSeq", "dependency_relation", "evaluate", "from_moments",

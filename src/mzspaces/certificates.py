@@ -1,19 +1,20 @@
 """p-adic certificates that a polynomial stays outside the radical of a
 moment functional's kernel.
 
-Two moment rules are supported: the unit-interval rule sends t^i to 1/(i+1),
-the exponential rule sends t^i to i!.  A certificate names a prime p and a
-power m and pins the exact p-adic valuation of the m-th power moment; the
-value is recomputed exactly, so the certificate never rests on the theory
-that motivated the prime search.
+Two moment rules are supported, named as on the command line: "unit" (the
+unit interval) sends t^i to 1/(i+1), "exp" (the exponential rule) sends t^i
+to i!.  A certificate names a prime p and a power m and pins the exact
+p-adic valuation of the m-th power moment; the value is recomputed exactly,
+so the certificate never rests on the theory that motivated the prime search.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial, lcm
+from itertools import count
+from math import lcm, log10
 
-from .errors import DomainError, SearchExhaustedError
+from .errors import DomainError
 from .scalars import (
     PADIC_INF,
     Rational,
@@ -27,50 +28,11 @@ from .scalars import (
 )
 from .upoly import Poly
 
-DEFAULT_SEARCH_BOUND = 10**6
-# Caps on the size of (D*f)^m at the certificate's m (`expansion_size`); near
-# them power_moment takes 0.4-1.0 s on a 2-vCPU host, depending on f.
+# Caps on the size of (D*f)^m (`expansion_size`), checked at every m the
+# search walks; near them power_moment takes 0.4-1.0 s on a 2-vCPU host,
+# depending on f.
 MAX_EXPANSION_BITS = 4_000_000
 MAX_EXPANSION_TERMS = 12_000
-
-
-class _Members(type):
-    """Iterating the class yields its members, as for an enum.Enum; enum,
-    with the modules it loads, would cost several ms of start-up for two
-    constants."""
-
-    def __iter__(cls):
-        return iter((cls.UNIT_INTERVAL, cls.EXPONENTIAL))
-
-
-class MomentRule(metaclass=_Members):
-    """The two moment rules, UNIT_INTERVAL (value "unit") and EXPONENTIAL
-    (value "exp"), each one instance, so that `is` tells them apart."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: str):
-        self.name = name
-        self.value = value
-
-    def __repr__(self):
-        return f"<MomentRule.{self.name}: {self.value!r}>"
-
-    def __reduce__(self):
-        """A pickle or a copy of a member is the member itself, as for an
-        enum.Enum, so that `is` still tells the rules apart."""
-        return f"MomentRule.{self.name}"
-
-    def moment(self, i: int) -> Rational:
-        if i < 0:
-            raise DomainError("moment index must be >= 0")
-        if self is MomentRule.UNIT_INTERVAL:
-            return Rational(1, i + 1)
-        return Rational(factorial(i))
-
-
-MomentRule.UNIT_INTERVAL = MomentRule("UNIT_INTERVAL", "unit")
-MomentRule.EXPONENTIAL = MomentRule("EXPONENTIAL", "exp")
 
 
 class PAdicCertificate(namedtuple("PAdicCertificate", "prime exponent valuation value")):
@@ -112,8 +74,18 @@ def _expand_power(base, power: int):
     return unpack(pack(base, width) ** power, width, terms)
 
 
-def power_moment(rule: MomentRule, f: Poly, power: int) -> Rational:
-    """Exact termwise moment of f**power.
+def _decimal(n: int) -> str:
+    """n >= 1 in decimal or, past the interpreter's integer-to-string limit,
+    as "10^k or more", k + 1 its digit count."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int((n.bit_length() - 1) * log10(2))  # log10(2^(bits - 1)), floored
+        return f"10^{k + (n >= 10 ** (k + 1))} or more"
+
+
+def power_moment(rule: str, f: Poly, power: int) -> Rational:
+    """Exact termwise moment of f**power under rule "unit" or "exp".
 
     With D the common denominator of f, (D*f)**power has integer
     coefficients c_i, expanded by Kronecker substitution, and the moment is
@@ -122,13 +94,15 @@ def power_moment(rule: MomentRule, f: Poly, power: int) -> Rational:
     L = lcm(1..N + 1), N the degree of the expansion (unit rule): one
     division at the end.
     """
+    if rule not in ("unit", "exp"):
+        raise DomainError(f"moment rule must be 'unit' or 'exp', got {rule!r}")
     if power < 0:
         raise DomainError("power must be >= 0")
     require_rational(f.coeffs, "the power moment")
     d, base = clear_denominators(f.coeffs)
     expanded = _expand_power(base, power)
     scale = d**power
-    if rule is MomentRule.EXPONENTIAL:
+    if rule == "exp":
         total = 0
         for i in range(len(expanded) - 1, -1, -1):
             total = total * (i + 1) + expanded[i]
@@ -138,84 +112,70 @@ def power_moment(rule: MomentRule, f: Poly, power: int) -> Rational:
     return Rational(total, lcm_all * scale)
 
 
-def _first_certificate(rule: MomentRule, f: Poly, step: int, m_min: int,
-                       search_bound: int) -> PAdicCertificate:
-    """The certificate at the first admissible m >= m_min: p = step*m + 1 is
-    prime and divides no coefficient denominator of f.  There the moment's
-    valuation is known in advance (-1 for the unit rule, 0 for the
-    exponential rule, as the two entry points explain), so the first
-    admissible m always yields the certificate, and the search gives up
-    only after search_bound inadmissible m in a row.  The value is still
-    expanded exactly, unless the expansion would exceed the size caps
-    above, and the certificate re-checks its valuation."""
+def _first_certificate(rule: str, f: Poly, k: int, m_min: int) -> PAdicCertificate:
+    """The certificate at the first admissible m >= m_min, where p = k*m + 1
+    is prime and divides neither the common denominator D of f nor the
+    numerator of its t^k coefficient; there the valuation is known (see the
+    two entry points).  The size of (D*f)^m grows with m and the caps come
+    first at every m, so the walk ends within MAX_EXPANSION_TERMS steps and
+    needs no bound of its own.  The value is expanded exactly, and the
+    certificate re-checks its valuation."""
     d, base = clear_denominators(f.coeffs)
-    for m in range(m_min, m_min + search_bound):
-        p = step * m + 1
-        if is_prime(p) and d % p:
-            terms, bits = expansion_size(base, m)
-            if terms > MAX_EXPANSION_TERMS or terms * bits > MAX_EXPANSION_BITS:
-                raise DomainError(
-                    f"at m = {m} the expansion of (D*f)^m has {terms} coefficients of up to "
-                    f"{bits} bits, {terms * bits} bits in all, over the cap of "
-                    f"{MAX_EXPANSION_TERMS} coefficients and {MAX_EXPANSION_BITS} bits")
-            valuation = -1 if rule is MomentRule.UNIT_INTERVAL else 0
+    guard = d * base[k]  # p divides it iff p divides D or the numerator of f's t^k coefficient
+    for m in count(m_min):
+        terms, bits = expansion_size(base, m)
+        if terms > MAX_EXPANSION_TERMS or terms * bits > MAX_EXPANSION_BITS:
+            raise DomainError(
+                f"at m = {_decimal(m)} the expansion of (D*f)^m has {_decimal(terms)} "
+                f"coefficients of up to {_decimal(bits)} bits, {_decimal(terms * bits)} bits "
+                f"in all, over the cap of {MAX_EXPANSION_TERMS} coefficients and "
+                f"{MAX_EXPANSION_BITS} bits")
+        p = k * m + 1
+        if is_prime(p) and guard % p:
+            valuation = -1 if rule == "unit" else 0
             try:
                 return PAdicCertificate(p, m, valuation, power_moment(rule, f, m))
             except DomainError as exc:
                 raise AssertionError(f"admissible m = {m} must certify: {exc}") from exc
-    name = "unit-interval" if rule is MomentRule.UNIT_INTERVAL else "exponential"
-    raise SearchExhaustedError(
-        f"no {name} certificate within {search_bound} progression terms"
-    )
 
 
-def certify_unit_interval(f: Poly, m_min: int = 1,
-                          search_bound: int = DEFAULT_SEARCH_BOUND) -> PAdicCertificate:
+def certify_unit_interval(f: Poly, m_min: int = 1) -> PAdicCertificate:
     """Certificate that no power of f from m up is killed by the
     unit-interval rule: at p = m*deg(f) + 1 the moment has valuation -1.
 
-    f is monic, so the moment sum c_i/(i+1) of f^m has the term 1/p from its
-    leading coefficient, and every other term has i + 1 < p and a p-integral
+    With a the leading coefficient of f, the moment sum c_i/(i+1) of f^m
+    has the term a^m/p of valuation -1, since p divides neither num(a) nor
+    a denominator of f, and every other term has i + 1 < p and a p-integral
     c_i; the first admissible m is the certificate.
     """
     require_rational(f.coeffs, "certificate search")
     if f.is_zero or f.degree < 1:
         raise DomainError("certificates need degree >= 1")
-    if f.lead != 1:
-        raise DomainError("polynomial must be monic")
     if m_min < 1:
         raise DomainError("m_min must be >= 1")
-    if search_bound < 1:
-        raise DomainError("search_bound must be >= 1")
-    return _first_certificate(MomentRule.UNIT_INTERVAL, f, f.degree, m_min, search_bound)
+    return _first_certificate("unit", f, f.degree, m_min)
 
 
-def certify_exponential(f: Poly, m_min: int = 1,
-                        search_bound: int = DEFAULT_SEARCH_BOUND) -> PAdicCertificate:
+def certify_exponential(f: Poly, m_min: int = 1) -> PAdicCertificate:
     """Certificate that no power of f from m up is killed by the factorial
-    rule, for f = t^r + higher terms with r >= 1: at p = r*m + 1 the moment
-    has valuation 0.
+    rule, for f = c t^r + higher terms with r >= 1 and c != 0: at
+    p = r*m + 1 the moment has valuation 0.
 
-    The moment sum c_i i! of f^m has the p-adic unit (r*m)! from its lowest
-    term, and every other term has i >= p, so p divides i!; the first
-    admissible m is the certificate.
+    The moment sum c_i i! of f^m has the term c^m (r*m)! from its lowest
+    term, a p-adic unit since (p - 1)! = -1 mod p (Wilson's theorem) and p
+    divides neither num(c) nor a denominator of f, and every other term has
+    i >= p, so p divides i!; the first admissible m is the certificate.
     """
     require_rational(f.coeffs, "certificate search")
     if f.is_zero or f.degree < 1:
         raise DomainError("certificates need degree >= 1")
     if m_min < 1:
         raise DomainError("m_min must be >= 1")
-    if search_bound < 1:
-        raise DomainError("search_bound must be >= 1")
     r = f.low_order
     if r < 1:
         raise DomainError("lowest term must be t^r with r >= 1 (nonzero constant term)")
-    if f.coefficient(r) != 1:
-        raise DomainError(
-            "lowest-degree coefficient must be 1; divide the polynomial through first"
-        )
     if f.degree == r:
         raise DomainError(
             "single monomial t^r needs no certificate: its factorial moments never vanish"
         )
-    return _first_certificate(MomentRule.EXPONENTIAL, f, r, m_min, search_bound)
+    return _first_certificate("exp", f, r, m_min)

@@ -65,8 +65,8 @@ _PATH_ECHO_LIMIT = 256
 _JSON_WHITESPACE = " \t\n\r"
 _ORACLE_COST = "at most 20 roots; about 0.4 s at 20 roots with 3 functionals"
 # certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time.
-_CERTIFY_COST = ("At the certificate's m, (D*f)^m, D the common denominator of f, may have at "
-                 "most 12000 coefficients and 4000000 bits in all; up to about 1 s at the caps.")
+_CERTIFY_COST = ("From --m-min up, (D*f)^m, D the common denominator of f, may have at most 12000 "
+                 "coefficients and 4000000 bits in all (else exit 2); up to about 1 s at the caps.")
 # Measured at p = 5, n = 3 and total degree 23-24 on a 2-vCPU host.  theorem
 # forms f^p and f^(p^2) by Frobenius, so its product g f^(p^2) f has at most
 # |g| |f|^2 terms, and its time follows that count.
@@ -233,7 +233,7 @@ def poly_from_json(data, what: str = "polynomial JSON") -> Poly:
 
 
 def laurent_from_json(data) -> LaurentPoly:
-    """Keys are exponents written as ASCII -?[0-9]+, values rationals."""
+    """Keys are exponents written as ASCII -?[0-9]+ ("1" and "01" not both), values rationals."""
     from .sparse import LaurentPoly
 
     if not isinstance(data, dict):
@@ -246,6 +246,8 @@ def laurent_from_json(data) -> LaurentPoly:
             exp = int(key)
         except ValueError as exc:  # more digits than the interpreter converts
             raise DomainError(f"bad Laurent exponent {_shown(key)}: too many digits") from exc
+        if exp in out:
+            raise DomainError(f"repeated Laurent exponent {exp} at key {_shown(key)}")
         out[exp] = parse_rational(c)
     return LaurentPoly(out)
 
@@ -259,7 +261,8 @@ def functional_to_json(fn: FunctionalNF):
 
 def functional_from_json(data, roots: RootData, where: str = "functional") -> FunctionalNF:
     """{"P0": [...], "parts": {root: [...]}}; either may be left out, a present
-    P0 must be an array, present parts an object, and where names any other key."""
+    P0 must be an array, present parts an object with no two keys of the same
+    root ("1/2" and "2/4"), and where names any other key or a repeated root."""
     from .functionals import FunctionalNF
 
     if not isinstance(data, dict):
@@ -271,7 +274,12 @@ def functional_from_json(data, roots: RootData, where: str = "functional") -> Fu
         raise DomainError(
             "functional parts must be an object mapping roots to operator coefficients"
         )
-    parts = {parse_rational(key): poly_from_json(coeffs) for key, coeffs in raw_parts.items()}
+    parts = {}
+    for key, coeffs in raw_parts.items():
+        lam = parse_rational(key)
+        if lam in parts:
+            raise DomainError(f"{where}.parts: repeated root {lam} at key {_shown(key)}")
+        parts[lam] = poly_from_json(coeffs)
     return FunctionalNF(roots, zero_part, parts)
 
 
@@ -470,10 +478,8 @@ def _cmd_certify(args):
 
     data = _load_json_arg(args.poly, "--poly")
     f = poly_from_json(data)
-    if args.rule == "unit":
-        cert = certify_unit_interval(f, args.m_min, args.search_bound)
-    else:
-        cert = certify_exponential(f, args.m_min, args.search_bound)
+    certify = certify_unit_interval if args.rule == "unit" else certify_exponential
+    cert = certify(f, args.m_min)
     payload = {
         "rule": args.rule,
         "p": cert.prime,
@@ -648,8 +654,7 @@ def _build_parser() -> dict:
         "certify": (_cmd_certify, "p-adic non-radical certificate search", _CERTIFY_COST, (
             _option("--rule", ("unit", "exp"), required=True),
             _option("--poly", required=True, help="polynomial JSON (inline or file path)"),
-            _option("--m-min", int, default=1),
-            _option("--search-bound", int, default=10**6))),
+            _option("--m-min", int, default=1))),
         "trace-test": (_cmd_trace_test, "nilpotency via power traces",
                        "A dense 48x48 matrix of small rationals takes about 0.7 s.", (
             _option("--matrix", required=True, help="matrix JSON: rows of rationals, "

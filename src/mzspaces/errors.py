@@ -25,7 +25,3 @@ class DoesNotSplitError(DomainError):
     def __init__(self, cofactor):
         self.cofactor = cofactor
         super().__init__(f"polynomial does not split over Q: non-linear factor {cofactor}")
-
-
-class SearchExhaustedError(DomainError):
-    """Certificate search ran out of progression terms without a hit."""

@@ -150,11 +150,6 @@ class Poly:
         """t d/dt: scales the degree-i coefficient by i."""
         return Poly(tuple(self.coeffs[i] * i for i in range(len(self.coeffs))))
 
-    def monic(self):
-        if self.is_zero:
-            raise DomainError("zero polynomial cannot be made monic")
-        return self.scale(scalar_inverse(self.lead))
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

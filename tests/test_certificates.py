@@ -1,6 +1,7 @@
-import copy
+import contextlib
+import io
+import json
 import math
-import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,15 +10,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mzspaces import certificates
+from mzspaces.cli import main
 from mzspaces.certificates import (
-    MomentRule,
     PAdicCertificate,
     certify_exponential,
     certify_unit_interval,
     expansion_size,
     power_moment,
 )
-from mzspaces.errors import DomainError, SearchExhaustedError
+from mzspaces.errors import DomainError
 from mzspaces.scalars import clear_denominators, is_prime, padic_valuation
 from mzspaces.selftest import power_moment_by_expansion
 from mzspaces.upoly import Poly
@@ -51,37 +52,33 @@ def _unit_moment_by_antiderivative(f: Poly, m: int) -> Fraction:
 
 def test_moment_rules_on_monomials():
     for i in range(8):
-        assert MomentRule.UNIT_INTERVAL.moment(i) == Fraction(1, i + 1)
-        assert MomentRule.EXPONENTIAL.moment(i) == math.factorial(i)
+        assert power_moment_by_expansion("unit", Poly.monomial(i), 1) == Fraction(1, i + 1)
+        assert power_moment_by_expansion("exp", Poly.monomial(i), 1) == math.factorial(i)
 
 
-def test_moment_rules_are_two_members_that_survive_copies():
-    """MomentRule behaves as the enum it replaced: iterating it yields both
-    rules, and a copy or a pickle of a rule is the rule itself."""
-    assert [rule.value for rule in MomentRule] == ["unit", "exp"]
-    for rule in MomentRule:
-        assert copy.deepcopy(rule) is rule
-        assert pickle.loads(pickle.dumps(rule)) is rule
+def test_power_moment_rejects_an_unknown_rule():
+    with pytest.raises(DomainError, match="moment rule must be 'unit' or 'exp', got 'x'"):
+        power_moment("x", Poly([0, 1]), 2)
 
 
 def test_power_moment_monomial_and_unit_cases():
     t = Poly.variable()
     for m in range(6):
-        assert power_moment(MomentRule.UNIT_INTERVAL, t, m) == Fraction(1, m + 1)
-        assert power_moment(MomentRule.EXPONENTIAL, t, m) == math.factorial(m)
-    assert power_moment(MomentRule.UNIT_INTERVAL, Poly([2, 3]), 0) == 1
-    assert power_moment(MomentRule.EXPONENTIAL, Poly([2, 3]), 0) == 1
+        assert power_moment("unit", t, m) == Fraction(1, m + 1)
+        assert power_moment("exp", t, m) == math.factorial(m)
+    assert power_moment("unit", Poly([2, 3]), 0) == 1
+    assert power_moment("exp", Poly([2, 3]), 0) == 1
 
 
 def test_power_moment_rejects_negative_power():
     with pytest.raises(DomainError):
-        power_moment(MomentRule.UNIT_INTERVAL, Poly([0, 1]), -1)
+        power_moment("unit", Poly([0, 1]), -1)
 
 
 def test_derangement_numbers_frozen_and_cross_checked():
     t_minus_1 = Poly([-1, 1])
     for m in range(11):
-        value = power_moment(MomentRule.EXPONENTIAL, t_minus_1, m)
+        value = power_moment("exp", t_minus_1, m)
         assert value == DERANGEMENTS[m]
         assert value == _derangements_inclusion_exclusion(m)
         if m <= 6:
@@ -90,7 +87,7 @@ def test_derangement_numbers_frozen_and_cross_checked():
 
 def test_derangement_recurrence_holds_far_out():
     t_minus_1 = Poly([-1, 1])
-    values = [power_moment(MomentRule.EXPONENTIAL, t_minus_1, m) for m in range(25)]
+    values = [power_moment("exp", t_minus_1, m) for m in range(25)]
     for n in range(2, 25):
         assert values[n] == (n - 1) * (values[n - 1] + values[n - 2])
 
@@ -99,7 +96,7 @@ def test_unit_power_moment_matches_antiderivative():
     cases = [Poly([Fraction(-1, 2), 1]), Poly([1, 1, 1]), Poly([2, -1, 0, 1])]
     for f in cases:
         for m in range(6):
-            assert power_moment(MomentRule.UNIT_INTERVAL, f, m) == \
+            assert power_moment("unit", f, m) == \
                 _unit_moment_by_antiderivative(f, m)
 
 
@@ -130,9 +127,9 @@ def test_unit_moment_vanishes_exactly_at_odd_powers_for_symmetric_root():
     # exponent. Guards against "every exponent works" shortcuts.
     f = Poly([Fraction(-1, 2), 1])
     for m in range(12):
-        moment = power_moment(MomentRule.UNIT_INTERVAL, f, m)
+        moment = power_moment("unit", f, m)
         assert (moment == 0) == (m % 2 == 1)
-    cert = certify_unit_interval(f, 1, 600)
+    cert = certify_unit_interval(f)
     assert cert.exponent % 2 == 0
 
 
@@ -142,7 +139,7 @@ def test_unit_certificate_lead_term_carries_the_whole_pole():
     # p-integral, which is what forces the total valuation to -1.
     for coeffs in [(Fraction(-1, 2), 1), (1, 1, 1), (2, -1, 0, 1)]:
         f = Poly(coeffs)
-        cert = certify_unit_interval(f, 1, 600)
+        cert = certify_unit_interval(f)
         expanded = f ** cert.exponent
         total = Fraction(0)
         for i, c in enumerate(expanded.coeffs):
@@ -178,27 +175,14 @@ def test_unit_certificate_respects_m_min():
 
 
 def test_unit_certificate_requires_monic_nonconstant():
-    with pytest.raises(DomainError):
-        certify_unit_interval(Poly([1, 2]))
+    # 1 + 2t is not monic: p = 2 divides the leading 2, so m = 2, p = 3,
+    # where (1 + 2t)^2 = 1 + 4t + 4t^2 has the moment 1 + 2 + 4/3 = 13/3.
+    cert = certify_unit_interval(Poly([1, 2]))
+    assert (cert.prime, cert.exponent, cert.valuation, cert.value) == (3, 2, -1, Fraction(13, 3))
     with pytest.raises(DomainError):
         certify_unit_interval(Poly([5]))
     with pytest.raises(DomainError):
         certify_unit_interval(Poly([Fraction(-1, 2), 1]), m_min=0)
-
-
-def test_unit_certificate_search_can_exhaust():
-    # At m=1 the candidate prime 2 divides the denominator of -1/2, so a
-    # bound of 1 leaves nothing to try.
-    with pytest.raises(SearchExhaustedError):
-        certify_unit_interval(Poly([Fraction(-1, 2), 1]), search_bound=1)
-
-
-@pytest.mark.parametrize("search_bound", [0, -1])
-def test_certificate_search_bound_must_be_positive(search_bound):
-    with pytest.raises(DomainError, match="search_bound must be >= 1"):
-        certify_unit_interval(Poly([Fraction(-1, 2), 1]), search_bound=search_bound)
-    with pytest.raises(DomainError, match="search_bound must be >= 1"):
-        certify_exponential(Poly([0, 1, 1]), search_bound=search_bound)
 
 
 def test_exponential_certificate_frozen_cases():
@@ -218,7 +202,7 @@ def test_exponential_certificate_reverifies():
     cert = certify_exponential(f)
     r = f.low_order
     assert cert.prime == r * cert.exponent + 1
-    value = power_moment(MomentRule.EXPONENTIAL, f, cert.exponent)
+    value = power_moment("exp", f, cert.exponent)
     assert value == cert.value != 0
     assert padic_valuation(value, cert.prime) == cert.valuation
     # The certificate prime exceeds r*m, so the factorial part is a p-unit.
@@ -228,8 +212,10 @@ def test_exponential_certificate_reverifies():
 def test_exponential_certificate_input_validation():
     with pytest.raises(DomainError):
         certify_exponential(Poly([1, 1]))  # nonzero constant term: no root at 0
-    with pytest.raises(DomainError):
-        certify_exponential(Poly([0, 2, 1]))  # lowest coefficient not 1
+    # 2t + t^2: p = 2 divides the lowest coefficient 2, so m = 2, p = 3, and
+    # (2t + t^2)^2 = 4t^2 + 4t^3 + t^4 has the moment 4*2! + 4*3! + 4! = 56.
+    cert = certify_exponential(Poly([0, 2, 1]))
+    assert (cert.prime, cert.exponent, cert.valuation, cert.value) == (3, 2, 0, 56)
     with pytest.raises(DomainError):
         certify_exponential(Poly([0, 1]))  # single monomial
     with pytest.raises(DomainError):
@@ -244,11 +230,12 @@ def test_certificate_dataclass_rejects_wrong_valuation():
 
 
 def _first_admissible(f: Poly, step: int, m_min: int) -> int:
-    """The least m >= m_min with p = step*m + 1 prime and dividing no
-    coefficient denominator of f."""
-    denominators = [Fraction(c).denominator for c in f.coeffs]
+    """The least m >= m_min with p = step*m + 1 prime and dividing neither a
+    coefficient denominator of f nor the numerator of its t^step coefficient."""
+    blockers = [Fraction(c).denominator for c in f.coeffs]
+    blockers.append(Fraction(f.coefficient(step)).numerator)
     m = m_min
-    while not (is_prime(step * m + 1) and all(d % (step * m + 1) for d in denominators)):
+    while not (is_prime(step * m + 1) and all(b % (step * m + 1) for b in blockers)):
         m += 1
     return m
 
@@ -275,11 +262,44 @@ def test_exponential_certificate_is_at_the_first_admissible_m(r, higher, m_min):
 
 
 @SETTINGS
+@given(st.sampled_from(("unit", "exp")), st.integers(0, 2),
+       st.lists(RATIONAL, min_size=1, max_size=4), M_MIN)
+def test_any_certificate_is_at_the_first_admissible_m(rule, zeros, tail, m_min):
+    """Non-monic f of degree up to 4, any lowest coefficient: a certificate
+    sits at the first m >= m_min whose p divides no denominator and not the
+    numerator of the rule's coefficient, with the rule's valuation and the
+    reference value; every other input is a domain error (exit 2), never an
+    internal one."""
+    coeffs = ([Fraction(0)] * (zeros + (rule == "exp")) + tail)[:5]
+    argv = ["certify", "--rule", rule, "--poly", json.dumps([str(c) for c in coeffs]),
+            "--m-min", str(m_min)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    f = Poly(coeffs)
+    try:
+        cert = (certify_unit_interval if rule == "unit" else certify_exponential)(f, m_min)
+    except DomainError as exc:
+        assert f.degree < 1 or (rule == "exp" and f.degree == f.low_order), exc
+        assert (code, report["error"]) == (2, {"kind": "domain", "message": str(exc)})
+        return
+    step = f.degree if rule == "unit" else f.low_order
+    m = _first_admissible(f, step, m_min)
+    assert (cert.exponent, cert.prime) == (m, step * m + 1)
+    assert cert.valuation == (-1 if rule == "unit" else 0)
+    assert cert.value == power_moment_by_expansion(rule, f, m)
+    assert code == 0
+    assert (report["p"], report["m"], report["valuation"], report["value"]) == \
+        (cert.prime, m, cert.valuation, str(cert.value))
+
+
+@SETTINGS
 @given(st.lists(st.one_of(RATIONAL, st.integers(-10**30, 10**30)), max_size=6),
        st.integers(0, 14))
 def test_kronecker_expansion_matches_poly_powers(coeffs, power):
     f = Poly(coeffs)
-    for rule in MomentRule:
+    for rule in ("unit", "exp"):
         assert power_moment(rule, f, power) == power_moment_by_expansion(rule, f, power)
     base = clear_denominators(f.coeffs)[1]
     if base and power:

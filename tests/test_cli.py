@@ -188,23 +188,6 @@ def test_certify_exponential(capsys):
     assert (out["p"], out["m"], out["valuation"], out["value"]) == (2, 1, 0, "3")
 
 
-def test_certify_search_bound_exhaustion(capsys):
-    code, out, _ = _run(capsys, [
-        "certify", "--rule", "unit", "--poly", '["-1/2", "1"]',
-        "--search-bound", "1",
-    ])
-    assert code == 2
-
-
-@pytest.mark.parametrize("rule, poly", [("unit", '["-1/2", "1"]'), ("exp", '["0", "1", "1"]')])
-@pytest.mark.parametrize("bound", ["0", "-1"])
-def test_certify_rejects_a_search_bound_below_1(capsys, rule, poly, bound):
-    code, out, _ = _run(capsys, ["certify", "--rule", rule, "--poly", poly,
-                                 "--search-bound", bound])
-    assert code == 2
-    assert out["error"] == {"kind": "domain", "message": "search_bound must be >= 1"}
-
-
 def test_trace_test(capsys):
     code, out, _ = _run(capsys, [
         "trace-test", "--matrix",
@@ -355,6 +338,25 @@ def test_certify_size_cap_rejects_before_expanding(capsys, monkeypatch, poly, m_
     assert code == 2
     assert out["error"]["kind"] == "domain"
     assert "over the cap of" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("rule", ["unit", "exp"])
+def test_certify_m_min_over_the_caps_exits_2_before_any_prime_test(capsys, monkeypatch, rule):
+    # At m = 10^4000 the expansion has about 10^8000 bits in all, a number
+    # past the interpreter's integer-to-string limit: the message names it
+    # by its digit count.
+    def not_called(*_args):
+        raise AssertionError("the search ran past the size caps")
+
+    monkeypatch.setattr(certificates, "is_prime", not_called)
+    monkeypatch.setattr(certificates, "power_moment", not_called)
+    code, out, _ = _run(capsys, ["certify", "--rule", rule, "--poly", '["0", "-1", "1"]',
+                                 "--m-min", str(10**4000)])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert "over the cap of" in out["error"]["message"]
+    assert out["error"]["message"].startswith(f"at m = {10**4000} the expansion")
+    assert "10^8000 or more bits in all" in out["error"]["message"]
 
 
 def test_selftest_passes_and_is_deterministic(capsys):
@@ -734,6 +736,24 @@ def test_laurent_exponent_keys_must_be_plain_integers(capsys, key):
     assert out["error"]["message"].startswith(f"bad Laurent exponent {key!r}")
 
 
+def test_laurent_exponent_keys_name_each_exponent_once(capsys):
+    code, out, _ = _run(capsys, ["laurent", "--lam", "1", "--poly", '{"1": "1", "01": "2"}'])
+    assert code == 2
+    assert out["error"] == {"kind": "domain",
+                            "message": "repeated Laurent exponent 1 at key '01'"}
+
+
+def test_functional_parts_name_each_root_once(capsys):
+    # Read as a dict, the -1 under "2/4" would silently replace the 1 under
+    # "1/2" and decide would answer for a functional that was never given.
+    spec = {"roots": [["1/2", 1], ["2", 1]],
+            "functionals": [{"parts": {"1/2": ["1"], "2/4": ["-1"], "2": ["1"]}}]}
+    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(spec)])
+    assert code == 2
+    assert out["error"] == {"kind": "domain",
+                            "message": "functionals[0].parts: repeated root 1/2 at key '2/4'"}
+
+
 def test_moments_count_cap(capsys):
     code, out, _ = _run(capsys, ["moments", "--input", ONE_OVER_997, "--count", "1501"])
     assert code == 2
@@ -930,7 +950,7 @@ def test_defaults_of_the_optional_options():
     def parsed(command):
         return vars(cli._parse_args(TABLE, _required_argv(command)))
 
-    assert parsed("certify")["m_min"] == 1 and parsed("certify")["search_bound"] == 10**6
+    assert parsed("certify")["m_min"] == 1
     assert parsed("gvc-probe")["m_max"] == 12
     assert parsed("moments")["count"] is None
     assert parsed("decide")["oracle"] is False
@@ -947,8 +967,8 @@ def test_missing_required_option_is_a_usage_error(capsys, command, flag):
 @pytest.mark.parametrize("argv, message", [
     (["certify", "--rule", "unit", "--poly", "[1]", "--m-min", "x"],
      "argument --m-min: invalid int value: 'x'"),
-    (["certify", "--rule", "unit", "--poly", "[1]", "--search-bound=1.5"],
-     "argument --search-bound: invalid int value: '1.5'"),
+    (["certify", "--rule", "unit", "--poly", "[1]", "--search-bound", "5"],
+     "unrecognized arguments: --search-bound"),
     (["certify", "--rule", "other", "--poly", "[1]"], "argument --rule: invalid choice"),
     (["imagep", "guess", "--p", "3", "--n", "1", "--input", "[]"],
      "argument mode: invalid choice"),

@@ -85,10 +85,8 @@ def _argv(command: str, top):
             lambda t: [command, "--input", t[0], "--count", str(t[1])])
     if command == "certify":
         return st.tuples(st.sampled_from(("unit", "exp")), top(RATIONALS).map(_json_arg),
-                         _near(certificates.MAX_EXPANSION_TERMS) | st.integers(1, 60),
-                         st.integers(-1, 50)).map(
-            lambda t: [command, "--rule", t[0], "--poly", t[1], "--m-min", str(t[2]),
-                       "--search-bound", str(t[3])])
+                         _near(certificates.MAX_EXPANSION_TERMS) | st.integers(1, 60)).map(
+            lambda t: [command, "--rule", t[0], "--poly", t[1], "--m-min", str(t[2])])
     if command == "trace-test":
         return top(st.lists(RATIONALS, max_size=3)).map(
             lambda m: [command, "--matrix", _json_arg(m)])
@@ -146,8 +144,7 @@ VALID_ARGVS = [
     ["idempotents", "--roots", '[["1", 1], ["2", 2]]', "--all"],
     ["idempotents", "--modulus", '["2", "-3", "1"]'],
     ["moments", "--input", '{"P0": ["1"], "roots": [["0", 2]]}', "--count", "3"],
-    ["certify", "--rule", "exp", "--poly", '["-1/2", "1"]', "--m-min", "1",
-     "--search-bound", "50"],
+    ["certify", "--rule", "exp", "--poly", '["-1/2", "1"]', "--m-min", "1"],
     ["trace-test", "--matrix", '[["0", "1"], ["0", "0"]]'],
     ["laurent", "--lam", "-1", "--poly", '{"-1": "3", "2": "1"}'],
     ["gvc-probe", "--op", '[{"exps": [1, 1], "c": "1"}]', "--p-poly", '[{"exps": [1, 0], "c": "1"}]',

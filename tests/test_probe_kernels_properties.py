@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from mzspaces.certificates import MomentRule, power_moment
+from mzspaces.certificates import power_moment
 from mzspaces.imagep import ZXPoly, apply_d, imd_decide, j_ideal_witness
 from mzspaces.probes import (
     ConstCoeffOp,
@@ -309,7 +309,7 @@ def moment_polys(draw):
 
 
 @SETTINGS
-@given(st.sampled_from(list(MomentRule)), moment_polys(), st.integers(0, 9))
+@given(st.sampled_from(("unit", "exp")), moment_polys(), st.integers(0, 9))
 def test_power_moment_kernel_matches_expansion(rule, f, power):
     value = power_moment(rule, f, power)
     assert isinstance(value, Rational)
@@ -322,11 +322,11 @@ def test_power_moment_kernel_on_zero_moments():
     # moment 0 at every positive power.
     f = Poly((Fraction(1, 2), -1))
     for m in range(8):
-        unit = power_moment(MomentRule.UNIT_INTERVAL, f, m)
-        assert unit == power_moment_by_expansion(MomentRule.UNIT_INTERVAL, f, m)
+        unit = power_moment("unit", f, m)
+        assert unit == power_moment_by_expansion("unit", f, m)
         assert (unit == 0) == (m % 2 == 1)
-    assert power_moment(MomentRule.EXPONENTIAL, Poly((-1, 1)), 1) == 0
-    for rule in MomentRule:
+    assert power_moment("exp", Poly((-1, 1)), 1) == 0
+    for rule in ("unit", "exp"):
         assert power_moment(rule, Poly(), 0) == 1
         assert power_moment(rule, Poly(), 3) == 0
 
