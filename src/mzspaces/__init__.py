@@ -22,7 +22,7 @@ _EXPORTS = {
         "DependentFunctionalsError", "DoesNotSplitError", "DomainError",
     ), "errors"),
     **dict.fromkeys((
-        "FunctionalNF", "MomentSeq", "dependency_relation", "evaluate", "from_moments",
+        "FunctionalNF", "dependency_relation", "evaluate", "from_moments",
         "largest_ideal_exponents", "to_moments",
     ), "functionals"),
     **dict.fromkeys((

@@ -93,9 +93,24 @@ class _ParseError(Exception):
     """Malformed JSON input; args are json.JSONDecodeError's msg, lineno and colno."""
 
 
-# The scanner json.decoder.JSONDecoder() builds: strict, no hooks, floats for NaN and ±Infinity.
+class _RepeatedKey(Exception):
+    """args[0] is written twice in one JSON object.  Not a ValueError, which
+    `_loads` would answer with json.loads, where the last value wins unseen."""
+
+
+def _object(pairs):
+    """The dict of one JSON object's (key, value) pairs, each key once."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        raise _RepeatedKey(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return out
+
+
+# The scanner json.decoder.JSONDecoder() builds (strict, floats for NaN and
+# ±Infinity) but for its pairs hook, which rejects a repeated key.
 _scan_once = _json.make_scanner(SimpleNamespace(
-    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    strict=True, object_hook=None, object_pairs_hook=_object, parse_float=float, parse_int=int,
     parse_constant={"NaN": float("nan"), "Infinity": float("inf"),
                     "-Infinity": float("-inf")}.__getitem__))
 
@@ -121,9 +136,9 @@ def _loads(text: str):
 
 def _load_json_arg(text: str, option: str):
     """Accept inline JSON (starts with { or [) or a file path.  Malformed JSON
-    is a _ParseError; an unreadable path, an integer too long to read or
-    nesting too deep to read, a domain error naming the option (and the
-    path, only by its length when long)."""
+    is a _ParseError; an unreadable path, an integer too long to read,
+    nesting too deep to read or a key written twice in one object, a domain
+    error naming the option (and the path, only by its length when long)."""
     stripped = text.strip()
     try:
         if stripped.startswith("{") or stripped.startswith("["):
@@ -137,6 +152,8 @@ def _load_json_arg(text: str, option: str):
         raise DomainError(f"{option}: {_shown(text, _PATH_ECHO_LIMIT)} is not UTF-8 text") from exc
     except RecursionError as exc:
         raise DomainError(f"{option}: the JSON nests too deeply to read") from exc
+    except _RepeatedKey as exc:
+        raise DomainError(f"{option}: key {_shown(exc.args[0])} written twice in one object") from exc
     except ValueError as exc:  # raised by json.loads, so json is loaded
         if isinstance(exc, sys.modules["json"].JSONDecodeError):
             raise _ParseError(exc.msg, exc.lineno, exc.colno) from exc
@@ -435,7 +452,7 @@ def _cmd_idempotents(args):
 
 
 def _cmd_moments(args):
-    from .functionals import MomentSeq, from_moments, to_moments
+    from .functionals import from_moments, to_moments
 
     data = _load_json_arg(args.input, "--input")
     if not isinstance(data, dict):
@@ -452,8 +469,7 @@ def _cmd_moments(args):
             roots = _split_roots_from_json(data["charPoly"], "charPoly")
         else:
             raise DomainError("moment input needs roots or charPoly")
-        values = _rationals_from_json(data["values"], "values")
-        fn = from_moments(MomentSeq(values, roots.poly()), roots)
+        fn = from_moments(_rationals_from_json(data["values"], "values"), roots)
         payload = dict(functional_to_json(fn))
         payload["roots"] = _roots_to_json(roots)
         return payload, data

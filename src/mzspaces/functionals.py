@@ -41,7 +41,8 @@ from .upoly import Poly, RootData, int_times_linear, split_integer_form
 
 
 class FunctionalNF:
-    """zero_part drives d/dt at the root 0; parts[root] drives t d/dt there."""
+    """zero_part drives d/dt at the root 0; parts[root] drives t d/dt there.
+    Its coefficients are checked to be rational here, once and for all."""
 
     __slots__ = ("roots", "zero_part", "parts")
 
@@ -67,6 +68,8 @@ class FunctionalNF:
         if parts:
             raise DomainError("operator attached to non-root value(s): "
                               + ", ".join(map(str, parts)))
+        require_rational([*zero_part.coeffs, *(c for op in cleaned.values() for c in op.coeffs)],
+                         "a functional")
         self.parts = cleaned
 
     @property
@@ -88,36 +91,11 @@ class FunctionalNF:
         return f"FunctionalNF(zero_part={self.zero_part!r}, parts={self.parts!r})"
 
 
-class MomentSeq:
-    """First deg(char_poly) values of n -> L(t^n); later values follow the
-    linear recurrence read off the characteristic polynomial."""
-
-    __slots__ = ("values", "char_poly")
-
-    def __init__(self, values, char_poly: Poly):
-        values = tuple(values)
-        if char_poly.is_zero or char_poly.degree < 1:
-            raise DomainError("characteristic polynomial must have degree >= 1")
-        if len(values) != char_poly.degree:
-            raise DomainError("moment count must equal the characteristic degree")
-        self.values = values
-        self.char_poly = char_poly
-
-    def __eq__(self, other):
-        if not isinstance(other, MomentSeq):
-            return NotImplemented
-        return self.values == other.values and self.char_poly == other.char_poly
-
-    def __repr__(self):
-        return f"MomentSeq({self.values!r})"
-
-
 def integer_moments(functional: FunctionalNF, count: int):
-    """(den, values): L(t^n) = values[n] / den for n < count, all integers,
-    for a functional with rational scalars.  With P_lam = Q / d (Q integer)
-    and lam = a/b, the term at a nonzero root is Q(n) a^n b^(N-n) over the
-    root's denominator d b^N, N = count - 1; den is the least common
-    multiple of those and of the denominator of P_0."""
+    """(den, values): L(t^n) = values[n] / den for n < count, all integers.
+    With P_lam = Q / d (Q integer) and lam = a/b, the term at a nonzero root
+    is Q(n) a^n b^(N-n) over the root's denominator d b^N, N = count - 1;
+    den is the least common multiple of those and of the denominator of P_0."""
     if count == 0:
         return 1, []
     top = count - 1
@@ -171,9 +149,9 @@ def to_moments(functional: FunctionalNF, count: int):
     return tuple(_moments(functional, count))
 
 
-def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
-    """The unique functional in normal form whose moments extend the given
-    values under the recurrence of the (fully split) characteristic polynomial.
+def from_moments(values, roots: RootData) -> FunctionalNF:
+    """The unique functional in normal form with the given values as its
+    moments L(t^n), n < deg f, f the split polynomial of the root data.
 
     Runs on integers: with F = B f the integer form of f (`split_integer_form`)
     the recurrence extends the values, kept over one common denominator, to
@@ -181,13 +159,12 @@ def from_moments(moments: MomentSeq, roots: RootData) -> FunctionalNF:
     term needs (about lcm(b)^n, not B^n).  The projection onto each root
     uses its integer idempotent and Newton's forward differences are taken
     on integers; each output coefficient is one Rational."""
-    require_rational((*roots.roots, *moments.values, *moments.char_poly.coeffs),
-                     "moment inversion")
-    if roots.poly() != moments.char_poly:
-        raise DomainError("root data must split the characteristic polynomial exactly")
+    if len(values) != roots.degree:
+        raise DomainError("moment count must equal the characteristic degree")
+    require_rational(values, "moment inversion")
     lead, f = split_integer_form(roots)
     n_total = len(f) - 1
-    values_den, values = clear_denominators(moments.values)
+    values_den, values = clear_denominators(values)
     for k in range(n_total - 1):
         step = -sum(f[i] * values[k + i] for i in range(n_total))
         grow = lead // gcd(step, lead)

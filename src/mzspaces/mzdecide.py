@@ -38,8 +38,8 @@ idempotent and reduces every shift mod f.
 `normalize` rejects dependent functionals by row-reducing their operator
 coefficient vectors.  In characteristic zero the moment matrix is that
 coefficient matrix times an invertible confluent Vandermonde matrix, so the
-two are row-equivalent and give the same relation.  Every entry point
-requires rational scalars.
+two are row-equivalent and give the same relation.  `RootData` and
+`FunctionalNF` check every scalar where they are built, so nothing here does.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import DependentFunctionalsError, DomainError
 from .functionals import FunctionalNF, integer_moments, largest_ideal_exponents
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import Rational, digit_width, pack, require_rational
+from .scalars import Rational, digit_width, pack
 from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
@@ -102,7 +102,6 @@ class MZVerdict(namedtuple(
 def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     """Shrink multiplicities to the largest-ideal exponents, drop unused
     roots, and reject dependent or zero functionals."""
-    require_rational(_spec_scalars(spec), "the decision procedure")
     for fn in spec.functionals:
         if fn.is_zero:
             raise DomainError("zero functional in spec")
@@ -130,15 +129,6 @@ def _coefficient_rows(functionals, roots: RootData):
     root order, each operator padded to its root's multiplicity."""
     return [[fn.operator_poly(lam).coefficient(k) for lam, mult in roots for k in range(mult)]
             for fn in functionals]
-
-
-def _spec_scalars(spec: SubspaceSpec):
-    """The roots and every operator coefficient of the spec."""
-    scalars = list(spec.roots.roots)
-    for fn in spec.functionals:
-        for op in [fn.zero_part, *fn.parts.values()]:
-            scalars.extend(op.coeffs)
-    return scalars
 
 
 def _subset_sums(columns, offset: int, dim: int):
@@ -176,12 +166,12 @@ def smallest_zero_sum_subset(columns):
 
 
 class _KernelData:
-    """What `decide_mz` and the oracle read off a normalized rational spec,
-    each built once, on first use, and kept on the spec: every functional's
-    moments L(t^n) for n < 2 deg f - 1 as integers (a table's own
-    denominator is dropped, since only zero tests read it), and the root
-    idempotents of the integer modulus.  L(t^j g) = sum_n g_n M[n + j] for
-    deg g < deg f and j < deg f, so no shift is ever reduced mod f."""
+    """What `decide_mz` and the oracle read off a normalized spec, each built
+    once, on first use, and kept on the spec: every functional's moments
+    L(t^n) for n < 2 deg f - 1 as integers (a table's own denominator is
+    dropped, since only zero tests read it), and the root idempotents of the
+    integer modulus.  L(t^j g) = sum_n g_n M[n + j] for deg g < deg f and
+    j < deg f, so no shift is ever reduced mod f."""
 
     __slots__ = ("roots", "functionals", "modulus", "_tables", "_idempotents")
 
@@ -240,7 +230,6 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     """Subset-sum criterion over the roots; emits a checkable witness pair
     (idempotent in the kernel, multiplier escaping it) when the answer is no."""
     _require_normalized(spec)
-    require_rational(_spec_scalars(spec), "the decision procedure")
     roots = spec.roots.roots
     if len(roots) > DEFAULT_MAX_SUBSET_ROOTS:
         raise DomainError(
@@ -275,7 +264,6 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
     sum vanishes is an idempotent in the kernel, and it must keep all its
     shifts t^j e_S, j < deg f, in the kernel."""
     _require_normalized(spec)
-    require_rational(_spec_scalars(spec), "the decision procedure")
     if len(spec.roots) > DEFAULT_MAX_SUBSET_ROOTS:
         raise DomainError(
             f"{len(spec.roots)} roots exceed the oracle enumeration cap "

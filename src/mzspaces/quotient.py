@@ -1,8 +1,8 @@
 """Idempotents of Q[t]/(f) for split moduli f.
 
 Elements of the quotient are plain polynomials of degree below deg f.  The
-modulus is always reconstructed from root data, so f = prod (t - root)^mult
-holds exactly by construction.
+modulus is always the integer form of f = prod (t - root)^mult read from
+root data (`upoly.split_integer_form`), so it splits exactly by construction.
 
 The idempotent of a root is the cofactor times its inverse modulo the
 root's factor, a power series inverse, so no Euclidean algorithm runs.  The
@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .scalars import Rational, clear_denominators
-from .upoly import Poly, RootData, int_poly_mul, int_times_linear
+from .scalars import Rational
+from .upoly import Poly, RootData, int_poly_mul, int_times_linear, split_integer_form
 
 
 def _divide_by_root(coeffs, lam):
@@ -90,25 +90,13 @@ def integer_idempotent(modulus, lam, mult: int):
     return product, num // common, den // common
 
 
-def root_idempotent(modulus: Poly, lam, mult: int) -> Poly:
-    """The idempotent of k[t]/(modulus) that is 1 modulo (t - lam)^mult and 0
-    modulo the cofactor c = modulus / (t - lam)^mult; degree below the modulus.
-
-    It is c times the inverse of c modulo (t - lam)^mult.  That inverse is the
-    power series inverse, to order mult, of the Taylor expansion of c at lam,
-    so no Euclidean algorithm runs: mult synthetic divisions give c, mult more
-    its Taylor coefficients, and the rest costs O(mult^2) plus one product.
-    It runs on integers (`integer_idempotent`)."""
-    _, ints = clear_denominators(modulus.coeffs)
-    coeffs, num, den = integer_idempotent(ints, lam, mult)
-    return Poly(tuple(Rational(c * num, den) for c in coeffs))
-
-
 def crt_idempotents(roots: RootData):
     """The orthogonal idempotent for each root: 1 at that root's factor, 0 at
     the others.  Returned as a root -> Poly map in root order."""
-    f = roots.poly()
-    return {lam: root_idempotent(f, lam, mult) for lam, mult in roots}
+    f = split_integer_form(roots)[1]
+    forms = {lam: integer_idempotent(f, lam, mult) for lam, mult in roots}
+    return {lam: Poly(tuple(Rational(c * num, den) for c in coeffs))
+            for lam, (coeffs, num, den) in forms.items()}
 
 
 def all_idempotents(roots: RootData):

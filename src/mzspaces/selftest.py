@@ -9,7 +9,7 @@ from math import factorial
 
 from .certificates import certify_unit_interval, power_moment
 from .errors import DomainError
-from .functionals import FunctionalNF, MomentSeq, _moments, evaluate, from_moments, to_moments
+from .functionals import FunctionalNF, _moments, evaluate, from_moments, to_moments
 from .imagep import ImDCertificate, ZXPoly, apply_d, imd_decide, j_ideal_witness
 from .mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from .probes import (
@@ -22,7 +22,7 @@ from .probes import (
     laurent_preimage,
     trace_radical_test,
 )
-from .quotient import _divide_by_root, all_idempotents, crt_idempotents, root_idempotent
+from .quotient import _divide_by_root, all_idempotents, crt_idempotents
 from .scalars import padic_valuation, scalar_inverse
 from .sparse import LaurentPoly
 from .upoly import Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
@@ -231,9 +231,7 @@ def _check_moment_roundtrip(rng):
     for _ in range(30):
         roots = random_root_data(rng)
         fn = random_functional(rng, roots)
-        values = to_moments(fn, roots.degree)
-        back = from_moments(MomentSeq(values, roots.poly()), roots)
-        assert back == fn
+        assert from_moments(to_moments(fn, roots.degree), roots) == fn
 
 
 def _check_closed_form_moments(rng):
@@ -274,10 +272,10 @@ def modulus_by_field_arithmetic(roots: RootData) -> Poly:
 
 
 def idempotent_by_field_arithmetic(modulus: Poly, lam, mult: int) -> Poly:
-    """`root_idempotent` by field operations on the rational coefficients:
-    the cofactor and its Taylor coefficients at lam by synthetic division,
-    the series inverse divided by its constant term: the reference for
-    `quotient.integer_idempotent`."""
+    """The root idempotent of lam by field operations on the rational
+    coefficients: the cofactor and its Taylor coefficients at lam by
+    synthetic division, the series inverse divided by its constant term: the
+    reference for `quotient.integer_idempotent` and `crt_idempotents`."""
     cofactor = list(modulus.coeffs)
     for _ in range(mult):
         cofactor, rem = _divide_by_root(cofactor, lam)
@@ -321,14 +319,14 @@ def _check_integer_kernels(rng):
     roots = _INTEGER_ROOTS
     f = roots.poly()
     assert f == modulus_by_field_arithmetic(roots)
+    idempotents = crt_idempotents(roots)
     for lam, mult in roots:
-        assert root_idempotent(f, lam, mult) == idempotent_by_field_arithmetic(f, lam, mult)
+        assert idempotents[lam] == idempotent_by_field_arithmetic(f, lam, mult)
     for fn in _INTEGER_FUNCTIONALS:
         for count in (0, 1, roots.degree + 4):
             assert _moments(fn, count) == moments_by_field_arithmetic(fn, count)
         assert evaluate(fn, Poly()) == 0
-        back = from_moments(MomentSeq(to_moments(fn, roots.degree), f), roots)
-        assert back == fn
+        assert from_moments(to_moments(fn, roots.degree), roots) == fn
     first, second, third = _INTEGER_FUNCTIONALS
     planted = normalize(SubspaceSpec((first, second)))
     mz = normalize(SubspaceSpec((first, third)))

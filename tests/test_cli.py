@@ -754,6 +754,25 @@ def test_functional_parts_name_each_root_once(capsys):
                             "message": "functionals[0].parts: repeated root 1/2 at key '2/4'"}
 
 
+# With a plain dict, the last value of a repeated key would win unseen: laurent
+# would answer for 2t, decide for the second roots list, gvc-probe for c = 2.
+_TWICE_SPEC = ('{"roots": [["1", 1]], "roots": [["1", 1], ["-1", 1]], '
+               '"functionals": [{"parts": {"1": ["1"], "-1": ["-1"]}}]}')
+_TWICE_GVC = dict(GVC_TERMS, **{"--p-poly": '[{"exps": [1, 0], "c": 1, "c": 2}]'})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["laurent", "--lam", "1", "--poly", '{"1": "1", "1": "2"}'], "--poly: key '1'"),
+    (["decide", "--spec", _TWICE_SPEC], "--spec: key 'roots'"),
+    (["gvc-probe", *(item for pair in _TWICE_GVC.items() for item in pair)], "--p-poly: key 'c'"),
+], ids=["laurent", "decide", "gvc-probe"])
+def test_a_key_written_twice_in_one_object_is_a_domain_error(capsys, argv, message):
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"] == {"kind": "domain",
+                            "message": f"{message} written twice in one object"}
+
+
 def test_moments_count_cap(capsys):
     code, out, _ = _run(capsys, ["moments", "--input", ONE_OVER_997, "--count", "1501"])
     assert code == 2

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mzspaces.errors import DomainError
-from mzspaces.functionals import FunctionalNF, MomentSeq, evaluate, from_moments, to_moments
+from mzspaces.functionals import FunctionalNF, evaluate, from_moments, to_moments
 from mzspaces.linalg import solve_linear_system
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
 from mzspaces.quotient import crt_idempotents
@@ -99,7 +99,7 @@ def _dense_from_moments(values, roots):
 @given(root_data(), st.data())
 def test_from_moments_matches_dense_solve(roots, data):
     values = [data.draw(SMALL) for _ in range(roots.degree)]
-    fn = from_moments(MomentSeq(values, roots.poly()), roots)
+    fn = from_moments(values, roots)
     assert fn == _dense_from_moments(values, roots)
     assert to_moments(fn, roots.degree) == tuple(values)
 

@@ -8,7 +8,6 @@ from mzspaces.cli import functional_from_json, functional_to_json
 from mzspaces.errors import DomainError
 from mzspaces.functionals import (
     FunctionalNF,
-    MomentSeq,
     dependency_relation,
     evaluate,
     from_moments,
@@ -99,14 +98,14 @@ def test_value_on_crt_idempotent_is_constant_term():
 
 def test_from_moments_frozen_symmetric_pair():
     roots = _roots((1, 1), (-1, 1))
-    fn = from_moments(MomentSeq([Fraction(2), Fraction(0)], roots.poly()), roots)
+    fn = from_moments([Fraction(2), Fraction(0)], roots)
     assert fn.zero_part.is_zero
     assert fn.parts == {Fraction(1): Poly([1]), Fraction(-1): Poly([1])}
 
 
 def test_from_moments_frozen_double_zero():
     roots = _roots((0, 2))
-    fn = from_moments(MomentSeq([Fraction(0), Fraction(1)], roots.poly()), roots)
+    fn = from_moments([Fraction(0), Fraction(1)], roots)
     assert fn.zero_part == Poly([0, 1])
     assert fn.parts == {}
 
@@ -122,20 +121,26 @@ def test_moments_roundtrip_random():
         roots = RootData(sorted(chosen.items()))
         n = roots.degree
         values = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(n)]
-        fn = from_moments(MomentSeq(values, roots.poly()), roots)
+        fn = from_moments(values, roots)
         assert to_moments(fn, n) == tuple(values)
         # Moments beyond n obey the recurrence implicitly: rebuild and compare.
-        again = from_moments(MomentSeq(to_moments(fn, n), roots.poly()), roots)
+        again = from_moments(to_moments(fn, n), roots)
         assert again == fn
 
 
-def test_from_moments_rejects_mismatched_roots():
+def test_from_moments_rejects_a_wrong_count():
     roots = _roots((1, 1), (-1, 1))
-    other = Poly([0, 0, 1])  # t^2, different modulus
-    with pytest.raises(DomainError):
-        from_moments(MomentSeq([Fraction(1), Fraction(1)], other), roots)
-    with pytest.raises(DomainError):
-        MomentSeq([Fraction(1)], roots.poly())
+    for values in ([Fraction(1)], [Fraction(1)] * 3):
+        with pytest.raises(DomainError, match="moment count must equal the characteristic degree"):
+            from_moments(values, roots)
+
+
+# A float or a string coefficient would fail inside the integer kernels, and
+# a bool would be read as 1: each is refused where the functional is built.
+@pytest.mark.parametrize("coeff", [0.5, "1", True], ids=["float", "str", "bool"])
+def test_functional_coefficients_must_be_rational(coeff):
+    with pytest.raises(DomainError, match="needs rational scalars"):
+        FunctionalNF(RootData([(1, 2)]), parts={1: Poly([coeff])})
 
 
 def test_functional_nf_validation():

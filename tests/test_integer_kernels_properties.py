@@ -1,6 +1,6 @@
 """Property tests of the integer kernels for rational split moduli against
 their field-arithmetic references in `selftest`: `RootData.poly`,
-`root_idempotent` and the closed-form moments, the `from_moments` round
+`crt_idempotents` and the closed-form moments, the `from_moments` round
 trip, and the linear oracle against the enumeration of every idempotent."""
 
 from fractions import Fraction
@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from mzspaces.errors import DomainError
 from mzspaces.functionals import (
     FunctionalNF,
-    MomentSeq,
     _moments,
     evaluate,
     from_moments,
     to_moments,
 )
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
-from mzspaces.quotient import root_idempotent
+from mzspaces.quotient import crt_idempotents
 from mzspaces.selftest import (
     idempotent_by_field_arithmetic,
     modulus_by_field_arithmetic,
@@ -68,8 +67,9 @@ def functionals(draw):
 def test_modulus_and_idempotents_match_field_arithmetic(roots):
     f = roots.poly()
     assert f == modulus_by_field_arithmetic(roots)
+    idempotents = crt_idempotents(roots)
     for lam, mult in roots:
-        assert root_idempotent(f, lam, mult) == idempotent_by_field_arithmetic(f, lam, mult)
+        assert idempotents[lam] == idempotent_by_field_arithmetic(f, lam, mult)
 
 
 @SETTINGS
@@ -84,9 +84,9 @@ def test_moments_match_field_arithmetic(fn, data):
 @given(root_data(), st.data())
 def test_from_moments_inverts_to_moments(roots, data):
     values = [data.draw(COEFF) for _ in range(roots.degree)]
-    fn = from_moments(MomentSeq(values, roots.poly()), roots)
+    fn = from_moments(values, roots)
     assert to_moments(fn, roots.degree) == tuple(values)
-    assert from_moments(MomentSeq(to_moments(fn, roots.degree), roots.poly()), roots) == fn
+    assert from_moments(to_moments(fn, roots.degree), roots) == fn
 
 
 # --- the linear oracle against the enumeration of every idempotent --------

@@ -201,3 +201,20 @@ def test_only_scalars_packs_integers():
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")]
     assert offences == []
+
+
+def test_scalars_are_checked_where_they_are_built():
+    # require_rational runs where scalars enter: the root data, a functional's
+    # coefficients and moment values, the certificates' polynomial, and the
+    # p-adic valuation.  Code that reads a RootData or a FunctionalNF (the
+    # decision procedure, the oracle, the moments) does not check again.
+    callers = {(path.stem, stmt.name)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "require_rational"}
+    assert {module for module, _ in callers} == {"scalars", "upoly", "functionals",
+                                                  "certificates"}
+    assert {name for module, name in callers if module in ("upoly", "functionals")} == {
+        "RootData", "rational_roots", "FunctionalNF", "from_moments"}

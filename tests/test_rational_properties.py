@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mzspaces import cli
 from mzspaces.errors import DomainError
-from mzspaces.functionals import FunctionalNF, MomentSeq, from_moments, to_moments
+from mzspaces.functionals import FunctionalNF, from_moments, to_moments
 from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize
 from mzspaces.quotient import crt_idempotents
 from mzspaces.scalars import Rational
@@ -181,9 +181,8 @@ def test_library_on_fraction_and_on_cli_text_matches_the_fraction_references(inp
         for fn in (fn_fraction, fn_text):
             got = to_moments(fn, count)
             assert got == want and list(map(str, got)) == list(map(str, want))
-        assert from_moments(MomentSeq(want[:roots.degree], modulus), roots) == fn_fraction
-        back = from_moments(MomentSeq(to_moments(fn_text, roots.degree), by_text.roots.poly()),
-                            by_text.roots)
+        assert from_moments(want[:roots.degree], roots) == fn_fraction
+        back = from_moments(to_moments(fn_text, roots.degree), by_text.roots)
         assert back == fn_text
     references = {lam: idempotent_by_field_arithmetic(modulus, lam, mult) for lam, mult in roots}
     for data in (roots, by_text.roots):

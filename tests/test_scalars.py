@@ -11,8 +11,7 @@ from mzspaces.certificates import (
 )
 from mzspaces.cli import format_rational, parse_rational
 from mzspaces.errors import DomainError
-from mzspaces.functionals import FunctionalNF, MomentSeq, from_moments
-from mzspaces.mzdecide import SubspaceSpec, decide_mz, normalize, oracle_decide_mz
+from mzspaces.functionals import FunctionalNF, from_moments
 from mzspaces.scalars import (
     PADIC_INF,
     Rational,
@@ -147,22 +146,17 @@ def test_scalar_inverse_over_each_coefficient_kind():
 
 # One float scalar in each library entry point that reads scalars through
 # the integer kernels; every one is rejected by scalars.require_rational.
-_FLOAT_SPEC = SubspaceSpec([FunctionalNF(RootData([(Fraction(1, 2), 1)]),
-                                          parts={Fraction(1, 2): Poly([0.5])})])
-_FLOAT_NORMALIZED = SubspaceSpec(_FLOAT_SPEC.functionals, normalized=True)
-
-
+# The decision procedure reads its scalars from functionals, which check
+# theirs where they are built.
 @pytest.mark.parametrize("call", [
-    lambda: normalize(_FLOAT_SPEC),
-    lambda: decide_mz(_FLOAT_NORMALIZED),
-    lambda: oracle_decide_mz(_FLOAT_NORMALIZED),
-    lambda: from_moments(MomentSeq([1.0], Poly([-1, 1])), RootData([(1, 1)])),
+    lambda: FunctionalNF(RootData([(Fraction(1, 2), 1)]), parts={Fraction(1, 2): Poly([0.5])}),
+    lambda: from_moments([1.0], RootData([(1, 1)])),
     lambda: power_moment("unit", Poly([0.5, 1]), 2),
     lambda: certify_unit_interval(Poly([0.5, 1])),
     lambda: certify_exponential(Poly([0, 1, 0.5])),
     lambda: rational_roots(Poly([0.5, 1])),
-], ids=["normalize", "decide_mz", "oracle_decide_mz", "from_moments", "power_moment",
-        "certify_unit_interval", "certify_exponential", "rational_roots"])
+], ids=["FunctionalNF", "from_moments", "power_moment", "certify_unit_interval",
+        "certify_exponential", "rational_roots"])
 def test_float_scalars_are_rejected_by_the_one_guard(call):
     with pytest.raises(DomainError, match="needs rational scalars"):
         call()
