@@ -63,7 +63,8 @@ _IDEMPOTENTS_MAX_ROOTS = 12
 _ECHO_LIMIT = 40
 _PATH_ECHO_LIMIT = 256
 _JSON_WHITESPACE = " \t\n\r"
-_ORACLE_COST = "at most 20 roots; about 0.4 s at 20 roots with 3 functionals"
+_ORACLE_COST = ("at most 20 roots; about 0.4 s at 20 roots with 3 functionals, and about 1 s at "
+                "degree 800, 8 roots of multiplicity 100")
 # certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time.
 _CERTIFY_COST = ("From --m-min up, (D*f)^m, D the common denominator of f, may have at most 12000 "
                  "coefficients and 4000000 bits in all (else exit 2); up to about 1 s at the caps.")

@@ -24,7 +24,8 @@ Both directions run on plain integers: every denominator is cleared once
 Rational, with its one normalising gcd, is built only for each value
 returned.  `integer_moments` puts the terms Q(n) a^n b^(N-n) of all roots
 a/b over one common denominator; `from_moments` uses the integer form of f,
-the integer idempotents of `quotient` and integer forward differences.
+the root idempotents that `quotient` builds from binomial series with
+integer terms, and integer forward differences.
 `selftest.moments_by_field_arithmetic` evaluates the closed form in Q and
 is the integer kernel's test reference.
 """
@@ -157,8 +158,9 @@ def from_moments(values, roots: RootData) -> FunctionalNF:
     the recurrence extends the values, kept over one common denominator, to
     2D - 1 terms; the denominator grows only by the factor of B that each new
     term needs (about lcm(b)^n, not B^n).  The projection onto each root
-    uses its integer idempotent and Newton's forward differences are taken
-    on integers; each output coefficient is one Rational."""
+    uses its idempotent (`quotient.integer_idempotent`) and Newton's
+    forward differences are taken on integers; each output coefficient is
+    one Rational."""
     if len(values) != roots.degree:
         raise DomainError("moment count must equal the characteristic degree")
     require_rational(values, "moment inversion")
@@ -175,7 +177,7 @@ def from_moments(values, roots: RootData) -> FunctionalNF:
     zero_part = Poly()
     parts = {}
     for lam, mult in roots:
-        e, num, den = integer_idempotent(f, lam, mult)
+        e, num, den = integer_idempotent(f, roots, lam)
         projected = [sum(c * values[n + k] for k, c in enumerate(e)) for n in range(mult)]
         den *= values_den
         if lam == 0:

@@ -19,19 +19,19 @@ from the constant-term criterion.  Every idempotent of the quotient ring is
 a sum e_S of root idempotents e_i, and L is linear, so L(t^j e_S) is the sum
 over S of L(t^j e_i).  Per spec, each functional's moments L(t^n), n <
 2 deg f - 1, are tabulated once as integers (the closed form in
-`functionals`) and each root idempotent is built once on integers
-(`quotient.integer_idempotent`); then L(t^j g) = sum_n g_n M[n + j] is one
-integer dot product and no shift is reduced mod f.  The oracle computes
-L_k(e_i) once per root and functional, packs each root's values into one
-integer (`scalars.pack`), and walks all 2^r subsets in Gray-code order, one
-big-integer addition per subset; only a subset whose sum vanishes (an
-idempotent in the kernel) gets the full check that all its shifts t^j e_S,
-j < deg f, stay in the kernel.  `decide --oracle` shares the tables and the idempotents with
-`decide_mz`, whose multiplier search is the same dot products on the
-witness idempotent, the sum over the balanced subset.  The walk stays
-exponential in r, so the oracle has the subset search's root cap,
-DEFAULT_MAX_SUBSET_ROOTS (about 0.2-0.4 s at r = 20 with 3 functionals on a
-2-vCPU host).
+`functionals`) and each root idempotent is built once, on integers, from
+binomial series (`quotient.integer_idempotent`); then L(t^j g) =
+sum_n g_n M[n + j] is one integer dot product and no shift is reduced mod
+f.  The oracle computes L_k(e_i) once per root and functional, packs each
+root's values into one integer (`scalars.pack`), and walks all 2^r subsets
+in Gray-code order, one big-integer addition per subset; only a subset
+whose sum vanishes (an idempotent in the kernel) gets the full check that
+all its shifts t^j e_S, j < deg f, stay in the kernel.  `decide --oracle`
+shares the tables and the idempotents with `decide_mz`, whose multiplier
+search is the same dot products on the witness idempotent, the sum over
+the balanced subset.  The walk stays exponential in r, so the oracle has
+the subset search's root cap, DEFAULT_MAX_SUBSET_ROOTS (about 0.2-0.4 s at
+r = 20 with 3 functionals on a 2-vCPU host).
 Its test reference, `selftest.oracle_by_enumeration`, enumerates every
 idempotent and reduces every shift mod f.
 
@@ -101,7 +101,8 @@ class MZVerdict(namedtuple(
 
 def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     """Shrink multiplicities to the largest-ideal exponents, drop unused
-    roots, and reject dependent or zero functionals."""
+    roots, and reject dependent or zero functionals.  When nothing shrinks,
+    the spec's own root data and functionals are kept."""
     for fn in spec.functionals:
         if fn.is_zero:
             raise DomainError("zero functional in spec")
@@ -109,10 +110,12 @@ def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     kept = [(lam, e) for lam, e in exponents.items() if e > 0]
     if not kept:
         raise DomainError("no root carries an operator: kernel has no defining ideal")
-    new_roots = RootData(kept)
-    new_fns = tuple(
-        FunctionalNF(new_roots, fn.zero_part, fn.parts) for fn in spec.functionals
-    )
+    if kept == list(spec.roots):
+        new_roots, new_fns = spec.roots, spec.functionals
+    else:
+        new_roots = RootData(kept)
+        new_fns = tuple(FunctionalNF(new_roots, fn.zero_part, fn.parts)
+                        for fn in spec.functionals)
     relation = left_dependency(_coefficient_rows(new_fns, new_roots))
     if relation is not None:
         raise DependentFunctionalsError(relation)
@@ -189,17 +192,17 @@ class _KernelData:
             self._tables = [integer_moments(fn, count)[1] for fn in self.functionals]
         return self._tables
 
-    def idempotent(self, lam, mult):
+    def idempotent(self, lam):
         """(coeffs, num, den) of the root's idempotent (`integer_idempotent`)."""
         if lam not in self._idempotents:
-            self._idempotents[lam] = integer_idempotent(self.modulus, lam, mult)
+            self._idempotents[lam] = integer_idempotent(self.modulus, self.roots, lam)
         return self._idempotents[lam]
 
     def idempotent_vectors(self, subset):
         """(den, vectors): the idempotents of the roots in subset as integer
         coefficient lists of length deg f over one common denominator, so
         that any sum of them is the subset sum's numerator."""
-        forms = [self.idempotent(lam, mult) for lam, mult in self.roots if lam in subset]
+        forms = [self.idempotent(lam) for lam in self.roots.roots if lam in subset]
         den = lcm(*(d for _, _, d in forms))
         vectors = []
         for coeffs, num, d in forms:

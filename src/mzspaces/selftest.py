@@ -22,7 +22,7 @@ from .probes import (
     laurent_preimage,
     trace_radical_test,
 )
-from .quotient import _divide_by_root, all_idempotents, crt_idempotents
+from .quotient import all_idempotents, crt_idempotents
 from .scalars import padic_valuation, scalar_inverse
 from .sparse import LaurentPoly
 from .upoly import Poly, RootData, apply_der_op, apply_euler_op, extended_gcd
@@ -273,19 +273,20 @@ def modulus_by_field_arithmetic(roots: RootData) -> Poly:
 
 def idempotent_by_field_arithmetic(modulus: Poly, lam, mult: int) -> Poly:
     """The root idempotent of lam by field operations on the rational
-    coefficients: the cofactor and its Taylor coefficients at lam by
-    synthetic division, the series inverse divided by its constant term: the
-    reference for `quotient.integer_idempotent` and `crt_idempotents`."""
-    cofactor = list(modulus.coeffs)
+    coefficients: the cofactor and its Taylor coefficients at lam by `Poly`
+    division by t - lam, the series inverse divided by its constant term:
+    the reference for `quotient.integer_idempotent` and `crt_idempotents`."""
+    linear = Poly((-lam, 1))
+    cofactor = modulus
     for _ in range(mult):
-        cofactor, rem = _divide_by_root(cofactor, lam)
-        if rem != 0:
+        cofactor, rem = divmod(cofactor, linear)
+        if not rem.is_zero:
             raise AssertionError("modulus is divisible by each root factor")
     taylor = []
     work = cofactor
     for _ in range(mult):
-        work, value = _divide_by_root(work, lam)
-        taylor.append(value)
+        work, rem = divmod(work, linear)
+        taylor.append(rem.coefficient(0))
     inv_lead = scalar_inverse(taylor[0])
     series = [inv_lead]
     for k in range(1, mult):
@@ -293,8 +294,8 @@ def idempotent_by_field_arithmetic(modulus: Poly, lam, mult: int) -> Poly:
         series.append(-acc * inv_lead)
     inverse = Poly()
     for b in reversed(series):
-        inverse = inverse * Poly((-lam, 1)) + Poly((b,))
-    return inverse * Poly(cofactor)
+        inverse = inverse * linear + Poly((b,))
+    return inverse * cofactor
 
 
 def moments_by_field_arithmetic(functional: FunctionalNF, count: int):

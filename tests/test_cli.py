@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import islice, product
@@ -37,6 +39,32 @@ def test_decide_sign_difference_end_to_end(capsys):
     assert out["command"] == "decide"
     assert len(out["inputsDigest"]) == 64
     assert "elapsed_ms=" in err
+
+
+def _degree_spec(multiplicity: int, planted: bool) -> str:
+    """Roots 1, -1, 2, -2, 3, -3, 5, 7 of one multiplicity and one functional
+    whose operator coefficients are drawn from 1..9 root by root; planted,
+    the constant terms at 1 and -1 are 4 and -4, so that pair is balanced."""
+    rng = random.Random(5)
+    roots = ["1", "-1", "2", "-2", "3", "-3", "5", "7"]
+    parts = {r: [str(rng.randint(1, 9)) for _ in range(multiplicity)] for r in roots}
+    if planted:
+        parts["1"][0], parts["-1"][0] = "4", "-4"
+    return json.dumps({"roots": [[r, multiplicity] for r in roots],
+                       "functionals": [{"P0": [], "parts": parts}]})
+
+
+# Degree 320 (multiplicity 40); planted, the report carries a 119 KB witness.
+@pytest.mark.parametrize("planted, is_mz, sha256", [
+    (False, True, "86d2b100fb6c9c21b683c8296ab6a16feb0e27f067f2e7abdb5a96a6c3f1a974"),
+    (True, False, "21d27e789ca239f99a0373101a2eaf48ab91fdc5345d7095bfbeaa09f5a93a40"),
+], ids=["plain", "planted"])
+def test_decide_oracle_frozen_at_degree_320(capsys, planted, is_mz, sha256):
+    assert main(["decide", "--spec", _degree_spec(40, planted), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+    report = json.loads(out)
+    assert report["isMZ"] is report["oracleIsMZ"] is is_mz
 
 
 def test_decide_reads_spec_from_file(tmp_path, capsys):
@@ -660,6 +688,8 @@ def test_gvc_probe_variable_count_mismatch_is_a_domain_error(capsys, op, p_poly,
     ("idempotents", f"at most {upoly.MAX_ROOT_STEPS} for its candidate"),
     ("decide", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
     ("oracle", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
+    ("decide", "about 1 s at degree 800, 8 roots of multiplicity 100"),
+    ("oracle", "about 1 s at degree 800, 8 roots of multiplicity 100"),
     ("imagep", f"one of {', '.join(map(str, cli._IMAGEP_PRIMES))}"),
     ("imagep", f"at most {cli._IMAGEP_MAX_VARS}"),
     ("imagep", f"total degree at most {cli._IMAGEP_MAX_DEGREE}"),

@@ -51,6 +51,17 @@ def test_normalize_drops_untouched_roots():
     assert list(spec.roots) == [(Fraction(1), 1)]
 
 
+def test_normalize_keeps_the_objects_when_nothing_shrinks():
+    roots = _roots((0, 2), (1, 1), (2, 3))
+    first = FunctionalNF(roots, zero_part=Poly([0, 1]), parts={Fraction(2): Poly([1, 0, 2])})
+    second = FunctionalNF(roots, parts={Fraction(1): Poly([5]), Fraction(2): Poly([1])})
+    spec = SubspaceSpec([first, second])
+    again = normalize(spec)
+    assert again.normalized and again.roots is roots
+    assert all(new is old for new, old in zip(again.functionals, spec.functionals))
+    assert normalize(again).functionals[1] is second
+
+
 def test_normalize_rejects_zero_functional():
     roots = _roots((1, 1),)
     with pytest.raises(DomainError):
