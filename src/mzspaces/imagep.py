@@ -16,19 +16,19 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .scalars import is_prime
-from .sparse import accumulate, add_tuples, collect, mul, power, shifted
+from .sparse import (SparsePoly, accumulate, add_tuples, exponent_tuple, power, shifted,
+                     term_pairs)
 
 
-def _add_pairs(a, b):
-    return add_tuples(a[0], b[0]), add_tuples(a[1], b[1])
-
-
-class ZXPoly:
+class ZXPoly(SparsePoly):
     """Polynomial over F_p in paired variable groups: n coefficient variables
     (zeta) and n operator variables (x).  Terms map an exponent pair
     (zeta exponents, x exponents) to a residue in [1, p)."""
 
-    __slots__ = ("nvars", "modulus", "terms")
+    __slots__ = ("nvars", "modulus")
+    _ring = ("nvars", "modulus")
+    _ring_error = "mixed variable counts or moduli"
+    _add_keys = staticmethod(lambda a, b: (add_tuples(a[0], b[0]), add_tuples(a[1], b[1])))
 
     def __init__(self, nvars: int, modulus: int, terms=()):
         if nvars < 1:
@@ -37,27 +37,8 @@ class ZXPoly:
             raise DomainError(f"modulus {modulus!r} is not prime")
         self.nvars = nvars
         self.modulus = modulus
-        items = terms.items() if hasattr(terms, "items") else terms
-        self.terms = collect(self._checked(items), modulus)
-
-    def _checked(self, items):
-        for (zexp, xexp), c in items:
-            zexp, xexp = tuple(map(int, zexp)), tuple(map(int, xexp))
-            if len(zexp) != self.nvars or len(xexp) != self.nvars:
-                raise DomainError("exponent vectors must match the variable count")
-            if any(e < 0 for e in zexp + xexp):
-                raise DomainError("exponents must be >= 0")
-            yield (zexp, xexp), c
-
-    def _derived(self, terms: dict) -> "ZXPoly":
-        """A ZXPoly with self's variable count and modulus on a term dict
-        derived from valid ones: exponent pairs of the right length and
-        residues in [1, p).  The public constructor checks each pair and
-        runs is_prime on the modulus; a result of arithmetic on valid
-        polynomials needs neither."""
-        poly = object.__new__(ZXPoly)
-        poly.nvars, poly.modulus, poly.terms = self.nvars, self.modulus, terms
-        return poly
+        self._set_terms([((exponent_tuple(zexp, nvars), exponent_tuple(xexp, nvars)), c)
+                         for (zexp, xexp), c in term_pairs(terms)], "a polynomial over F_p")
 
     @classmethod
     def zero(cls, nvars: int, modulus: int) -> "ZXPoly":
@@ -72,14 +53,6 @@ class ZXPoly:
     def monomial(cls, nvars: int, modulus: int, zeta_exps, x_exps, coeff=1) -> "ZXPoly":
         return cls(nvars, modulus, {(tuple(zeta_exps), tuple(x_exps)): coeff})
 
-    def _check(self, other: "ZXPoly"):
-        if self.nvars != other.nvars or self.modulus != other.modulus:
-            raise DomainError("mixed variable counts or moduli")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def x_degree(self):
         """Top total degree in the x variables; None for the zero polynomial."""
@@ -88,20 +61,6 @@ class ZXPoly:
     @property
     def total_degree(self):
         return max((sum(z) + sum(x) for z, x in self.terms), default=None)
-
-    def __add__(self, other):
-        self._check(other)
-        return self._derived(collect([*self.terms.items(), *other.terms.items()], self.modulus))
-
-    def __neg__(self):
-        return self._derived({k: self.modulus - c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        return self._derived(mul(self.terms, other.terms, _add_pairs, self.modulus))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -130,20 +89,12 @@ class ZXPoly:
         return self._derived({(shifted(zexp, index, 1), xexp): c
                               for (zexp, xexp), c in self.terms.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, ZXPoly):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.modulus == other.modulus
-                and self.terms == other.terms)
-
     def __repr__(self):
         return f"ZXPoly(n={self.nvars}, p={self.modulus}, {self.terms!r})"
 
 
 def apply_d(index: int, q: ZXPoly) -> ZXPoly:
     """The twisted derivation for one variable pair: d/dx_index - zeta_index."""
-    if not 0 <= index < q.nvars:
-        raise DomainError("variable index out of range")
     return q.partial_x(index) - q.shift_zeta(index)
 
 
@@ -166,17 +117,10 @@ class ObstructionReport(namedtuple(
     __slots__ = ()
 
 
-def imd_decide(b: ZXPoly, var_order=None):
+def imd_decide(b: ZXPoly):
     """Total decision: an ImDCertificate when b lies in the joint image, an
-    ObstructionReport otherwise.  The verdict does not depend on var_order
-    (the tie-break for which variable absorbs a term); certificates may."""
+    ObstructionReport otherwise."""
     n, p = b.nvars, b.modulus
-    if var_order is None:
-        order = tuple(range(n))
-    else:
-        order = tuple(var_order)
-        if sorted(order) != list(range(n)):
-            raise DomainError("var_order must be a permutation of the variable indices")
     work = dict(b.terms)
     preimages = [dict() for _ in range(n)]
     while work:
@@ -193,7 +137,7 @@ def imd_decide(b: ZXPoly, var_order=None):
         for key in layer:
             zexp, xexp = key
             c = work.pop(key)
-            index = next(i for i in order if zexp[i] > 0)
+            index = next(i for i in range(n) if zexp[i] > 0)
             lowered_z = shifted(zexp, index, -1)
             accumulate(preimages[index], (lowered_z, xexp), -c, p)
             if xexp[index] > 0:

@@ -74,10 +74,6 @@ class SubspaceSpec:
         self.normalized = normalized
         self._kernel = None
 
-    @property
-    def dimension(self) -> int:
-        return len(self.functionals)
-
     def __eq__(self, other):
         if not isinstance(other, SubspaceSpec):
             return NotImplemented

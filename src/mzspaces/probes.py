@@ -12,8 +12,10 @@ from math import gcd, perm, prod
 from operator import mul as _times, sub
 
 from .errors import DomainError
-from .scalars import Rational, clear_denominators, digit_width, pack, packed_digit
-from .sparse import LaurentPoly, add_tuples, collect, mul, power, shifted
+from .scalars import (Rational, clear_denominators, digit_width, pack, packed_digit,
+                      require_rational)
+from .sparse import (LaurentPoly, SparsePoly, add_tuples, collect, exponent_tuple, mul, power,
+                     shifted, term_pairs)
 
 # The cost budget of gvc_probe's kill tests, charged as they run (see
 # gvc_probe); GVC_OP_BITS is the part of a term pair's cost that does not grow
@@ -24,7 +26,7 @@ GVC_MAX_COST = 8_000_000_000
 
 
 class MatrixQ:
-    """Square matrix with exact rational entries."""
+    """Square matrix with exact rational entries, checked where it is built."""
 
     __slots__ = ("rows",)
 
@@ -32,6 +34,7 @@ class MatrixQ:
         rows = tuple(tuple(entry for entry in row) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise DomainError("matrix must be square and nonempty")
+        require_rational((entry for row in rows for entry in row), "a matrix")
         self.rows = rows
 
     @classmethod
@@ -45,7 +48,6 @@ class MatrixQ:
     def __mul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.dimension != other.dimension:
             raise DomainError("matrix dimension mismatch")
-        n = self.dimension
         cols = list(zip(*other.rows))
         return MatrixQ(
             tuple(
@@ -159,25 +161,20 @@ def radical_vminus1_membership(g: LaurentPoly) -> bool:
     return all(e > 0 for e in exps) or all(e < 0 for e in exps)
 
 
-class MultiPolyQ:
-    """Multivariate polynomial over Q: exponent tuple -> coefficient."""
+class MultiPolyQ(SparsePoly):
+    """Polynomial over Q: exponent tuple (nvars ints >= 0) -> rational."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _ring = ("nvars",)
+    _ring_error = "variable count mismatch"
+    _add_keys = staticmethod(add_tuples)
 
     def __init__(self, nvars: int, terms=()):
         if nvars < 1:
             raise DomainError("need at least one variable")
         self.nvars = nvars
-        items = terms.items() if hasattr(terms, "items") else terms
-        data = collect(self._checked(items))
-        self.terms = {k: data[k] for k in sorted(data)}
-
-    def _checked(self, items):
-        for exps, c in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise DomainError(f"bad exponent vector {exps}")
-            yield exps, c
+        self._set_terms([(exponent_tuple(exps, nvars), c) for exps, c in term_pairs(terms)],
+                        "a polynomial over Q")
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPolyQ":
@@ -190,38 +187,16 @@ class MultiPolyQ:
         return cls(nvars, {shifted((0,) * nvars, index, 1): 1})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=None)
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), 0)
 
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise DomainError("variable count mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return MultiPolyQ(self.nvars, [*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return MultiPolyQ(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        return MultiPolyQ(self.nvars, mul(self.terms, other.terms, add_tuples))
-
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise DomainError("powers must be >= 0")
-        return power(self, exponent, MultiPolyQ.constant(self.nvars, 1))
+        return power(self, exponent, self._derived({(0,) * self.nvars: 1}))
 
     def scale(self, c):
         return MultiPolyQ(self.nvars, {e: v * c for e, v in self.terms.items()})
@@ -229,17 +204,8 @@ class MultiPolyQ:
     def partial(self, index: int) -> "MultiPolyQ":
         if not 0 <= index < self.nvars:
             raise DomainError("variable index out of range")
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[index] == 0:
-                continue
-            out[shifted(exps, index, -1)] = c * exps[index]
-        return MultiPolyQ(self.nvars, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPolyQ):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self._derived({shifted(exps, index, -1): c * exps[index]
+                              for exps, c in self.terms.items() if exps[index]})
 
     def __repr__(self):
         return f"MultiPolyQ({self.nvars}, {self.terms!r})"

@@ -1,12 +1,16 @@
-"""Sparse polynomials as term dicts, key -> nonzero coefficient: one kernel
-for LaurentPoly (int keys), probes.MultiPolyQ and the gvc integer dicts
-(exponent tuples) and imagep.ZXPoly (pairs of tuples, coefficients mod p)."""
+"""Sparse polynomials as term dicts, key -> nonzero coefficient: the kernel
+(`collect`, `mul`, `power`) on bare dicts, and `SparsePoly`, the one core of
+LaurentPoly (int keys), probes.MultiPolyQ (exponent tuples) and imagep.ZXPoly
+(pairs of them, coefficients mod p).  A type adds to the core's ring operations
+a constructor that checks exponents (no int() coercion) and coefficients once,
+in `_set_terms`; results of arithmetic are built unchecked by `_derived`."""
 
 from __future__ import annotations
 
 from operator import add
 
 from .errors import DomainError
+from .scalars import require_rational
 
 
 def add_tuples(a: tuple, b: tuple) -> tuple:
@@ -59,19 +63,96 @@ def power(x, exponent: int, one):
     return result
 
 
-class LaurentPoly:
-    """Finite support map exponent -> coefficient; exponents may be negative."""
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool: an exponent or a residue."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def exponent_tuple(exps, nvars: int) -> tuple:
+    """exps if it is a tuple of nvars ints >= 0; else a DomainError."""
+    if not isinstance(exps, tuple) or not all(is_int(e) and e >= 0 for e in exps):
+        raise DomainError(f"an exponent vector must be a tuple of ints >= 0, got {exps!r}")
+    if len(exps) != nvars:
+        raise DomainError("exponent vectors must match the variable count")
+    return exps
+
+
+def term_pairs(terms) -> list:
+    """The (key, coefficient) pairs of a dict, or of a list in which keys repeat."""
+    return list(terms.items() if hasattr(terms, "items") else terms)
+
+
+class SparsePoly:
+    """Terms and the ring operations.  A type names in `_ring` the slots two
+    operands must share and in `_ring_error` the message a mismatch raises, in
+    `_add_keys` the key of a product of monomials, and in `modulus` the prime
+    its coefficients are reduced by (None over Q)."""
 
     __slots__ = ("terms",)
+    _ring = ()
+    _add_keys = staticmethod(add)
+    modulus = None
 
-    def __init__(self, terms=()):
-        items = terms.items() if hasattr(terms, "items") else terms
-        data = collect((int(exp), c) for exp, c in items)
-        self.terms = {k: data[k] for k in sorted(data)}
+    def _set_terms(self, pairs: list, what: str) -> None:
+        """Set terms from (checked key, coefficient) pairs: each coefficient
+        rational over Q, an int over F_p; like terms summed, keys sorted."""
+        if self.modulus is None:
+            require_rational((c for _, c in pairs), what)
+        elif not all(is_int(c) for _, c in pairs):
+            raise DomainError(f"{what} needs int coefficients")
+        data = collect(pairs, self.modulus)
+        self.terms = {key: data[key] for key in sorted(data)}
+
+    def _derived(self, terms: dict):
+        """A polynomial in self's ring on terms derived from valid ones (keys of
+        its shape, residues in [1, p)), so built without the checks."""
+        poly = object.__new__(type(self))
+        for name in self._ring:
+            setattr(poly, name, getattr(self, name))
+        poly.terms = terms
+        return poly
+
+    def _check(self, other) -> None:
+        """Raise the ring's DomainError unless other lies in self's ring."""
+        for name in self._ring:
+            if getattr(self, name) != getattr(other, name):
+                raise DomainError(self._ring_error)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        return self._derived(collect([*self.terms.items(), *other.terms.items()], self.modulus))
+
+    def __neg__(self):
+        return self._derived(collect(((key, -c) for key, c in self.terms.items()), self.modulus))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        return self._derived(mul(self.terms, other.terms, self._add_keys, self.modulus))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (all(getattr(self, name) == getattr(other, name) for name in self._ring)
+                and self.terms == other.terms)
+
+
+class LaurentPoly(SparsePoly):
+    """Finite support map int exponent (any sign) -> rational coefficient."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=()):
+        pairs = term_pairs(terms)
+        if not all(is_int(exp) for exp, _ in pairs):
+            raise DomainError("Laurent exponents must be ints")
+        self._set_terms(pairs, "a Laurent polynomial")
 
     @property
     def exponents(self):
@@ -80,27 +161,10 @@ class LaurentPoly:
     def coefficient(self, exp):
         return self.terms.get(exp, 0)
 
-    def __add__(self, other):
-        return LaurentPoly([*self.terms.items(), *other.terms.items()])
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return LaurentPoly(mul(self.terms, other.terms, add))
-
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise DomainError("Laurent powers here must be >= 0")
-        return power(self, exponent, LaurentPoly({0: 1}))
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        return power(self, exponent, self._derived({0: 1}))
 
     def __repr__(self):
         if self.is_zero:

@@ -29,10 +29,6 @@ class Poly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def variable(cls):
         return cls((0, 1))
 

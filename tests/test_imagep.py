@@ -1,5 +1,4 @@
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -209,31 +208,6 @@ def test_imd_rejection_reports_a_term_of_the_input():
         assert sum(result.x_exps) == b.x_degree
         key = (tuple(result.zeta_exps), tuple(result.x_exps))
         assert b.terms[key] == result.coefficient
-
-
-def test_imd_verdict_is_order_independent():
-    rng = random.Random(5665)
-    for _ in range(30):
-        p = rng.choice([2, 3])
-        b = _random_zx(rng, 2, p, max_terms=3)
-        verdicts = []
-        for order in permutations(range(2)):
-            result = imd_decide(b, var_order=list(order))
-            member = isinstance(result, ImDCertificate)
-            if member:
-                assert result.reconstruct() == b
-            verdicts.append(member)
-        assert len(set(verdicts)) == 1
-
-
-def test_imd_rejects_bad_var_order():
-    b = ZXPoly.one(2, 3)
-    with pytest.raises(DomainError):
-        imd_decide(b, var_order=[0, 0])
-    with pytest.raises(DomainError):
-        imd_decide(b, var_order=[0])
-    with pytest.raises(DomainError):
-        imd_decide(b, var_order=[1, 2])
 
 
 def test_j_ideal_witness():

@@ -205,9 +205,10 @@ def test_only_scalars_packs_integers():
 
 def test_scalars_are_checked_where_they_are_built():
     # require_rational runs where scalars enter: the root data, a functional's
-    # coefficients and moment values, the certificates' polynomial, and the
-    # p-adic valuation.  Code that reads a RootData or a FunctionalNF (the
-    # decision procedure, the oracle, the moments) does not check again.
+    # coefficients and moment values, the certificates' polynomial, the p-adic
+    # valuation, a sparse polynomial over Q and a matrix.  Code that reads a
+    # RootData or a FunctionalNF (the decision procedure, the oracle, the
+    # moments) or adds and multiplies polynomials does not check again.
     callers = {(path.stem, stmt.name)
                for path in sorted(PACKAGE.glob("*.py"))
                for stmt in ast.parse(path.read_text(encoding="utf-8")).body
@@ -215,6 +216,40 @@ def test_scalars_are_checked_where_they_are_built():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "require_rational"}
     assert {module for module, _ in callers} == {"scalars", "upoly", "functionals",
-                                                  "certificates"}
-    assert {name for module, name in callers if module in ("upoly", "functionals")} == {
-        "RootData", "rational_roots", "FunctionalNF", "from_moments"}
+                                                  "certificates", "sparse", "probes"}
+    assert {name for module, name in callers
+            if module in ("upoly", "functionals", "sparse", "probes")} == {
+        "RootData", "rational_roots", "FunctionalNF", "from_moments", "SparsePoly", "MatrixQ"}
+
+
+RING_OPERATIONS = {"is_zero", "__add__", "__neg__", "__sub__", "__mul__", "__eq__", "_check",
+                   "_derived"}
+
+
+def test_one_sparse_polynomial_core():
+    # One sparse-polynomial core (sparse.SparsePoly): a class that stores
+    # terms subclasses it and defines none of the ring operations itself.
+    from mzspaces.sparse import SparsePoly
+
+    offences, core = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"mzspaces.{path.stem}")
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(stmt, ast.ClassDef) or stmt.name == "SparsePoly":
+                continue
+            stores = any(isinstance(node, ast.Attribute) and node.attr == "terms"
+                         and isinstance(node.ctx, ast.Store)
+                         or isinstance(node, ast.Constant) and node.value == "terms"
+                         for node in ast.walk(stmt))
+            cls = getattr(module, stmt.name)
+            if not (stores or issubclass(cls, SparsePoly)):
+                continue
+            core.add(stmt.name)
+            if not issubclass(cls, SparsePoly):
+                offences.append((path.stem, stmt.name, "not a SparsePoly"))
+            offences += [(path.stem, stmt.name, node.name) for node in stmt.body
+                         if isinstance(node, ast.FunctionDef) and node.name in RING_OPERATIONS]
+    assert offences == []
+    assert {"LaurentPoly", "MultiPolyQ", "ZXPoly"} <= core

@@ -12,6 +12,7 @@ from mzspaces.certificates import (
 from mzspaces.cli import format_rational, parse_rational
 from mzspaces.errors import DomainError
 from mzspaces.functionals import FunctionalNF, from_moments
+from mzspaces.probes import MatrixQ, trace_radical_test
 from mzspaces.scalars import (
     PADIC_INF,
     Rational,
@@ -155,8 +156,9 @@ def test_scalar_inverse_over_each_coefficient_kind():
     lambda: certify_unit_interval(Poly([0.5, 1])),
     lambda: certify_exponential(Poly([0, 1, 0.5])),
     lambda: rational_roots(Poly([0.5, 1])),
+    lambda: trace_radical_test(MatrixQ([[0.5, 1], [0, 0]])),
 ], ids=["FunctionalNF", "from_moments", "power_moment", "certify_unit_interval",
-        "certify_exponential", "rational_roots"])
+        "certify_exponential", "rational_roots", "MatrixQ"])
 def test_float_scalars_are_rejected_by_the_one_guard(call):
     with pytest.raises(DomainError, match="needs rational scalars"):
         call()
@@ -169,8 +171,9 @@ def test_float_scalars_are_rejected_by_the_one_guard(call):
     lambda: certify_unit_interval(Poly([True, 1])),
     lambda: padic_valuation(0.5, 2),
     lambda: padic_valuation(True, 2),
+    lambda: MatrixQ([[True]]),
 ], ids=["RootData-bool-root", "certify_unit_interval-bool-coefficient",
-        "padic_valuation-float", "padic_valuation-bool"])
+        "padic_valuation-float", "padic_valuation-bool", "MatrixQ-bool-entry"])
 def test_booleans_and_floats_are_not_rational_scalars(call):
     with pytest.raises(DomainError, match="needs rational scalars"):
         call()

@@ -1,11 +1,13 @@
 """Property tests of the sparse term-dict kernel against references that do
 not use it: dense `Poly` arithmetic (upoly imports nothing from sparse),
 plain repeated products, and a ZX product summed over the integers by hand
-and reduced mod p only at the end."""
+and reduced mod p only at the end.  The ring operations of the one core
+(`SparsePoly`) are checked on all three types against the bare kernel."""
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from operator import add
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from mzspaces.errors import DomainError
 from mzspaces.imagep import ZXPoly
 from mzspaces.probes import MultiPolyQ
+from mzspaces.scalars import Rational
 from mzspaces.sparse import LaurentPoly, accumulate, add_tuples, collect, mul, power, shifted
 from mzspaces.upoly import Poly
 
@@ -129,3 +132,96 @@ def test_multivariate_power_matches_repeated_products():
         for e in range(5):
             assert f**e == repeated
             repeated = repeated * f
+
+
+def _pair_keys(u, v):
+    return add_tuples(u[0], v[0]), add_tuples(u[1], v[1])
+
+
+@st.composite
+def laurent_case(draw):
+    terms = st.dictionaries(st.integers(-3, 3), RATIONAL, max_size=5)
+    return LaurentPoly, add, None, 0, draw(terms), draw(terms)
+
+
+@st.composite
+def multi_case(draw):
+    n = draw(st.integers(1, 2))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), RATIONAL, max_size=5)
+    return partial(MultiPolyQ, n), add_tuples, None, (0,) * n, draw(terms), draw(terms)
+
+
+@st.composite
+def zx_case(draw):
+    n, p = draw(st.integers(1, 2)), draw(st.sampled_from([2, 3, 5]))
+    zeros = (0,) * n
+    return (partial(ZXPoly, n, p), _pair_keys, p, (zeros, zeros),
+            draw(zx_terms(n, p)), draw(zx_terms(n, p)))
+
+
+@pytest.mark.parametrize("case", [laurent_case(), multi_case(), zx_case()],
+                         ids=["LaurentPoly", "MultiPolyQ", "ZXPoly"])
+@SETTINGS
+@given(data=st.data())
+def test_core_ring_operations_are_the_kernel(case, data):
+    build, add_keys, p, one, a, b = data.draw(case)
+    f, g = build(a), build(b)
+    k = data.draw(st.integers(0, 4))
+    negated = {key: -c for key, c in g.terms.items()}
+    expected = {
+        "sum": collect([*f.terms.items(), *g.terms.items()], p),
+        "difference": collect([*f.terms.items(), *negated.items()], p),
+        "negation": collect(negated.items(), p),
+        "product": mul(f.terms, g.terms, add_keys, p),
+        "power": reduce(lambda h, _: mul(h, f.terms, add_keys, p), range(k), {one: 1}),
+    }
+    results = {"sum": f + g, "difference": f - g, "negation": -g, "product": f * g,
+               "power": f**k}
+    for name, result in results.items():
+        assert result.terms == expected[name], name
+        assert result == build(result.terms) == build(expected[name]), name
+        assert result.is_zero == (not expected[name]), name
+
+
+@pytest.mark.parametrize("left, right, text", [
+    (MultiPolyQ(1, {(1,): 1}), MultiPolyQ(2, {(1, 0): 1}), "variable count mismatch"),
+    (ZXPoly(1, 3, {((1,), (0,)): 1}), ZXPoly(2, 3, {((1, 0), (0, 0)): 1}),
+     "mixed variable counts or moduli"),
+    (ZXPoly(1, 3, {((1,), (0,)): 1}), ZXPoly(1, 5, {((1,), (0,)): 1}),
+     "mixed variable counts or moduli"),
+], ids=["MultiPolyQ", "ZXPoly-nvars", "ZXPoly-modulus"])
+def test_mixing_rings_keeps_each_message(left, right, text):
+    for operation in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(DomainError, match=text):
+            operation(left, right)
+        with pytest.raises(DomainError, match=text):
+            operation(right, left)
+    assert left != right
+
+
+# Each constructor takes an exponent as an int (no bool, no int() of a float
+# or a str) and a coefficient as a rational scalar, or an int residue over F_p.
+CONSTRUCTORS = {
+    "LaurentPoly": (LaurentPoly, 1, (1.5, "1", True)),
+    "MultiPolyQ": (partial(MultiPolyQ, 2), (1, 0), ((1.5, 1), ("1", 0), (True, 0), [1, 0])),
+    "ZXPoly": (partial(ZXPoly, 1, 3), ((1,), (0,)),
+               (((1.5,), (0,)), ((1,), ("1",)), ((True,), (0,)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_take_int_exponents_and_checked_coefficients(name):
+    build, key, bad_keys = CONSTRUCTORS[name]
+    for bad in bad_keys:
+        with pytest.raises(DomainError):
+            build([(bad, 1)])
+    bad_coefficients = (0.5, 0.0, "1", True)
+    good_coefficients = (2, Rational(2), Fraction(2))
+    if name == "ZXPoly":
+        bad_coefficients += (Rational(2), Fraction(2))
+        good_coefficients = (2, -1, 3**40 + 2)
+    for bad in bad_coefficients:
+        with pytest.raises(DomainError):
+            build({key: bad})
+    for good in good_coefficients:
+        assert build({key: good}).terms == {key: good % 3 if name == "ZXPoly" else good}
