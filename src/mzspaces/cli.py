@@ -301,11 +301,12 @@ def functional_from_json(data, roots: RootData, where: str = "functional") -> Fu
     return FunctionalNF(roots, zero_part, parts)
 
 
-def _terms_from_json(data, label: str, fields: tuple, read_c) -> dict:
+def _terms_from_json(data, label: str, fields: tuple, read_c, nvars=None) -> dict:
     """A multivariate polynomial as a term list: an array of objects, each
-    with an exponent array under every name in fields and a coefficient c
-    that read_c reads, and no other key.  Returns {(exponent tuple per field):
-    summed c}; errors name label and the term index."""
+    with an exponent array of nvars entries (by default, as many as the first
+    term's) under every name in fields and a coefficient c that read_c reads,
+    and no other key.  Returns {(exponent tuple per field): summed c}; errors
+    name label and the term index."""
     if not isinstance(data, list):
         raise DomainError(f"{label} must be an array of term objects")
     terms = {}
@@ -314,6 +315,10 @@ def _terms_from_json(data, label: str, fields: tuple, read_c) -> dict:
             raise DomainError(f"{label}[{i}] needs {', '.join(fields)} and c fields")
         _check_keys(item, (*fields, "c"), f"{label}[{i}]")
         key = tuple(parse_exponents(item[f], f"{label}[{i}].{f}") for f in fields)
+        nvars = len(key[0]) if nvars is None else nvars
+        for f, exps in zip(fields, key):
+            if len(exps) != nvars:
+                raise DomainError(f"{label}[{i}].{f} needs {nvars} exponents, got {len(exps)}")
         terms[key] = terms.get(key, 0) + read_c(item["c"])
     return terms
 
@@ -332,7 +337,8 @@ def zx_from_json(data, nvars: int, modulus: int, label: str = "polynomial") -> Z
     """Terms {"zeta": [...], "x": [...], "c": int} over F_modulus."""
     from .imagep import ZXPoly
 
-    return ZXPoly(nvars, modulus, _terms_from_json(data, label, ("zeta", "x"), _residue_from_json))
+    return ZXPoly(nvars, modulus,
+                  _terms_from_json(data, label, ("zeta", "x"), _residue_from_json, nvars))
 
 
 def _multipoly_from_json(data, label: str) -> MultiPolyQ:
@@ -342,10 +348,7 @@ def _multipoly_from_json(data, label: str) -> MultiPolyQ:
     if not isinstance(data, list) or not data:
         raise DomainError(f"{label} must be a nonempty array of term objects")
     terms = _terms_from_json(data, label, ("exps",), parse_rational)
-    lengths = {len(exps) for (exps,) in terms}
-    if len(lengths) > 1:
-        raise DomainError(f"{label} exponent vectors disagree in length")
-    return MultiPolyQ(lengths.pop(), {exps: c for (exps,), c in terms.items()})
+    return MultiPolyQ(len(next(iter(terms))[0]), {exps: c for (exps,), c in terms.items()})
 
 
 def _split_roots_from_json(data, where: str) -> RootData:
@@ -392,6 +395,17 @@ def _spec_from_json(data) -> SubspaceSpec:
         [functional_from_json(fn, roots, f"functionals[{i}]") for i, fn in enumerate(fns)])
 
 
+def _matrix_from_json(data) -> MatrixQ:
+    """Rows of rationals, at most _TRACE_MAX_DIMENSION of them."""
+    from .probes import MatrixQ
+
+    if not isinstance(data, list):
+        raise DomainError("matrix must be an array of rows, each an array of rationals")
+    if len(data) > _TRACE_MAX_DIMENSION:
+        raise DomainError(f"--matrix dimension {len(data)} exceeds the cap {_TRACE_MAX_DIMENSION}")
+    return MatrixQ([_rationals_from_json(row, f"--matrix[{i}]") for i, row in enumerate(data)])
+
+
 def _roots_to_json(roots: RootData):
     return [[format_rational(lam), mult] for lam, mult in roots]
 
@@ -409,22 +423,19 @@ def _verdict_payload(spec: SubspaceSpec, verdict):
 def _cmd_decide(args):
     from .mzdecide import decide_mz, normalize, oracle_decide_mz
 
-    data = _load_json_arg(args.spec, "--spec")
-    spec = normalize(_spec_from_json(data))
+    spec = normalize(args.spec)
     verdict = decide_mz(spec)
     payload = _verdict_payload(spec, verdict)
     if args.oracle:
         payload["oracleIsMZ"] = oracle_decide_mz(spec)
         payload["oracleAgrees"] = payload["oracleIsMZ"] == verdict.is_mz
-    return payload, data
+    return payload
 
 
 def _cmd_oracle(args):
     from .mzdecide import normalize, oracle_decide_mz
 
-    data = _load_json_arg(args.spec, "--spec")
-    spec = normalize(_spec_from_json(data))
-    return {"isMZ": oracle_decide_mz(spec)}, data
+    return {"isMZ": oracle_decide_mz(normalize(args.spec))}
 
 
 def _cmd_idempotents(args):
@@ -432,16 +443,9 @@ def _cmd_idempotents(args):
 
     if (args.roots is None) == (args.modulus is None):
         raise DomainError("give exactly one of --roots or --modulus")
-    if args.roots is not None:
-        data = _load_json_arg(args.roots, "--roots")
-        roots = _roots_from_json(data)
-    else:
-        data = _load_json_arg(args.modulus, "--modulus")
-        roots = _split_roots_from_json(data, "--modulus")
+    roots = args.modulus if args.roots is None else args.roots
     if args.all and len(roots) > _IDEMPOTENTS_MAX_ROOTS:
-        raise DomainError(
-            f"--all with {len(roots)} roots exceeds the cap {_IDEMPOTENTS_MAX_ROOTS}"
-        )
+        raise DomainError(f"--all with {len(roots)} roots exceeds the cap {_IDEMPOTENTS_MAX_ROOTS}")
     base = crt_idempotents(roots)
     payload = {
         "roots": _roots_to_json(roots),
@@ -449,13 +453,13 @@ def _cmd_idempotents(args):
     }
     if args.all:
         payload["allIdempotents"] = [poly_to_json(e) for e in all_idempotents(roots)]
-    return payload, data
+    return payload
 
 
 def _cmd_moments(args):
     from .functionals import from_moments, to_moments
 
-    data = _load_json_arg(args.input, "--input")
+    data = args.input
     if not isinstance(data, dict):
         raise DomainError("input must be an object")
     _check_keys(data, ("values", "roots", "charPoly", "P0", "parts"), "--input")
@@ -473,96 +477,66 @@ def _cmd_moments(args):
         fn = from_moments(_rationals_from_json(data["values"], "values"), roots)
         payload = dict(functional_to_json(fn))
         payload["roots"] = _roots_to_json(roots)
-        return payload, data
+        return payload
     if "P0" in data or "parts" in data:
         if "roots" not in data:
             raise DomainError("functional input needs a roots array")
         roots = _roots_from_json(data["roots"])
-        if args.count is not None:
-            count, given = args.count, f"--count {args.count}"
-        else:
-            count, given = roots.degree, f"the default --count, deg f = {roots.degree},"
-        if count > _MOMENTS_MAX_COUNT:
-            raise DomainError(f"{given} exceeds the cap {_MOMENTS_MAX_COUNT}")
+        count = roots.degree if args.count is None else args.count
+        if count > _MOMENTS_MAX_COUNT:  # a given --count is bounded by its row
+            raise DomainError(
+                f"the default --count, deg f = {count}, exceeds the cap {_MOMENTS_MAX_COUNT}")
         fn_data = {key: data[key] for key in ("P0", "parts") if key in data}
         values = to_moments(functional_from_json(fn_data, roots), count)
-        return {"values": [format_rational(v) for v in values]}, data
+        return {"values": [format_rational(v) for v in values]}
     raise DomainError("input must carry either moment values or a functional")
 
 
 def _cmd_certify(args):
     from .certificates import certify_exponential, certify_unit_interval
 
-    data = _load_json_arg(args.poly, "--poly")
-    f = poly_from_json(data)
     certify = certify_unit_interval if args.rule == "unit" else certify_exponential
-    cert = certify(f, args.m_min)
-    payload = {
+    cert = certify(args.poly, args.m_min)
+    return {
         "rule": args.rule,
         "p": cert.prime,
         "m": cert.exponent,
         "valuation": cert.valuation,
         "value": format_rational(cert.value),
     }
-    return payload, data
 
 
 def _cmd_trace_test(args):
-    from .probes import MatrixQ, trace_radical_test
+    from .probes import trace_radical_test
 
-    data = _load_json_arg(args.matrix, "--matrix")
-    if not isinstance(data, list):
-        raise DomainError("matrix must be an array of rows, each an array of rationals")
-    if len(data) > _TRACE_MAX_DIMENSION:
-        raise DomainError(
-            f"--matrix dimension {len(data)} exceeds the cap {_TRACE_MAX_DIMENSION}"
-        )
-    matrix = MatrixQ([_rationals_from_json(row, f"--matrix[{i}]") for i, row in enumerate(data)])
-    report = trace_radical_test(matrix)
-    payload = {
+    report = trace_radical_test(args.matrix)
+    return {
         "inRadical": report.in_radical,
         "traces": [format_rational(t) for t in report.traces],
         "nilpotencyWitness": report.nilpotency_witness,
     }
-    return payload, data
 
 
 def _cmd_laurent(args):
     from .probes import laurent_image_membership, laurent_mz_class, radical_vminus1_membership
 
-    lam = parse_rational(args.lam)
-    payload = {"lambda": format_rational(lam), "mzClass": laurent_mz_class(lam)}
-    inputs = {"lambda": args.lam}
+    payload = {"lambda": format_rational(args.lam), "mzClass": laurent_mz_class(args.lam)}
     if args.poly is not None:
-        data = _load_json_arg(args.poly, "--poly")
-        g = laurent_from_json(data)
-        payload["imageMember"] = laurent_image_membership(lam, g)
-        payload["radicalVminus1Member"] = radical_vminus1_membership(g)
-        inputs["poly"] = data
-    return payload, inputs
+        payload["imageMember"] = laurent_image_membership(args.lam, args.poly)
+        payload["radicalVminus1Member"] = radical_vminus1_membership(args.poly)
+    return payload
 
 
 def _cmd_gvc_probe(args):
     from .probes import ConstCoeffOp, gvc_probe
 
-    op_data = _load_json_arg(args.op, "--op")
-    p_data = _load_json_arg(args.p_poly, "--p-poly")
-    q_data = _load_json_arg(args.q_poly, "--q-poly")
-    if args.m_max > _GVC_MAX_M:
-        raise DomainError(f"--m-max {args.m_max} exceeds the cap {_GVC_MAX_M}")
-    if args.m_max < 1:
-        raise DomainError(f"--m-max {args.m_max} must be at least 1")
-    op = ConstCoeffOp(_multipoly_from_json(op_data, "--op"))
-    p_poly = _multipoly_from_json(p_data, "--p-poly")
-    q_poly = _multipoly_from_json(q_data, "--q-poly")
-    report = gvc_probe(op, p_poly, q_poly, args.m_max)
-    payload = {
+    report = gvc_probe(ConstCoeffOp(args.op), args.p_poly, args.q_poly, args.m_max)
+    return {
         "mMax": report.m_max,
         "hypothesisViolations": list(report.hypothesis_violations),
         "conclusionViolations": list(report.conclusion_violations),
         "conclusionTransition": report.conclusion_transition,
     }
-    return payload, {"op": op_data, "p": p_data, "q": q_data, "mMax": args.m_max}
 
 
 def _check_imagep_caps(polys, p: int, nvars: int):
@@ -585,31 +559,25 @@ def _obstruction_payload(obstruction: ObstructionReport):
     }
 
 
-def _certificate_payload(certificate: ImDCertificate):
-    return [zx_to_json(q) for q in certificate.preimages]
-
-
 def _cmd_imagep(args):
     from .imagep import ImDCertificate, ZXPoly, charp_theorem_check, imd_decide
 
-    data = _load_json_arg(args.input, "--input")
+    data = args.input
     if args.mode == "decide":
         b = zx_from_json(data, args.n, args.p, "--input")
         _check_imagep_caps([b], args.p, args.n)
         result = imd_decide(b)
         if isinstance(result, ImDCertificate):
-            payload = {"member": True, "certificate": _certificate_payload(result)}
+            payload = {"member": True, "certificate": list(map(zx_to_json, result.preimages))}
         else:
             payload = {"member": False, "obstruction": _obstruction_payload(result)}
-        return payload, data
+        return payload
     if not isinstance(data, dict) or "f" not in data:
         raise DomainError("theorem input must be an object with f (and optional g)")
     _check_keys(data, ("f", "g"), "--input")
     f = zx_from_json(data["f"], args.n, args.p, "--input.f")
-    if "g" in data:
-        g = zx_from_json(data["g"], args.n, args.p, "--input.g")
-    else:
-        g = ZXPoly.one(args.n, args.p)
+    g = (zx_from_json(data["g"], args.n, args.p, "--input.g") if "g" in data
+         else ZXPoly.one(args.n, args.p))
     _check_imagep_caps([f, g], args.p, args.n)
     product = len(g.terms) * len(f.terms) ** 2
     if product > _THEOREM_MAX_PRODUCT:
@@ -620,34 +588,43 @@ def _cmd_imagep(args):
     if report.hypothesis_holds:
         payload["conclusionHolds"] = report.conclusion_holds
         if report.boundary_certificates is not None:
-            payload["certificates"] = [
-                _certificate_payload(c) for c in report.boundary_certificates
-            ]
+            payload["certificates"] = [list(map(zx_to_json, c.preimages))
+                                       for c in report.boundary_certificates]
     else:
         payload["obstruction"] = _obstruction_payload(report.obstruction)
-    return payload, data
+    return payload
 
 
 def _cmd_selftest(args):
     from .selftest import run_selftest
 
     passed, results = run_selftest(args.seed)
-    payload = {"seed": args.seed, "passed": passed, "checks": results}
-    return payload, {"seed": args.seed}
+    return {"seed": args.seed, "passed": passed, "checks": results}
 
 
-def _option(flag: str, kind=str, required: bool = False, default=None, help: str = ""):
+def _option(flag: str, kind=str, required: bool = False, default=None, help: str = "",
+            read=(), key=None, bounds=(None, None)):
     """One option row of the command table: (flag, dest, kind, required,
-    default, help).  kind is str, int, bool (a flag that stores True) or a
+    default, help, read, key, bounds).  kind is str, "json" (a str that is
+    inline JSON or a file path), int, bool (a flag that stores True) or a
     tuple of choices; a flag without leading dashes is a positional.  A
-    required option keeps the default None, which marks it as missing."""
-    return flag, flag.lstrip("-").replace("-", "_"), kind, required, default, help
+    required option keeps the default None, which marks it as missing.  _run
+    loads each given JSON option, records it as the digest's input (key "")
+    or under key in it, bounds an int by (low, high), None for no bound, and
+    replaces it by read[0](value, *read[1:])."""
+    return (flag, flag.lstrip("-").replace("-", "_"), kind, required, default, help,
+            read, key, bounds)
 
 
 def _build_parser() -> dict:
     """The command table, {name: (handler, help, description, options)}:
-    the one description of the command line, read by _parse_args."""
-    spec = _option("--spec", required=True, help="spec JSON (inline or file path)")
+    the one description of the command line, read by _parse_args and _run."""
+    spec = _option("--spec", "json", required=True, help="spec JSON (inline or file path)",
+                   read=(_spec_from_json,), key="")
+    terms = [_option(flag, "json", required=True, help=text, read=(_multipoly_from_json, flag),
+                     key=key) for flag, key, text in (
+        ("--op", "op", "operator JSON: terms in derivative symbols"), ("--p-poly", "p", ""),
+        ("--q-poly", "q", ""))]
     return {
         "decide": (_cmd_decide, "decide whether a spec's kernel is Mathieu-Zhao", None, (
             spec, _option("--oracle", bool, default=False, help="also run the independent "
@@ -655,32 +632,38 @@ def _build_parser() -> dict:
         "oracle": (_cmd_oracle, "idempotent oracle only",
                    f"Independent idempotent oracle ({_ORACLE_COST}).", (spec,)),
         "idempotents": (_cmd_idempotents, "orthogonal idempotents of k[t]/(f)", None, (
-            _option("--roots", help="roots JSON: [[root, multiplicity], ...]"),
-            _option("--modulus", help="polynomial JSON; must split over Q, with at most 12 "
-                    "digits in the extreme coefficients of its primitive form and at most "
-                    "120000 for its candidate roots +-p/q times its degree (about 1 s at "
-                    "either cap)"),
+            _option("--roots", "json", help="roots JSON: [[root, multiplicity], ...]",
+                    read=(_roots_from_json,), key=""),
+            _option("--modulus", "json", help="polynomial JSON; must split over Q, with at "
+                    "most 12 digits in the extreme coefficients of its primitive form and at "
+                    "most 120000 for its candidate roots +-p/q times its degree (about 1 s at "
+                    "either cap)", read=(_split_roots_from_json, "--modulus"), key=""),
             _option("--all", bool, default=False, help="include all 2^r subset sums, for at "
                     f"most {_IDEMPOTENTS_MAX_ROOTS} roots"))),
         "moments": (_cmd_moments, "convert between functionals and moment values",
                     "--count 1500 on a degree-48 functional takes about 0.5 s.", (
-            _option("--input", required=True, help="JSON with values+roots (to functional) "
-                    "or P0/parts+roots (to moments)"),
+            # The handler reads --input: the default --count depends on its roots.
+            _option("--input", "json", required=True, help="JSON with values+roots (to "
+                    "functional) or P0/parts+roots (to moments)", key=""),
             _option("--count", int, help="number of moments to emit (default deg f), at most "
-                    f"{_MOMENTS_MAX_COUNT}"))),
+                    f"{_MOMENTS_MAX_COUNT}", bounds=(None, _MOMENTS_MAX_COUNT)))),
         "certify": (_cmd_certify, "p-adic non-radical certificate search", _CERTIFY_COST, (
             _option("--rule", ("unit", "exp"), required=True),
-            _option("--poly", required=True, help="polynomial JSON (inline or file path)"),
+            _option("--poly", "json", required=True, help="polynomial JSON (inline or file path)",
+                    read=(poly_from_json,), key=""),
             _option("--m-min", int, default=1))),
         "trace-test": (_cmd_trace_test, "nilpotency via power traces",
                        "A dense 48x48 matrix of small rationals takes about 0.7 s.", (
-            _option("--matrix", required=True, help="matrix JSON: rows of rationals, "
-                    f"dimension at most {_TRACE_MAX_DIMENSION}"),)),
+            _option("--matrix", "json", required=True, help="matrix JSON: rows of rationals, "
+                    f"dimension at most {_TRACE_MAX_DIMENSION}", read=(_matrix_from_json,),
+                    key=""),)),
         "laurent": (_cmd_laurent, "weighted-derivation image probes",
                     "The cost is linear in the number of terms of --poly (about 1.1 s per "
                     "100000 terms).", (
-            _option("--lam", required=True, help="the weight, a rational"),
-            _option("--poly", help="Laurent JSON: {exponent: rational}"))),
+            _option("--lam", required=True, help="the weight, a rational",
+                    read=(parse_rational,), key="lambda"),
+            _option("--poly", "json", help="Laurent JSON: {exponent: rational}",
+                    read=(laurent_from_json,), key="poly"))),
         "gvc-probe": (_cmd_gvc_probe, "operator-power vanishing probe",
                       # probes.GVC_MAX_COST and GVC_OP_BITS, with the time at the budget.
                       "The kill tests of op^m on p^m and q*p^m may cost at most 8000000000, "
@@ -689,11 +672,8 @@ def _build_parser() -> dict:
                       "the largest coefficients it reads), with op, p and q scaled to "
                       "integers.  A run that would pass the budget stops with exit 2 and "
                       "names the m it reached; up to about 3.5 s at the budget.", (
-            _option("--op", required=True, help="operator JSON: terms in derivative symbols"),
-            _option("--p-poly", required=True),
-            _option("--q-poly", required=True),
-            _option("--m-max", int, default=12,
-                    help=f"probe m = 1..m-max, at most {_GVC_MAX_M} (default 12)"))),
+            *terms, _option("--m-max", int, default=12, help="probe m = 1..m-max, at most "
+                            f"{_GVC_MAX_M} (default 12)", key="mMax", bounds=(1, _GVC_MAX_M)))),
         "imagep": (_cmd_imagep, "characteristic-p twisted-derivation image engine",
                    _IMAGEP_COST, (
             _option("mode", ("decide", "theorem"), required=True),
@@ -701,10 +681,11 @@ def _build_parser() -> dict:
                     help=f"the prime, one of {', '.join(map(str, _IMAGEP_PRIMES))}"),
             _option("--n", int, required=True,
                     help=f"the number of variable pairs, at most {_IMAGEP_MAX_VARS}"),
-            _option("--input", required=True, help="term-list JSON (decide) or {f, g} "
-                    f"(theorem), each of total degree at most {_IMAGEP_MAX_DEGREE}"))),
+            # The handler reads --input: its reading depends on mode, --p and --n.
+            _option("--input", "json", required=True, help="term-list JSON (decide) or {f, g} "
+                    f"(theorem), each of total degree at most {_IMAGEP_MAX_DEGREE}", key=""))),
         "selftest": (_cmd_selftest, "run the seeded invariant battery", None,
-                     (_option("--seed", int, required=True),)),
+                     (_option("--seed", int, required=True, key="seed"),)),
     }
 
 
@@ -831,10 +812,27 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = _parse_args(_build_parser(), argv)
+    table = _build_parser()
+    args = _parse_args(table, argv)
     started = time.perf_counter()
     try:
-        payload, inputs = args.handler(args)
+        inputs = {}  # each option given is loaded, recorded, bounded and read in turn
+        for flag, dest, kind, _, _, _, read, key, (low, high) in table[args.command][3]:
+            value = getattr(args, dest)
+            if value is None:
+                continue
+            if kind == "json":
+                value = _load_json_arg(value, flag)
+            if key == "":
+                inputs = value
+            elif key is not None:
+                inputs[key] = value
+            if high is not None and value > high:
+                raise DomainError(f"{flag} {value} exceeds the cap {high}")
+            if low is not None and value < low:
+                raise DomainError(f"{flag} {value} must be at least {low}")
+            setattr(args, dest, read[0](value, *read[1:]) if read else value)
+        payload = args.handler(args)
     except _ParseError as exc:
         message, line, column = exc.args
         error = {"error": {"kind": "parse", "message": message, "line": line, "column": column}}

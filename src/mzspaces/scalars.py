@@ -251,7 +251,6 @@ class Rational:
         return Rational, (self._numerator, self._denominator)
 
 
-_TRIAL_LIMIT = 10**6
 # Miller-Rabin bases: the first 13 primes decide primality for every
 # n < 3317044064679887385961981 (about 3.3e24), the least strong pseudoprime
 # to all of them.  Twelve bases (through 37) fail at 318665857834031151167461.
@@ -259,38 +258,25 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division to 10^6, then Miller-Rabin to the first
-    13 prime bases.  Those bases are proven to decide primality only for
-    n < 3.3e24; at and above that the answer means probable prime (the
-    pseudoprime 3317044064679887385961981 passes).  The certificate search
-    tests p = m*deg(f) + 1 from m = m_min on, which stays far below that
-    limit unless m_min itself is set near it."""
+    """Primality by division by the 13 prime bases below, which settles every
+    n < 43^2, then Miller-Rabin to those bases.  They are proven to decide
+    primality only for n < 3.3e24; at and above that the answer means
+    probable prime (the pseudoprime 3317044064679887385961981 passes).  The
+    certificate search tests p = m*deg(f) + 1 from m = m_min on, which stays
+    far below that limit unless m_min itself is set near it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    limit = math.isqrt(n)
-    d = 5
-    while d <= limit and d <= _TRIAL_LIMIT:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    if limit <= _TRIAL_LIMIT:
+    for a in _MR_WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
         return True
-    return _miller_rabin(n)
-
-
-def _miller_rabin(n):
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for a in _MR_WITNESSES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

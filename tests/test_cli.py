@@ -672,6 +672,24 @@ def test_gvc_probe_variable_count_mismatch_is_a_domain_error(capsys, op, p_poly,
     assert out["error"] == {"kind": "domain", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["imagep", "decide", "--p", "3", "--n", "2", "--input", '[{"zeta": [1], "x": [0], "c": 1}]'],
+     "--input[0].zeta needs 2 exponents, got 1"),
+    (["imagep", "theorem", "--p", "3", "--n", "1", "--input",
+      '{"f": [{"zeta": [1], "x": [0], "c": 1}, {"zeta": [0], "x": [1, 0], "c": 1}]}'],
+     "--input.f[1].x needs 1 exponents, got 2"),
+    (["gvc-probe", "--op", '[{"exps": [1, 0], "c": 1}]', "--p-poly",
+      '[{"exps": [1, 0], "c": 1}, {"exps": [1], "c": 1}]', "--q-poly", '[{"exps": [0, 1], "c": 1}]'],
+     "--p-poly[1].exps needs 2 exponents, got 1"),
+])
+def test_an_exponent_array_of_the_wrong_length_is_named(capsys, argv, message):
+    """imagep counts a term's exponents against --n, gvc-probe against the
+    term list's first term, and the rejection names the term."""
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
+
+
 # The help text is written by hand, so that building the parser imports no
 # library module; these cases tie it to the caps the code enforces.
 @pytest.mark.parametrize("command, text", [

@@ -67,46 +67,69 @@ EXPONENTS = _or_json(st.lists(st.integers(-1, 2), max_size=3))
 TERMS = st.lists(st.fixed_dictionaries({"c": st.integers(-3, 3) | LEAVES}, optional={
     "exps": EXPONENTS, "zeta": EXPONENTS, "x": EXPONENTS}), max_size=3)
 
+# The shape of a JSON row by its reader, and by subcommand for a JSON row
+# that its handler reads (no reader in the row).
+SHAPES = {
+    cli._spec_from_json: SPEC,
+    cli._roots_from_json: ROOTS,
+    cli._split_roots_from_json: RATIONALS,
+    cli.poly_from_json: RATIONALS,
+    cli._matrix_from_json: st.lists(RATIONALS, max_size=3),
+    cli.laurent_from_json: st.dictionaries(st.sampled_from(("-1", "2", "x", "1_0")),
+                                           st.sampled_from(("1", "1/2")) | LEAVES, max_size=3),
+    cli._multipoly_from_json: TERMS,
+}
+RAW = {"moments": MOMENTS,
+       "imagep": TERMS | st.fixed_dictionaries({"f": TERMS}, optional={"g": TERMS})}
+# The text of a row that is neither JSON nor int, by its reader.
+TEXTS = {cli.parse_rational: st.sampled_from(("1/2", "-1", "0", "2", "x", "1/0"))}
+# Int rows without bounds in the table, near the caps their handlers check.
+INTS = {"--m-min": _near(certificates.MAX_EXPANSION_TERMS) | st.integers(1, 60),
+        "--p": st.integers(1, 7), "--n": _near(cli._IMAGEP_MAX_VARS), "--seed": st.integers(0, 1)}
 
-def _argv(command: str, top):
-    """argv strategies for one subcommand: each JSON option drawn from
-    top(its near-valid shape), integer options near their caps."""
-    if command in ("decide", "oracle"):
-        flags = st.sampled_from(([], ["--oracle"])) if command == "decide" else st.just([])
-        return st.tuples(top(SPEC).map(_json_arg), flags).map(
-            lambda t: [command, "--spec", t[0], *t[1]])
-    if command == "idempotents":
-        return st.tuples(st.sampled_from(("--roots", "--modulus")),
-                         top(ROOTS | RATIONALS).map(_json_arg),
-                         st.sampled_from(([], ["--all"]))).map(
-            lambda t: [command, t[0], t[1], *t[2]])
-    if command == "moments":
-        return st.tuples(top(MOMENTS).map(_json_arg), _near(cli._MOMENTS_MAX_COUNT)).map(
-            lambda t: [command, "--input", t[0], "--count", str(t[1])])
-    if command == "certify":
-        return st.tuples(st.sampled_from(("unit", "exp")), top(RATIONALS).map(_json_arg),
-                         _near(certificates.MAX_EXPANSION_TERMS) | st.integers(1, 60)).map(
-            lambda t: [command, "--rule", t[0], "--poly", t[1], "--m-min", str(t[2])])
-    if command == "trace-test":
-        return top(st.lists(RATIONALS, max_size=3)).map(
-            lambda m: [command, "--matrix", _json_arg(m)])
-    if command == "laurent":
-        poly = st.none() | top(st.dictionaries(st.sampled_from(("-1", "2", "x", "1_0")),
-                                                    st.sampled_from(("1", "1/2")) | LEAVES,
-                                                    max_size=3)).map(_json_arg)
-        return st.tuples(st.sampled_from(("1/2", "-1", "0", "2", "x", "1/0")), poly).map(
-            lambda t: [command, "--lam", t[0], *(["--poly", t[1]] if t[1] else [])])
-    if command == "gvc-probe":
-        arg = top(TERMS).map(_json_arg)
-        return st.tuples(arg, arg, arg, _near(cli._GVC_MAX_M)).map(
-            lambda t: [command, "--op", t[0], "--p-poly", t[1], "--q-poly", t[2],
-                       "--m-max", str(t[3])])
-    if command == "imagep":
-        data = top(TERMS | st.fixed_dictionaries({"f": TERMS}, optional={"g": TERMS}))
-        return st.tuples(st.sampled_from(("decide", "theorem")), st.integers(1, 7),
-                         _near(cli._IMAGEP_MAX_VARS), data.map(_json_arg)).map(
-            lambda t: [command, t[0], "--p", str(t[1]), "--n", str(t[2]), "--input", t[3]])
-    return st.integers(0, 1).map(lambda seed: [command, "--seed", str(seed)])
+
+def _value(command: str, row, top):
+    """The text of one row's value: a choice sampled, an int near its row's
+    cap (else INTS'), JSON drawn from top(its shape), other text from TEXTS."""
+    flag, _, kind, _, _, _, read, _, (_, high) = row
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is int:
+        return (INTS[flag] if high is None else _near(high)).map(str)
+    if kind == "json":
+        return top(SHAPES[read[0]] if read else RAW[command]).map(_json_arg)
+    return TEXTS[read[0]]
+
+
+@st.composite
+def _argv(draw, command: str, top):
+    """An argv for one subcommand, read off its rows: every required row,
+    each optional flag or int row at will, and at most one optional JSON row
+    (the two sources of idempotents exclude each other)."""
+    rows = cli._build_parser()[command][3]
+    sources = [row for row in rows if row[2] == "json" and not row[3]]
+    source = draw(st.sampled_from([None, *sources]))
+    argv = [command]
+    for row in rows:
+        flag, dest, kind, required = row[:4]
+        given = row is source if row in sources else required or draw(st.booleans())
+        if not given:
+            continue
+        if kind is bool:
+            argv.append(flag)
+        else:
+            value = draw(_value(command, row, top))
+            argv += [value] if flag == dest else [flag, value]
+    return argv
+
+
+def test_every_json_row_has_a_fuzz_shape():
+    """A new JSON option cannot skip the fuzz gate: its reader needs a shape
+    in SHAPES, or, read by its handler, its subcommand one in RAW."""
+    for command, entry in cli._build_parser().items():
+        for row in entry[3]:
+            if row[2] == "json":
+                assert (row[6][0] in SHAPES) if row[6] else (command in RAW), (command, row[0])
 
 
 def _exit_and_report(argv):

@@ -61,6 +61,15 @@ def test_is_prime_rejects_the_twelve_base_strong_pseudoprime():
     assert is_prime(2**61 - 1)
 
 
+@pytest.mark.parametrize("n, factors", [
+    (3215031751, (151, 751, 28351)),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    (1152271, (43, 127, 211)),  # a Carmichael number prime to all 13 bases
+])
+def test_composites_past_the_division_by_the_bases_reach_miller_rabin(n, factors):
+    assert math.prod(factors) == n and n >= 43 * 43
+    assert not is_prime(n)
+
+
 def test_padic_valuation_frozen_values():
     assert padic_valuation(12, 2) == 2
     assert padic_valuation(12, 3) == 1
