@@ -65,6 +65,9 @@ _PATH_ECHO_LIMIT = 256
 _JSON_WHITESPACE = " \t\n\r"
 _ORACLE_COST = ("at most 20 roots; about 0.4 s at 20 roots with 3 functionals, and about 1 s at "
                 "degree 800, 8 roots of multiplicity 100")
+_DECIDE_COST = ("At most 20 roots after normalizing; about 0.04 s at 20 simple roots with 3 "
+                "functionals, and about 0.4 s with a planted witness at degree 800, 8 roots of "
+                "multiplicity 100.")
 # certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time.
 _CERTIFY_COST = ("From --m-min up, (D*f)^m, D the common denominator of f, may have at most 12000 "
                  "coefficients and 4000000 bits in all (else exit 2); up to about 1 s at the caps.")
@@ -539,11 +542,7 @@ def _cmd_gvc_probe(args):
     }
 
 
-def _check_imagep_caps(polys, p: int, nvars: int):
-    if p not in _IMAGEP_PRIMES:
-        raise DomainError(f"p must be one of {_IMAGEP_PRIMES}")
-    if not 1 <= nvars <= _IMAGEP_MAX_VARS:
-        raise DomainError(f"n must be between 1 and {_IMAGEP_MAX_VARS}")
+def _check_imagep_caps(polys):
     for poly in polys:
         degree = poly.total_degree
         if degree is not None and degree > _IMAGEP_MAX_DEGREE:
@@ -562,10 +561,14 @@ def _obstruction_payload(obstruction: ObstructionReport):
 def _cmd_imagep(args):
     from .imagep import ImDCertificate, ZXPoly, charp_theorem_check, imd_decide
 
+    if args.p not in _IMAGEP_PRIMES:
+        raise DomainError(f"p must be one of {_IMAGEP_PRIMES}")
+    if not 1 <= args.n <= _IMAGEP_MAX_VARS:
+        raise DomainError(f"n must be between 1 and {_IMAGEP_MAX_VARS}")
     data = args.input
     if args.mode == "decide":
         b = zx_from_json(data, args.n, args.p, "--input")
-        _check_imagep_caps([b], args.p, args.n)
+        _check_imagep_caps([b])
         result = imd_decide(b)
         if isinstance(result, ImDCertificate):
             payload = {"member": True, "certificate": list(map(zx_to_json, result.preimages))}
@@ -578,7 +581,7 @@ def _cmd_imagep(args):
     f = zx_from_json(data["f"], args.n, args.p, "--input.f")
     g = (zx_from_json(data["g"], args.n, args.p, "--input.g") if "g" in data
          else ZXPoly.one(args.n, args.p))
-    _check_imagep_caps([f, g], args.p, args.n)
+    _check_imagep_caps([f, g])
     product = len(g.terms) * len(f.terms) ** 2
     if product > _THEOREM_MAX_PRODUCT:
         raise DomainError(f"--input: |g|*|f|^2 = {product} terms exceed the cap "
@@ -626,7 +629,7 @@ def _build_parser() -> dict:
         ("--op", "op", "operator JSON: terms in derivative symbols"), ("--p-poly", "p", ""),
         ("--q-poly", "q", ""))]
     return {
-        "decide": (_cmd_decide, "decide whether a spec's kernel is Mathieu-Zhao", None, (
+        "decide": (_cmd_decide, "decide whether a spec's kernel is Mathieu-Zhao", _DECIDE_COST, (
             spec, _option("--oracle", bool, default=False, help="also run the independent "
                           f"idempotent oracle ({_ORACLE_COST})"))),
         "oracle": (_cmd_oracle, "idempotent oracle only",
@@ -646,12 +649,12 @@ def _build_parser() -> dict:
             _option("--input", "json", required=True, help="JSON with values+roots (to "
                     "functional) or P0/parts+roots (to moments)", key=""),
             _option("--count", int, help="number of moments to emit (default deg f), at most "
-                    f"{_MOMENTS_MAX_COUNT}", bounds=(None, _MOMENTS_MAX_COUNT)))),
+                    f"{_MOMENTS_MAX_COUNT}", bounds=(1, _MOMENTS_MAX_COUNT)))),
         "certify": (_cmd_certify, "p-adic non-radical certificate search", _CERTIFY_COST, (
             _option("--rule", ("unit", "exp"), required=True),
             _option("--poly", "json", required=True, help="polynomial JSON (inline or file path)",
                     read=(poly_from_json,), key=""),
-            _option("--m-min", int, default=1))),
+            _option("--m-min", int, default=1, bounds=(1, None)))),
         "trace-test": (_cmd_trace_test, "nilpotency via power traces",
                        "A dense 48x48 matrix of small rationals takes about 0.7 s.", (
             _option("--matrix", "json", required=True, help="matrix JSON: rows of rationals, "

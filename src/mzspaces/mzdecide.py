@@ -14,24 +14,29 @@ lexicographically first in root order.  A balanced subset yields an
 idempotent g in the kernel together with a multiplier b whose product b*g
 escapes it, which certifies that the kernel is not Mathieu-Zhao.
 
+The multiplier is read off the closed form: L(t^n e_lam) = P_lam(n) lam^n,
+or n! [P_0]_n at the root 0, for every n, since the operator at mu reads
+only the jet of order below mult(mu), where e_lam is 1 if mu = lam and 0
+otherwise.  So L(t^n e_S) is the closed form of L with every operator
+outside S dropped, and the multiplier is t^j for the first j < deg f at which
+one of those restricted moment tables is nonzero.
+
 The independent oracle re-decides from the idempotents and the moments, not
 from the constant-term criterion.  Every idempotent of the quotient ring is
 a sum e_S of root idempotents e_i, and L is linear, so L(t^j e_S) is the sum
-over S of L(t^j e_i).  Per spec, each functional's moments L(t^n), n <
-2 deg f - 1, are tabulated once as integers (the closed form in
-`functionals`) and each root idempotent is built once, on integers, from
-binomial series (`quotient.integer_idempotent`); then L(t^j g) =
-sum_n g_n M[n + j] is one integer dot product and no shift is reduced mod
-f.  The oracle computes L_k(e_i) once per root and functional, packs each
-root's values into one integer (`scalars.pack`), and walks all 2^r subsets
-in Gray-code order, one big-integer addition per subset; only a subset
-whose sum vanishes (an idempotent in the kernel) gets the full check that
-all its shifts t^j e_S, j < deg f, stay in the kernel.  `decide --oracle`
-shares the tables and the idempotents with `decide_mz`, whose multiplier
-search is the same dot products on the witness idempotent, the sum over
-the balanced subset.  The walk stays exponential in r, so the oracle has
-the subset search's root cap, DEFAULT_MAX_SUBSET_ROOTS (about 0.2-0.4 s at
-r = 20 with 3 functionals on a 2-vCPU host).
+over S of L(t^j e_i).  The oracle tabulates each functional's moments
+L(t^n), n < 2 deg f - 1, as integers, and builds each root idempotent on
+integers from binomial series (`quotient.integer_idempotent`); then
+L(t^j g) = sum_n g_n M[n + j] is one integer dot product and no shift is
+reduced mod f.  It computes L_k(e_i) once per root and functional, packs
+each root's values into one integer (`scalars.pack`), and walks all 2^r
+subsets in Gray-code order, one big-integer addition per subset; only a
+subset whose sum vanishes (an idempotent in the kernel) gets the full check
+that all its shifts t^j e_S, j < deg f, stay in the kernel.  Only the root
+idempotents are kept on the spec and shared by `decide --oracle`; the moment
+tables are the oracle's own.  The walk stays exponential in r, so the oracle
+has the subset search's root cap, DEFAULT_MAX_SUBSET_ROOTS (about 0.2-0.4 s
+at r = 20 with 3 functionals on a 2-vCPU host).
 Its test reference, `selftest.oracle_by_enumeration`, enumerates every
 idempotent and reduces every shift mod f.
 
@@ -60,7 +65,7 @@ DEFAULT_MAX_SUBSET_ROOTS = 20
 class SubspaceSpec:
     """Functionals sharing one root data; the subspace is their joint kernel."""
 
-    __slots__ = ("functionals", "roots", "normalized", "_kernel")
+    __slots__ = ("functionals", "roots", "normalized", "_idempotents")
 
     def __init__(self, functionals, normalized: bool = False):
         functionals = tuple(functionals)
@@ -72,7 +77,7 @@ class SubspaceSpec:
         self.functionals = functionals
         self.roots = roots
         self.normalized = normalized
-        self._kernel = None
+        self._idempotents = None
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceSpec):
@@ -164,70 +169,30 @@ def smallest_zero_sum_subset(columns):
     return best
 
 
-class _KernelData:
-    """What `decide_mz` and the oracle read off a normalized spec, each built
-    once, on first use, and kept on the spec: every functional's moments
-    L(t^n) for n < 2 deg f - 1 as integers (a table's own denominator is
-    dropped, since only zero tests read it), and the root idempotents of the
-    integer modulus.  L(t^j g) = sum_n g_n M[n + j] for deg g < deg f and
-    j < deg f, so no shift is ever reduced mod f."""
-
-    __slots__ = ("roots", "functionals", "modulus", "_tables", "_idempotents")
-
-    def __init__(self, spec: SubspaceSpec):
-        self.roots = spec.roots
-        self.functionals = spec.functionals
-        self.modulus = split_integer_form(spec.roots)[1]
-        self._tables = None
-        self._idempotents = {}
-
-    @property
-    def tables(self):
-        if self._tables is None:
-            count = 2 * self.roots.degree - 1
-            self._tables = [integer_moments(fn, count)[1] for fn in self.functionals]
-        return self._tables
-
-    def idempotent(self, lam):
-        """(coeffs, num, den) of the root's idempotent (`integer_idempotent`)."""
-        if lam not in self._idempotents:
-            self._idempotents[lam] = integer_idempotent(self.modulus, self.roots, lam)
-        return self._idempotents[lam]
-
-    def idempotent_vectors(self, subset):
-        """(den, vectors): the idempotents of the roots in subset as integer
-        coefficient lists of length deg f over one common denominator, so
-        that any sum of them is the subset sum's numerator."""
-        forms = [self.idempotent(lam) for lam in self.roots.roots if lam in subset]
-        den = lcm(*(d for _, _, d in forms))
-        vectors = []
-        for coeffs, num, d in forms:
-            weight = num * (den // d)
-            vectors.append([c * weight for c in coeffs])
-        return den, vectors
-
-    def values(self, g, shift: int):
-        """[L(t^shift g) for each functional] up to the common scale of g and
-        of each table; g an integer coefficient list of length deg f."""
-        return [sum(c * m for c, m in zip(g, table[shift:])) for table in self.tables]
-
-    def first_escaping_shift(self, g):
-        """Smallest j < deg f with t^j g outside the kernel, or None."""
-        for j in range(self.roots.degree):
-            if any(self.values(g, j)):
-                return j
-        return None
-
-
-def _kernel_data(spec: SubspaceSpec) -> _KernelData:
-    if spec._kernel is None:
-        spec._kernel = _KernelData(spec)
-    return spec._kernel
+def _idempotent_vectors(spec: SubspaceSpec, subset):
+    """(den, vectors): the idempotents of the roots in subset as integer
+    coefficient lists of length deg f over one common denominator, so that
+    any sum of them is the subset sum's numerator.  The integer modulus and
+    each root's idempotent (`quotient.integer_idempotent`) are built on first
+    use and kept on the spec, so `decide --oracle` builds each once."""
+    if spec._idempotents is None:
+        spec._idempotents = (split_integer_form(spec.roots)[1], {})
+    modulus, built = spec._idempotents
+    forms = []
+    for lam in spec.roots.roots:
+        if lam in subset:
+            if lam not in built:
+                built[lam] = integer_idempotent(modulus, spec.roots, lam)
+            forms.append(built[lam])
+    den = lcm(*(d for _, _, d in forms))
+    weights = [num * (den // d) for _, num, d in forms]
+    return den, [[c * w for c in coeffs] for (coeffs, _, _), w in zip(forms, weights)]
 
 
 def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     """Subset-sum criterion over the roots; emits a checkable witness pair
-    (idempotent in the kernel, multiplier escaping it) when the answer is no."""
+    (idempotent in the kernel, multiplier escaping it) when the answer is no.
+    The multiplier t^j is read off the functionals restricted to the subset."""
     _require_normalized(spec)
     roots = spec.roots.roots
     if len(roots) > DEFAULT_MAX_SUBSET_ROOTS:
@@ -240,15 +205,18 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     if subset is None:
         return MZVerdict(True)
     subset_roots = tuple(roots[i] for i in subset)
-    data = _kernel_data(spec)
-    den, vectors = data.idempotent_vectors(subset_roots)
-    g = [sum(column) for column in zip(*vectors)]
-    j = data.first_escaping_shift(g)
+    degree = spec.roots.degree
+    tables = [integer_moments(FunctionalNF(
+        spec.roots, fn.zero_part if 0 in subset_roots else Poly(),
+        {lam: op for lam, op in fn.parts.items() if lam in subset_roots}), degree)[1]
+        for fn in spec.functionals]
+    j = next((n for n in range(degree) if any(table[n] for table in tables)), None)
     if j is None:
         raise AssertionError(
             "normalized spec must admit a multiplier for a kernel idempotent"
         )
-    witness = Poly(tuple(Rational(c, den) for c in g))
+    den, vectors = _idempotent_vectors(spec, subset_roots)
+    witness = Poly(tuple(Rational(sum(column), den) for column in zip(*vectors)))
     return MZVerdict(False, subset_roots, witness, Poly.monomial(j))
 
 
@@ -268,9 +236,17 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
             f"{len(spec.roots)} roots exceed the oracle enumeration cap "
             f"{DEFAULT_MAX_SUBSET_ROOTS}"
         )
-    data = _kernel_data(spec)
-    _, vectors = data.idempotent_vectors(spec.roots.roots)
-    rows = [data.values(e, 0) for e in vectors]
+    degree = spec.roots.degree
+    # L(t^j g) = sum_n g_n M[n + j] for deg g < deg f and j < deg f, so no
+    # shift is reduced mod f; a table's own denominator is dropped, since
+    # only zero tests read it.
+    tables = [integer_moments(fn, 2 * degree - 1)[1] for fn in spec.functionals]
+
+    def values(g, shift):
+        return [sum(c * m for c, m in zip(g, table[shift:])) for table in tables]
+
+    _, vectors = _idempotent_vectors(spec, spec.roots.roots)
+    rows = [values(e, 0) for e in vectors]
     width = digit_width(max(sum(map(abs, column)) for column in zip(*rows)))
     packed = [pack(row, width) for row in rows]
     total = 0
@@ -286,6 +262,6 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
         if total == 0:
             g = [sum(column) for column in
                  zip(*(e for i, e in enumerate(vectors) if chosen >> i & 1))]
-            if data.first_escaping_shift(g) is not None:
+            if any(any(values(g, j)) for j in range(degree)):
                 return False
     return True

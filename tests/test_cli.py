@@ -328,6 +328,38 @@ def test_imagep_caps_enforced(capsys):
     assert "cap" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("mode, data", [
+    ("decide", '[{"zeta": [0], "x": [1], "c": 1}]'),
+    ("theorem", '{"f": [{"zeta": [0], "x": [1], "c": 1}]}'),
+])
+@pytest.mark.parametrize("p, n, message", [
+    ("4", "1", "p must be one of (2, 3, 5)"),
+    ("7", "1", "p must be one of (2, 3, 5)"),
+    ("3", "0", "n must be between 1 and 3"),
+    ("3", "4", "n must be between 1 and 3"),
+])
+def test_imagep_checks_p_and_n_before_the_input(capsys, mode, data, p, n, message):
+    code, out, _ = _run(capsys, ["imagep", mode, "--p", p, "--n", n, "--input", data])
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--input", '{"P0": ["1"], "roots": [["0", 2]]}', "--count", "0"],
+     "--count 0 must be at least 1"),
+    (["moments", "--input", '{"P0": ["1"], "roots": [["0", 2]]}', "--count", "-3"],
+     "--count -3 must be at least 1"),
+    (["certify", "--rule", "unit", "--poly", '["0", "1", "1"]', "--m-min", "0"],
+     "--m-min 0 must be at least 1"),
+    (["certify", "--rule", "exp", "--poly", '["-1/2", "1"]', "--m-min", "-2"],
+     "--m-min -2 must be at least 1"),
+])
+def test_count_and_m_min_below_1_name_their_flag(capsys, argv, message):
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
+
+
 def _terms(count: int, nvars: int = 3):
     """count distinct unit terms of total degree at most 8."""
     exps = (e for e in product(range(5), repeat=2 * nvars) if sum(e) <= 8)
@@ -704,6 +736,9 @@ def test_an_exponent_array_of_the_wrong_length_is_named(capsys, argv, message):
     ("idempotents", f"at most {cli._IDEMPOTENTS_MAX_ROOTS} roots"),
     ("idempotents", f"at most {upoly.MAX_ROOT_DIGITS} digits in the extreme"),
     ("idempotents", f"at most {upoly.MAX_ROOT_STEPS} for its candidate"),
+    ("decide", f"At most {DEFAULT_MAX_SUBSET_ROOTS} roots after normalizing"),
+    ("decide", "about 0.04 s at 20 simple roots with 3 functionals"),
+    ("decide", "about 0.4 s with a planted witness at degree 800"),
     ("decide", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
     ("oracle", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
     ("decide", "about 1 s at degree 800, 8 roots of multiplicity 100"),

@@ -52,38 +52,95 @@ def _or_json(strategy):
     return strategy | JSON
 
 
-# Near-valid shapes: the right containers, any JSON scalar in each place.
+# Valid branches: distinct roots of multiplicity at most 2, and operators
+# keyed by those roots, each of degree below its root's multiplicity.
+NONZERO = st.sampled_from(("1", "-1", "1/2", "2", 3))
+
+
+@st.composite
+def _valid_roots(draw):
+    lams = draw(st.lists(st.sampled_from(("1", "-1", "1/2", "0", "2")), min_size=1, max_size=3,
+                         unique=True))
+    return [[lam, draw(st.integers(1, 2))] for lam in lams]
+
+
+@st.composite
+def _valid_functional(draw, roots):
+    """P0 and parts over roots, with an operator at one root or more."""
+    out = {}
+    for lam, mult in draw(st.lists(st.sampled_from(roots), min_size=1, unique_by=str)):
+        op = draw(st.lists(NONZERO, min_size=1, max_size=mult))
+        if lam == "0":
+            out["P0"] = op
+        else:
+            out.setdefault("parts", {})[lam] = op
+    return out
+
+
+def _valid_moments(roots):
+    degree = sum(mult for _, mult in roots)
+    return (_valid_functional(roots).map(lambda fn: {"roots": roots, **fn})
+            | st.lists(NONZERO, min_size=degree, max_size=degree).map(
+                lambda values: {"roots": roots, "values": values}))
+
+
+def _valid_terms(fields, nvars: int, coefficient):
+    """1-2 terms, each an exponent array of nvars entries per field and c."""
+    exponents = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars)
+    return st.lists(st.fixed_dictionaries({"c": coefficient, **dict.fromkeys(fields, exponents)}),
+                    min_size=1, max_size=2)
+
+
+VALID_ROOTS = _valid_roots()
+VALID_SPEC = VALID_ROOTS.flatmap(lambda roots: st.fixed_dictionaries(
+    {"roots": st.just(roots), "functionals": st.lists(
+        _valid_functional(roots), min_size=1, max_size=min(2, sum(m for _, m in roots)))}))
+VALID_MOMENTS = VALID_ROOTS.flatmap(_valid_moments)
+# gvc-probe reads exps only; imagep reads zeta and x, at --n 1.
+VALID_GVC_TERMS = _valid_terms(("exps",), 2, NONZERO)
+VALID_ZX_TERMS = _valid_terms(("zeta", "x"), 1, st.integers(-3, 3))
+
+# Near-valid shapes: the right containers, any JSON scalar in each place;
+# each shape with a valid branch draws it or its near-valid form.
 RATIONALS = st.lists(st.sampled_from(("1", "-1", "1/2", "0", 3)) | LEAVES, max_size=4)
-ROOTS = st.lists(st.tuples(st.sampled_from(("1", "-1", "1/2", "0")) | LEAVES,
-                           st.integers(1, 3) | LEAVES).map(list), max_size=4)
+ROOTS = VALID_ROOTS | st.lists(st.tuples(st.sampled_from(("1", "-1", "1/2", "0")) | LEAVES,
+                                         st.integers(1, 3) | LEAVES).map(list), max_size=4)
 PARTS = st.dictionaries(st.sampled_from(("1", "-1", "x")), _or_json(RATIONALS), max_size=2)
 FUNCTIONAL = st.fixed_dictionaries({}, optional={"P0": _or_json(RATIONALS),
                                                  "parts": _or_json(PARTS)})
-SPEC = st.fixed_dictionaries({"roots": _or_json(ROOTS),
-                              "functionals": st.lists(_or_json(FUNCTIONAL), max_size=3)})
-MOMENTS = st.fixed_dictionaries({"roots": _or_json(ROOTS)}, optional={
+SPEC = VALID_SPEC | st.fixed_dictionaries({"roots": _or_json(ROOTS), "functionals": st.lists(
+    _or_json(FUNCTIONAL), max_size=3)})
+MOMENTS = VALID_MOMENTS | st.fixed_dictionaries({"roots": _or_json(ROOTS)}, optional={
     "values": RATIONALS, "P0": RATIONALS, "charPoly": RATIONALS, "parts": PARTS})
 EXPONENTS = _or_json(st.lists(st.integers(-1, 2), max_size=3))
-TERMS = st.lists(st.fixed_dictionaries({"c": st.integers(-3, 3) | LEAVES}, optional={
-    "exps": EXPONENTS, "zeta": EXPONENTS, "x": EXPONENTS}), max_size=3)
+
+
+def _terms(fields):
+    return st.lists(st.fixed_dictionaries({"c": st.integers(-3, 3) | LEAVES,
+                                           **dict.fromkeys(fields, EXPONENTS)}), max_size=3)
+
+
+GVC_TERMS = VALID_GVC_TERMS | _terms(("exps",))
+ZX_TERMS = VALID_ZX_TERMS | _terms(("zeta", "x"))
 
 # The shape of a JSON row by its reader, and by subcommand for a JSON row
 # that its handler reads (no reader in the row).
 SHAPES = {
     cli._spec_from_json: SPEC,
     cli._roots_from_json: ROOTS,
-    cli._split_roots_from_json: RATIONALS,
+    cli._split_roots_from_json: st.sampled_from((["-1", "1"], ["2", "-3", "1"], ["0", "0", "1"],
+                                                 ["1/2", "-3/2", "1"])) | RATIONALS,
     cli.poly_from_json: RATIONALS,
     cli._matrix_from_json: st.lists(RATIONALS, max_size=3),
     cli.laurent_from_json: st.dictionaries(st.sampled_from(("-1", "2", "x", "1_0")),
                                            st.sampled_from(("1", "1/2")) | LEAVES, max_size=3),
-    cli._multipoly_from_json: TERMS,
+    cli._multipoly_from_json: GVC_TERMS,
 }
 RAW = {"moments": MOMENTS,
-       "imagep": TERMS | st.fixed_dictionaries({"f": TERMS}, optional={"g": TERMS})}
+       "imagep": ZX_TERMS | st.fixed_dictionaries({"f": ZX_TERMS}, optional={"g": ZX_TERMS})}
 # The text of a row that is neither JSON nor int, by its reader.
 TEXTS = {cli.parse_rational: st.sampled_from(("1/2", "-1", "0", "2", "x", "1/0"))}
-# Int rows without bounds in the table, near the caps their handlers check.
+# Int rows without an upper bound in the table, near the caps their handlers check.
 INTS = {"--m-min": _near(certificates.MAX_EXPANSION_TERMS) | st.integers(1, 60),
         "--p": st.integers(1, 7), "--n": _near(cli._IMAGEP_MAX_VARS), "--seed": st.integers(0, 1)}
 
@@ -155,6 +212,23 @@ def test_cli_fuzz_exits_0_or_2(command, top, data):
     code, report = _exit_and_report(argv)
     assert code in (0, 2), (argv, report)
     assert report.get("error", {}).get("kind") != "internal", (argv, report)
+
+
+@pytest.mark.parametrize("command", ("decide", "oracle", "idempotents", "moments", "gvc-probe"))
+def test_shape_draws_reach_the_kernels(command, monkeypatch):
+    """The gate's shape draws get past the readers: at least 5 of a
+    subcommand's 30 draws run its kernel to exit 0."""
+    codes = []
+    run = _exit_and_report
+
+    def recorded(argv):
+        code, report = run(argv)
+        codes.append(code)
+        return code, report
+
+    monkeypatch.setitem(globals(), "_exit_and_report", recorded)
+    test_cli_fuzz_exits_0_or_2(command=command, top="shape")
+    assert codes.count(0) >= 5, codes
 
 
 # One valid argv per subcommand, each option once; the argv-level fuzz edits

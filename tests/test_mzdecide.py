@@ -13,7 +13,8 @@ from mzspaces.mzdecide import (
     normalize,
     oracle_decide_mz,
 )
-from mzspaces.selftest import random_normalized_spec
+from mzspaces.quotient import crt_idempotents
+from mzspaces.selftest import evaluate_by_operators, random_normalized_spec
 from mzspaces.upoly import Poly, RootData
 
 
@@ -122,6 +123,47 @@ def test_double_root_with_pure_euler_term_is_not_mz():
     assert verdict.witness_idempotent == Poly([1])
     assert verdict.witness_multiplier == Poly([0, 1])
     assert evaluate(fn, Poly([0, 1])) == 2
+
+
+def _first_escape_by_operators(spec, g):
+    """Smallest j < deg f with some L(t^j g) != 0, each L applied through
+    its operators (`selftest.evaluate_by_operators`), not the closed form."""
+    for j in range(spec.roots.degree):
+        shifted = Poly.monomial(j) * g
+        if any(evaluate_by_operators(fn, shifted) != 0 for fn in spec.functionals):
+            return j
+    return None
+
+
+def _check_frozen_multiplier(spec, subset, j):
+    verdict = decide_mz(spec)
+    assert verdict.witness_subset == subset
+    idem = crt_idempotents(spec.roots)
+    g = sum((idem[lam] for lam in subset), Poly())
+    assert verdict.witness_idempotent == g
+    assert _first_escape_by_operators(spec, g) == j
+    assert verdict.witness_multiplier == Poly.monomial(j)
+
+
+def test_multiplier_counts_the_zero_operator_inside_the_subset():
+    # The constant terms 1, -1 and 5 balance only over S = {0, 1}.  There
+    # L(t^n e_S) = n! [P_0]_n + (n - 1): 0 at n = 0, then 2 at n = 1, all of
+    # it from [P_0]_1; dropping P_0 would give j = 0.
+    roots = _roots((0, 2), (1, 2), (3, 1))
+    fn = FunctionalNF(roots, zero_part=Poly([1, 2]),
+                      parts={Fraction(1): Poly([-1, 1]), Fraction(3): Poly([5])})
+    spec = normalize(SubspaceSpec([fn]))
+    _check_frozen_multiplier(spec, (Fraction(0), Fraction(1)), 1)
+
+
+def test_multiplier_ignores_the_zero_operator_outside_the_subset():
+    # S = {1, -1}; L(t^n e_S) = 2 - 2 (-1)^n is 0 at n = 0 and 4 at n = 1.
+    # The root 0 lies outside S; counting its [P_0]_0 = 1 would give j = 0.
+    roots = _roots((0, 2), (1, 1), (-1, 1))
+    fn = FunctionalNF(roots, zero_part=Poly([1, 3]),
+                      parts={Fraction(1): Poly([2]), Fraction(-1): Poly([-2])})
+    spec = normalize(SubspaceSpec([fn]))
+    _check_frozen_multiplier(spec, (Fraction(1), Fraction(-1)), 1)
 
 
 def test_decide_matches_oracle_on_seeded_specs():
