@@ -22,8 +22,7 @@ _EXPORTS = {
         "DependentFunctionalsError", "DoesNotSplitError", "DomainError",
     ), "errors"),
     **dict.fromkeys((
-        "FunctionalNF", "dependency_relation", "evaluate", "from_moments",
-        "largest_ideal_exponents", "to_moments",
+        "FunctionalNF", "dependency_relation", "evaluate", "from_moments", "to_moments",
     ), "functionals"),
     **dict.fromkeys((
         "ImDCertificate", "ObstructionReport", "TheoremReport", "ZXPoly", "apply_d",

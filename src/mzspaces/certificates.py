@@ -112,14 +112,27 @@ def power_moment(rule: str, f: Poly, power: int) -> Rational:
     return Rational(total, lcm_all * scale)
 
 
-def _first_certificate(rule: str, f: Poly, k: int, m_min: int) -> PAdicCertificate:
+def _first_certificate(rule: str, f: Poly, m_min: int) -> PAdicCertificate:
     """The certificate at the first admissible m >= m_min, where p = k*m + 1
     is prime and divides neither the common denominator D of f nor the
-    numerator of its t^k coefficient; there the valuation is known (see the
-    two entry points).  The size of (D*f)^m grows with m and the caps come
-    first at every m, so the walk ends within MAX_EXPANSION_TERMS steps and
-    needs no bound of its own.  The value is expanded exactly, and the
-    certificate re-checks its valuation."""
+    numerator of its t^k coefficient, k = deg f for the unit rule and the
+    order of f at 0 for the factorial rule; there the valuation is known
+    (see the two entry points).  The size of (D*f)^m grows with m and the
+    caps come first at every m, so the walk ends within MAX_EXPANSION_TERMS
+    steps and needs no bound of its own.  The value is expanded exactly, and
+    the certificate re-checks its valuation."""
+    require_rational(f.coeffs, "certificate search")
+    if f.is_zero or f.degree < 1:
+        raise DomainError("certificates need degree >= 1")
+    if m_min < 1:
+        raise DomainError("m_min must be >= 1")
+    k = f.degree if rule == "unit" else f.low_order
+    if k < 1:
+        raise DomainError("lowest term must be t^r with r >= 1 (nonzero constant term)")
+    if rule == "exp" and f.degree == k:
+        raise DomainError(
+            "single monomial t^r needs no certificate: its factorial moments never vanish"
+        )
     d, base = clear_denominators(f.coeffs)
     guard = d * base[k]  # p divides it iff p divides D or the numerator of f's t^k coefficient
     for m in count(m_min):
@@ -148,12 +161,7 @@ def certify_unit_interval(f: Poly, m_min: int = 1) -> PAdicCertificate:
     a denominator of f, and every other term has i + 1 < p and a p-integral
     c_i; the first admissible m is the certificate.
     """
-    require_rational(f.coeffs, "certificate search")
-    if f.is_zero or f.degree < 1:
-        raise DomainError("certificates need degree >= 1")
-    if m_min < 1:
-        raise DomainError("m_min must be >= 1")
-    return _first_certificate("unit", f, f.degree, m_min)
+    return _first_certificate("unit", f, m_min)
 
 
 def certify_exponential(f: Poly, m_min: int = 1) -> PAdicCertificate:
@@ -166,16 +174,4 @@ def certify_exponential(f: Poly, m_min: int = 1) -> PAdicCertificate:
     divides neither num(c) nor a denominator of f, and every other term has
     i >= p, so p divides i!; the first admissible m is the certificate.
     """
-    require_rational(f.coeffs, "certificate search")
-    if f.is_zero or f.degree < 1:
-        raise DomainError("certificates need degree >= 1")
-    if m_min < 1:
-        raise DomainError("m_min must be >= 1")
-    r = f.low_order
-    if r < 1:
-        raise DomainError("lowest term must be t^r with r >= 1 (nonzero constant term)")
-    if f.degree == r:
-        raise DomainError(
-            "single monomial t^r needs no certificate: its factorial moments never vanish"
-        )
-    return _first_certificate("exp", f, r, m_min)
+    return _first_certificate("exp", f, m_min)

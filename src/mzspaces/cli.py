@@ -298,6 +298,8 @@ def functional_from_json(data, roots: RootData, where: str = "functional") -> Fu
     parts = {}
     for key, coeffs in raw_parts.items():
         lam = parse_rational(key)
+        if lam == 0 and roots.multiplicity(0):
+            raise DomainError(f"{where}.parts: the operator at the root 0 goes in P0")
         if lam in parts:
             raise DomainError(f"{where}.parts: repeated root {lam} at key {_shown(key)}")
         parts[lam] = poly_from_json(coeffs)
@@ -446,7 +448,7 @@ def _cmd_idempotents(args):
 
     if (args.roots is None) == (args.modulus is None):
         raise DomainError("give exactly one of --roots or --modulus")
-    roots = args.modulus if args.roots is None else args.roots
+    roots = _split_roots_from_json(args.modulus, "--modulus") if args.roots is None else args.roots
     if args.all and len(roots) > _IDEMPOTENTS_MAX_ROOTS:
         raise DomainError(f"--all with {len(roots)} roots exceeds the cap {_IDEMPOTENTS_MAX_ROOTS}")
     base = crt_idempotents(roots)
@@ -471,6 +473,8 @@ def _cmd_moments(args):
         if key in data and clash:
             raise DomainError(f"--input: {key} cannot be given with {' or '.join(clash)}")
     if "values" in data:
+        if args.count is not None:
+            raise DomainError("--count applies only to a functional input")
         if "roots" in data:
             roots = _roots_from_json(data["roots"])
         elif "charPoly" in data:
@@ -637,10 +641,12 @@ def _build_parser() -> dict:
         "idempotents": (_cmd_idempotents, "orthogonal idempotents of k[t]/(f)", None, (
             _option("--roots", "json", help="roots JSON: [[root, multiplicity], ...]",
                     read=(_roots_from_json,), key=""),
+            # The handler reads --modulus, after checking that --roots is not given too:
+            # its root search takes up to about 1 s.
             _option("--modulus", "json", help="polynomial JSON; must split over Q, with at "
                     "most 12 digits in the extreme coefficients of its primitive form and at "
                     "most 120000 for its candidate roots +-p/q times its degree (about 1 s at "
-                    "either cap)", read=(_split_roots_from_json, "--modulus"), key=""),
+                    "either cap)", key=""),
             _option("--all", bool, default=False, help="include all 2^r subset sums, for at "
                     f"most {_IDEMPOTENTS_MAX_ROOTS} roots"))),
         "moments": (_cmd_moments, "convert between functionals and moment values",

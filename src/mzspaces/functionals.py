@@ -66,6 +66,8 @@ class FunctionalNF:
             if op.degree >= mult:
                 raise DomainError(f"operator degree at root {lam} must stay below {mult}")
             cleaned[lam] = op
+        if 0 in parts and roots.multiplicity(0):
+            raise DomainError("the operator at the root 0 goes in zero_part, not parts")
         if parts:
             raise DomainError("operator attached to non-root value(s): "
                               + ", ".join(map(str, parts)))
@@ -205,27 +207,6 @@ def _newton_interpolate(values):
     for k in range(top, -1, -1):
         out = int_times_linear(out, k, 1)
         out[0] += diffs[k] * (factorial(top) // factorial(k))
-    return out
-
-
-def largest_ideal_exponents(functionals):
-    """Per root: one plus the top operator degree used by any functional
-    (zero when no functional touches the root).  The ideal generated by
-    prod (t-root)^exponent is the largest ideal inside the joint kernel."""
-    functionals = list(functionals)
-    if not functionals:
-        raise DomainError("at least one functional required")
-    roots = functionals[0].roots
-    if any(fn.roots != roots for fn in functionals):
-        raise DomainError("functionals must share one root data")
-    out = {}
-    for lam, _ in roots:
-        top = -1
-        for fn in functionals:
-            op = fn.operator_poly(lam)
-            if not op.is_zero:
-                top = max(top, op.degree)
-        out[lam] = top + 1
     return out
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError
-from .scalars import is_prime
-from .sparse import (SparsePoly, accumulate, add_tuples, exponent_tuple, power, shifted,
-                     term_pairs)
+from .scalars import is_prime, power
+from .sparse import SparsePoly, accumulate, add_tuples, exponent_tuple, shifted, term_pairs
 
 
 class ZXPoly(SparsePoly):

@@ -40,11 +40,16 @@ at r = 20 with 3 functionals on a 2-vCPU host).
 Its test reference, `selftest.oracle_by_enumeration`, enumerates every
 idempotent and reduces every shift mod f.
 
-`normalize` rejects dependent functionals by row-reducing their operator
-coefficient vectors.  In characteristic zero the moment matrix is that
-coefficient matrix times an invertible confluent Vandermonde matrix, so the
-two are row-equivalent and give the same relation.  `RootData` and
-`FunctionalNF` check every scalar where they are built, so nothing here does.
+`normalize` cuts each root's multiplicity to 1 + the top operator degree
+any functional has there, the exponent of the root in the largest ideal
+inside the joint kernel, drops the roots that carry no operator, and rejects
+dependent functionals by row-reducing their operator coefficient vectors.
+In characteristic zero the moment matrix is that coefficient matrix times an
+invertible confluent Vandermonde matrix, so the two are row-equivalent and
+give the same relation.  `RootData` and `FunctionalNF` check every scalar
+where they are built, so nothing here does.  Both searches take only a
+normalized spec within the root cap, and one check (`_require_decidable`)
+says so for both.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from collections import namedtuple
 from math import lcm
 
 from .errors import DependentFunctionalsError, DomainError
-from .functionals import FunctionalNF, integer_moments, largest_ideal_exponents
+from .functionals import FunctionalNF, integer_moments
 from .linalg import left_dependency
 from .quotient import integer_idempotent
 from .scalars import Rational, digit_width, pack
@@ -101,14 +106,15 @@ class MZVerdict(namedtuple(
 
 
 def normalize(spec: SubspaceSpec) -> SubspaceSpec:
-    """Shrink multiplicities to the largest-ideal exponents, drop unused
-    roots, and reject dependent or zero functionals.  When nothing shrinks,
-    the spec's own root data and functionals are kept."""
+    """Shrink each multiplicity to its largest-ideal exponent, 1 + the top
+    operator degree at the root, drop unused roots, and reject dependent or
+    zero functionals.  When nothing shrinks, the spec's own root data and
+    functionals are kept."""
     for fn in spec.functionals:
         if fn.is_zero:
             raise DomainError("zero functional in spec")
-    exponents = largest_ideal_exponents(spec.functionals)
-    kept = [(lam, e) for lam, e in exponents.items() if e > 0]
+    kept = [(lam, top + 1) for lam, _ in spec.roots
+            if (top := max(fn.operator_poly(lam).degree for fn in spec.functionals)) >= 0]
     if not kept:
         raise DomainError("no root carries an operator: kernel has no defining ideal")
     if kept == list(spec.roots):
@@ -123,9 +129,14 @@ def normalize(spec: SubspaceSpec) -> SubspaceSpec:
     return SubspaceSpec(new_fns, normalized=True)
 
 
-def _require_normalized(spec: SubspaceSpec):
+def _require_decidable(spec: SubspaceSpec, search: str):
+    """Reject a spec that is not normalized or has more roots than the
+    subset walks take; search names the walk in the message."""
     if not spec.normalized:
         raise DomainError("spec must be normalized first")
+    if len(spec.roots) > DEFAULT_MAX_SUBSET_ROOTS:
+        raise DomainError(f"{len(spec.roots)} roots exceed the {search} enumeration cap "
+                          f"{DEFAULT_MAX_SUBSET_ROOTS}")
 
 
 def _coefficient_rows(functionals, roots: RootData):
@@ -193,12 +204,8 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
     """Subset-sum criterion over the roots; emits a checkable witness pair
     (idempotent in the kernel, multiplier escaping it) when the answer is no.
     The multiplier t^j is read off the functionals restricted to the subset."""
-    _require_normalized(spec)
+    _require_decidable(spec, "subset")
     roots = spec.roots.roots
-    if len(roots) > DEFAULT_MAX_SUBSET_ROOTS:
-        raise DomainError(
-            f"{len(roots)} roots exceed the subset enumeration cap {DEFAULT_MAX_SUBSET_ROOTS}"
-        )
     columns = [tuple(fn.operator_poly(lam).coefficient(0) for fn in spec.functionals)
                for lam in roots]
     subset = smallest_zero_sum_subset(columns)
@@ -230,12 +237,7 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
     subsets then costs one addition per subset.  A subset whose
     sum vanishes is an idempotent in the kernel, and it must keep all its
     shifts t^j e_S, j < deg f, in the kernel."""
-    _require_normalized(spec)
-    if len(spec.roots) > DEFAULT_MAX_SUBSET_ROOTS:
-        raise DomainError(
-            f"{len(spec.roots)} roots exceed the oracle enumeration cap "
-            f"{DEFAULT_MAX_SUBSET_ROOTS}"
-        )
+    _require_decidable(spec, "oracle")
     degree = spec.roots.degree
     # L(t^j g) = sum_n g_n M[n + j] for deg g < deg f and j < deg f, so no
     # shift is reduced mod f; a table's own denominator is dropped, since

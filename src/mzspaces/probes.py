@@ -12,10 +12,10 @@ from math import gcd, perm, prod
 from operator import mul as _times, sub
 
 from .errors import DomainError
-from .scalars import (Rational, clear_denominators, digit_width, pack, packed_digit,
+from .scalars import (Rational, clear_denominators, digit_width, pack, packed_digit, power,
                       require_rational)
-from .sparse import (LaurentPoly, SparsePoly, add_tuples, collect, exponent_tuple, mul, power,
-                     shifted, term_pairs)
+from .sparse import (LaurentPoly, SparsePoly, add_tuples, collect, exponent_tuple, mul, shifted,
+                     term_pairs)
 
 # The cost budget of gvc_probe's kill tests, charged as they run (see
 # gvc_probe); GVC_OP_BITS is the part of a term pair's cost that does not grow
@@ -323,16 +323,16 @@ def _gvc_plan(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: i
     checking its inputs.  Vanishing does not change when op, p or q is
     scaled by a nonzero rational, so each is scaled to integer coefficients
     once: symbol as (exponents, coefficient) pairs, p and each q in qs as
-    term dicts.  Three paths:
+    term dicts.  The operator touches the variables S and leaves R alone
+    (R may be empty).  Two paths:
 
-    - whole: the operator touches every variable; qs = (q,), split None.
-    - factored: the operator leaves the variables R alone, touches S, and
-      p has exactly one distinct slice s over S, that is p = h(x_R) s(x_S)
-      with h != 0.  Then op^m(h^m F) = h^m op^m(F), and the polynomials are
-      an integral domain, so op^m kills p^m exactly when it kills s^m; and
-      since q*p^m = h^m sum_r x_R^r q_r s^m, with q_r the slices of q, it
-      kills q*p^m exactly when it kills every q_r s^m.  p is s and qs the
-      slices of q ({} alone when q is 0), symbol and all over S; split None.
+    - factored: p has exactly one distinct slice s over S, that is
+      p = h(x_R) s(x_S) with h != 0; with R empty, s is p over its content.
+      Then op^m(h^m F) = h^m op^m(F), and the polynomials are an integral
+      domain, so op^m kills p^m exactly when it kills s^m; and since
+      q*p^m = h^m sum_r x_R^r q_r s^m, with q_r the slices of q, it kills
+      q*p^m exactly when it kills every q_r s^m.  p is s and qs the slices
+      of q ({} alone when q is 0), symbol and all over S; split None.
     - sliced: any other p; each power is tested slice by slice over S
       (`_killed`); symbol is over S, p and qs = (q,) over all the
       variables, and split is (the indices of S, those of R).
@@ -347,8 +347,6 @@ def _gvc_plan(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ, m_max: i
     symbol = tuple(_integer_terms(op.symbol_poly).items())
     p_terms, q_terms = _integer_terms(p_poly), _integer_terms(q_poly)
     touched = tuple(i for i in range(op.nvars) if any(exps[i] for exps, _ in symbol))
-    if len(touched) == op.nvars:
-        return symbol, p_terms, (q_terms,), None
     split = touched, tuple(i for i in range(op.nvars) if i not in touched)
     symbol = tuple((tuple(map(exps.__getitem__, touched)), c) for exps, c in symbol)
     slices = list(islice(_slices(p_terms, *split), 2))
@@ -363,10 +361,10 @@ def gvc_probe(op: ConstCoeffOp, p_poly: MultiPolyQ, q_poly: MultiPolyQ,
     whether op^m kills q*p^m (conclusion); the transition is the least m0
     from which the conclusion holds through m_max.
 
-    The kill tests run on the integer term dicts of `_gvc_plan`: on p and
-    q themselves, on the factor s of p and the slices of q, or slice by
-    slice over the variables the operator touches; slices that differ by an
-    integer factor are tested once.
+    The kill tests run on the integer term dicts of `_gvc_plan`: on the
+    factor s of p and the slices of q, or slice by slice over the variables
+    the operator touches; slices that differ by an integer factor are tested
+    once.
 
     Each application of the operator to f and each product a*b forming
     p^m or q*p^m is charged before it runs, at len(f) len(symbol)

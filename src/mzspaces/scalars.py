@@ -1,6 +1,7 @@
-"""Exact scalars: rationals, p-adic valuations, primality, and the one
+"""Exact scalars: rationals, p-adic valuations, primality, the one
 packed-integer kernel (`pack`, `unpack`, `packed_digit`) that carries the
-library's Kronecker products.
+library's Kronecker products, and the one square-and-multiply loop
+(`power`) that raises every polynomial type to its powers.
 
 The scalar field is Q.  A scalar is an int or a Rational: numerator over
 denominator, reduced, denominator > 0, zero as 0/1, immutable.  Rational
@@ -377,3 +378,15 @@ def scalar_inverse(c):
             raise ZeroDivisionError("inverse of zero")
         return Rational(1, c)
     return 1 / c
+
+
+def power(x, exponent: int, one):
+    """x**exponent by square-and-multiply through `*`; one is the unit."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * x
+        exponent >>= 1
+        if exponent:
+            x = x * x
+    return result

@@ -1,16 +1,17 @@
 """Sparse polynomials as term dicts, key -> nonzero coefficient: the kernel
-(`collect`, `mul`, `power`) on bare dicts, and `SparsePoly`, the one core of
+(`collect`, `mul`) on bare dicts, and `SparsePoly`, the one core of
 LaurentPoly (int keys), probes.MultiPolyQ (exponent tuples) and imagep.ZXPoly
-(pairs of them, coefficients mod p).  A type adds to the core's ring operations
-a constructor that checks exponents (no int() coercion) and coefficients once,
-in `_set_terms`; results of arithmetic are built unchecked by `_derived`."""
+(pairs of them, coefficients mod p), raised to powers by `scalars.power`.  A
+type adds to the core's ring operations a constructor that checks exponents
+(no int() coercion) and coefficients once, in `_set_terms`; results of
+arithmetic are built unchecked by `_derived`."""
 
 from __future__ import annotations
 
 from operator import add
 
 from .errors import DomainError
-from .scalars import require_rational
+from .scalars import power, require_rational
 
 
 def add_tuples(a: tuple, b: tuple) -> tuple:
@@ -49,18 +50,6 @@ def mul(f: dict, g: dict, add_keys, modulus=None) -> dict:
     """The product of two term dicts; add_keys(a, b) is the key of a * b."""
     return collect(((add_keys(k1, k2), c1 * c2) for k1, c1 in f.items() for k2, c2 in g.items()),
                    modulus)
-
-
-def power(x, exponent: int, one):
-    """x**exponent by square-and-multiply through `*`; one is the unit."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * x
-        exponent >>= 1
-        if exponent:
-            x = x * x
-    return result
 
 
 def is_int(value) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb, gcd, isqrt
 
 from .errors import DoesNotSplitError, DomainError
-from .scalars import (Rational, clear_denominators, digit_width, pack, require_rational,
+from .scalars import (Rational, clear_denominators, digit_width, pack, power, require_rational,
                       scalar_inverse, unpack)
 
 NEG_INF = float("-inf")
@@ -99,14 +99,7 @@ class Poly:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise DomainError("polynomial powers must be >= 0")
-        result = Poly((1,))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        return power(self, exponent, Poly((1,)))
 
     def __divmod__(self, other):
         if other.is_zero:
@@ -175,30 +168,28 @@ class Poly:
         return f"Poly({text})"
 
 
+def _apply_op(op_poly: Poly, g: Poly, step) -> Poly:
+    """sum_i c_i step^i(g), where op_poly = sum_i c_i T^i."""
+    total = Poly()
+    for c in op_poly.coeffs:
+        if c != 0:
+            total = total + g.scale(c)
+        g = step(g)
+    return total
+
+
 def apply_der_op(op_poly: Poly, g: Poly) -> Poly:
     """Apply sum_i c_i (d/dt)^i to g, where op_poly = sum_i c_i T^i.
 
     `functionals.evaluate` uses the closed form instead; this is its reference."""
-    total = Poly()
-    work = g
-    for c in op_poly.coeffs:
-        if c != 0:
-            total = total + work.scale(c)
-        work = work.derivative()
-    return total
+    return _apply_op(op_poly, g, Poly.derivative)
 
 
 def apply_euler_op(op_poly: Poly, g: Poly) -> Poly:
     """Apply sum_i c_i (t d/dt)^i to g, where op_poly = sum_i c_i T^i.
 
     `functionals.evaluate` uses the closed form instead; this is its reference."""
-    total = Poly()
-    work = g
-    for c in op_poly.coeffs:
-        if c != 0:
-            total = total + work.scale(c)
-        work = work.euler()
-    return total
+    return _apply_op(op_poly, g, Poly.euler)
 
 
 def extended_gcd(a: Poly, b: Poly):

@@ -185,6 +185,19 @@ def test_unit_certificate_requires_monic_nonconstant():
         certify_unit_interval(Poly([Fraction(-1, 2), 1]), m_min=0)
 
 
+@pytest.mark.parametrize("certify", [certify_unit_interval, certify_exponential])
+@pytest.mark.parametrize("coeffs, m_min, message", [
+    ([], 1, "certificates need degree >= 1"),
+    ([5], 1, "certificates need degree >= 1"),
+    ([5], 0, "certificates need degree >= 1"),  # the degree is checked first
+    ([0, 1, 1], 0, "m_min must be >= 1"),
+    ([0, 1, 1], -2, "m_min must be >= 1"),
+])
+def test_both_rules_reject_the_same_inputs_with_the_same_texts(certify, coeffs, m_min, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        certify(Poly(coeffs), m_min)
+
+
 def test_exponential_certificate_frozen_cases():
     cert = certify_exponential(Poly([0, 1, 1]))  # t + t^2
     assert (cert.prime, cert.exponent) == (2, 1)

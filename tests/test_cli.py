@@ -170,6 +170,28 @@ def test_idempotents_needs_exactly_one_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("modulus", ['["2", "-3", "1"]', '["1", "0", "1"]'])
+def test_idempotents_checks_exactly_one_source_before_the_root_search(capsys, monkeypatch,
+                                                                      modulus):
+    """Both sources given: the rejection comes before --modulus is factored."""
+    def never(*_args):
+        raise AssertionError("the root search must not run")
+
+    monkeypatch.setattr(upoly, "rational_roots", never)
+    code, out, _ = _run(capsys, ["idempotents", "--roots", '[["0", 1]]', "--modulus", modulus])
+    assert code == 2
+    assert out["error"] == {"kind": "domain",
+                            "message": "give exactly one of --roots or --modulus"}
+
+
+def test_moments_count_is_rejected_with_values(capsys):
+    code, out, _ = _run(capsys, ["moments", "--input", '{"values": ["1"], "roots": [["0", 1]]}',
+                                 "--count", "7"])
+    assert code == 2
+    assert out["error"] == {"kind": "domain",
+                            "message": "--count applies only to a functional input"}
+
+
 def test_moments_to_functional(capsys):
     code, out, _ = _run(capsys, [
         "moments", "--input",
@@ -513,6 +535,15 @@ def test_operator_at_a_non_root_names_the_values_as_written(capsys):
                             "message": "operator attached to non-root value(s): 1/2, -3"}
 
 
+def test_an_operator_at_the_root_0_under_parts_points_to_p0(capsys):
+    spec = {"roots": [["0", 2], ["1", 1]],
+            "functionals": [{"parts": {"0": ["1"], "1": ["1"]}}]}
+    code, out, _ = _run(capsys, ["decide", "--spec", json.dumps(spec)])
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": "functionals[0].parts: the operator "
+                            "at the root 0 goes in P0"}
+
+
 @pytest.mark.parametrize("argv", [["decide", "--spec"], ["moments", "--input"]])
 def test_directory_argument_is_a_domain_error(tmp_path, capsys, argv):
     code, out, _ = _run(capsys, argv + [str(tmp_path)])
@@ -638,7 +669,8 @@ P_LINEAR = json.dumps([{"exps": [1, 0, 0], "c": 1}, {"exps": [0, 1, 0], "c": "2/
 BENCH_OP = json.dumps([{"exps": [3, 0, 0], "c": "1"}, {"exps": [4, 0, 0], "c": "-1"}])
 BENCH_P = json.dumps([{"exps": [1, 2, 1], "c": "1"}, {"exps": [1, 0, 3], "c": "-1"}])
 BENCH_Q = json.dumps([{"exps": [3, 1, 1], "c": "-1"}])
-# d1^3 - d1 d2^2 d3 touches every variable, so it runs on p and q whole.
+# d1^3 - d1 d2^2 d3 touches every variable, so it runs on p and q over their
+# contents.
 WHOLE_OP = json.dumps([{"exps": [3, 0, 0], "c": 1}, {"exps": [1, 2, 1], "c": -1}])
 
 
@@ -667,9 +699,9 @@ GVC_BUDGET_CASES = {
     "order-1-2-m10": (ORDER_1_2, LAPLACIAN_P, X1, 10, 10**8, 4),
     # The pair count: 1.3 s to the budget; it ran 24 s before any cap.
     "squarefree-m40": (SQUAREFREE, P_LINEAR, X1, 40, None, 25),
-    "a=10^1000+7": (SQUAREFREE, _scaled_p(10**1000 + 7), X1, 21, 10**8, 5),
-    # The bit weight: 1.7 s to the budget; it ran 69 s before any cap.
-    "a=10^3000+7": (SQUAREFREE, _scaled_p(10**3000 + 7), X1, 21, None, 11),
+    "a=10^1000+7": (SQUAREFREE, _scaled_p(10**1000 + 7), X1, 21, 10**8, 6),
+    # The bit weight: 1.3-1.8 s to the budget; it ran 69 s before any cap.
+    "a=10^3000+7": (SQUAREFREE, _scaled_p(10**3000 + 7), X1, 21, None, 13),
 }
 
 

@@ -96,9 +96,26 @@ VALID_SPEC = VALID_ROOTS.flatmap(lambda roots: st.fixed_dictionaries(
     {"roots": st.just(roots), "functionals": st.lists(
         _valid_functional(roots), min_size=1, max_size=min(2, sum(m for _, m in roots)))}))
 VALID_MOMENTS = VALID_ROOTS.flatmap(_valid_moments)
-# gvc-probe reads exps only; imagep reads zeta and x, at --n 1.
+# gvc-probe reads exps only.
 VALID_GVC_TERMS = _valid_terms(("exps",), 2, NONZERO)
-VALID_ZX_TERMS = _valid_terms(("zeta", "x"), 1, st.integers(-3, 3))
+
+
+@st.composite
+def _valid_imagep(draw):
+    """The rows of a valid imagep argv, read together: --p one of the
+    primes, and terms over as many variable pairs as --n says."""
+    n = draw(st.integers(1, cli._IMAGEP_MAX_VARS))
+    terms = _valid_terms(("zeta", "x"), n, st.integers(-3, 3))
+    mode = draw(st.sampled_from(("decide", "theorem")))
+    data = draw(terms if mode == "decide"
+                else st.fixed_dictionaries({"f": terms}, optional={"g": terms}))
+    return {"mode": mode, "--p": str(draw(st.sampled_from(cli._IMAGEP_PRIMES))), "--n": str(n),
+            "--input": _json_arg(data)}
+
+
+# The valid branch of a subcommand whose rows are valid only together, as
+# {flag: text}; its shape draws take it or draw each row on its own.
+VALID_ARGS = {"imagep": _valid_imagep()}
 
 # Near-valid shapes: the right containers, any JSON scalar in each place;
 # each shape with a valid branch draws it or its near-valid form.
@@ -121,22 +138,22 @@ def _terms(fields):
 
 
 GVC_TERMS = VALID_GVC_TERMS | _terms(("exps",))
-ZX_TERMS = VALID_ZX_TERMS | _terms(("zeta", "x"))
+ZX_TERMS = _terms(("zeta", "x"))
 
 # The shape of a JSON row by its reader, and by subcommand for a JSON row
 # that its handler reads (no reader in the row).
 SHAPES = {
     cli._spec_from_json: SPEC,
     cli._roots_from_json: ROOTS,
-    cli._split_roots_from_json: st.sampled_from((["-1", "1"], ["2", "-3", "1"], ["0", "0", "1"],
-                                                 ["1/2", "-3/2", "1"])) | RATIONALS,
     cli.poly_from_json: RATIONALS,
     cli._matrix_from_json: st.lists(RATIONALS, max_size=3),
     cli.laurent_from_json: st.dictionaries(st.sampled_from(("-1", "2", "x", "1_0")),
                                            st.sampled_from(("1", "1/2")) | LEAVES, max_size=3),
     cli._multipoly_from_json: GVC_TERMS,
 }
-RAW = {"moments": MOMENTS,
+RAW = {"idempotents": st.sampled_from((["-1", "1"], ["2", "-3", "1"], ["0", "0", "1"],
+                                       ["1/2", "-3/2", "1"])) | RATIONALS,
+       "moments": MOMENTS,
        "imagep": ZX_TERMS | st.fixed_dictionaries({"f": ZX_TERMS}, optional={"g": ZX_TERMS})}
 # The text of a row that is neither JSON nor int, by its reader.
 TEXTS = {cli.parse_rational: st.sampled_from(("1/2", "-1", "0", "2", "x", "1/0"))}
@@ -159,13 +176,17 @@ def _value(command: str, row, top):
 
 
 @st.composite
-def _argv(draw, command: str, top):
+def _argv(draw, command: str, top: str):
     """An argv for one subcommand, read off its rows: every required row,
     each optional flag or int row at will, and at most one optional JSON row
-    (the two sources of idempotents exclude each other)."""
+    (the two sources of idempotents exclude each other).  A shape draw of a
+    subcommand in VALID_ARGS may take the rows' values from there."""
     rows = cli._build_parser()[command][3]
     sources = [row for row in rows if row[2] == "json" and not row[3]]
     source = draw(st.sampled_from([None, *sources]))
+    valid = None
+    if top == "shape" and command in VALID_ARGS:
+        valid = draw(st.none() | VALID_ARGS[command])
     argv = [command]
     for row in rows:
         flag, dest, kind, required = row[:4]
@@ -175,7 +196,7 @@ def _argv(draw, command: str, top):
         if kind is bool:
             argv.append(flag)
         else:
-            value = draw(_value(command, row, top))
+            value = valid[flag] if valid else draw(_value(command, row, TOPS[top]))
             argv += [value] if flag == dest else [flag, value]
     return argv
 
@@ -208,13 +229,14 @@ TOPS = {"shape": lambda shape: shape, "json": lambda shape: JSON}
 @SETTINGS
 @given(data=st.data())
 def test_cli_fuzz_exits_0_or_2(command, top, data):
-    argv = data.draw(_argv(command, TOPS[top]))
+    argv = data.draw(_argv(command, top))
     code, report = _exit_and_report(argv)
     assert code in (0, 2), (argv, report)
     assert report.get("error", {}).get("kind") != "internal", (argv, report)
 
 
-@pytest.mark.parametrize("command", ("decide", "oracle", "idempotents", "moments", "gvc-probe"))
+@pytest.mark.parametrize("command", ("decide", "oracle", "idempotents", "moments", "gvc-probe",
+                                     "imagep"))
 def test_shape_draws_reach_the_kernels(command, monkeypatch):
     """The gate's shape draws get past the readers: at least 5 of a
     subcommand's 30 draws run its kernel to exit 0."""

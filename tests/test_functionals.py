@@ -11,7 +11,6 @@ from mzspaces.functionals import (
     dependency_relation,
     evaluate,
     from_moments,
-    largest_ideal_exponents,
     to_moments,
 )
 from mzspaces.quotient import crt_idempotents
@@ -157,21 +156,14 @@ def test_functional_nf_validation():
     assert dropped.parts == {}
 
 
-def test_largest_ideal_exponents_frozen():
-    roots = _roots((0, 3), (1, 2), (2, 2))
-    f1 = FunctionalNF(roots, zero_part=Poly([0, 1]),
-                      parts={Fraction(1): Poly([3])})
-    f2 = FunctionalNF(roots, parts={Fraction(1): Poly([0, 1])})
-    exps = largest_ideal_exponents([f1, f2])
-    # 1 + max operator degree per root; untouched roots drop to 0.
-    assert exps == {Fraction(0): 2, Fraction(1): 2, Fraction(2): 0}
-
-
-def test_largest_ideal_exponents_requires_common_roots():
-    a = FunctionalNF(_roots((1, 1)), parts={Fraction(1): Poly([1])})
-    b = FunctionalNF(_roots((2, 1)), parts={Fraction(2): Poly([1])})
-    with pytest.raises(DomainError):
-        largest_ideal_exponents([a, b])
+def test_an_operator_at_the_root_0_belongs_in_zero_part():
+    roots = _roots((0, 2), (1, 1))
+    message = "^the operator at the root 0 goes in zero_part, not parts$"
+    with pytest.raises(DomainError, match=message):
+        FunctionalNF(roots, parts={Fraction(0): Poly([1]), Fraction(1): Poly([1])})
+    # Where 0 is no root, it is named with the other non-roots.
+    with pytest.raises(DomainError, match="^operator attached to non-root value\\(s\\): 0$"):
+        FunctionalNF(_roots((1, 1)), parts={Fraction(0): Poly([1])})
 
 
 def test_dependency_relation_detects_collinear_functionals():

@@ -63,6 +63,21 @@ def test_normalize_keeps_the_objects_when_nothing_shrinks():
     assert normalize(again).functionals[1] is second
 
 
+def test_normalize_cuts_to_the_largest_ideal_exponents_frozen():
+    roots = _roots((0, 3), (1, 2), (2, 2))
+    f1 = FunctionalNF(roots, zero_part=Poly([0, 1]), parts={Fraction(1): Poly([3])})
+    f2 = FunctionalNF(roots, parts={Fraction(1): Poly([0, 1])})
+    # 1 + max operator degree per root; an untouched root is dropped.
+    assert normalize(SubspaceSpec([f1, f2])).roots == _roots((0, 2), (1, 2))
+
+
+def test_spec_requires_common_roots():
+    a = FunctionalNF(_roots((1, 1)), parts={Fraction(1): Poly([1])})
+    b = FunctionalNF(_roots((2, 1)), parts={Fraction(2): Poly([1])})
+    with pytest.raises(DomainError, match="^functionals must share one root data$"):
+        SubspaceSpec([a, b])
+
+
 def test_normalize_rejects_zero_functional():
     roots = _roots((1, 1),)
     with pytest.raises(DomainError):
@@ -88,6 +103,14 @@ def test_decide_requires_normalized_spec():
         decide_mz(raw)
     with pytest.raises(DomainError):
         oracle_decide_mz(raw)
+
+
+@pytest.mark.parametrize("search", [decide_mz, oracle_decide_mz])
+def test_an_unnormalized_spec_is_rejected_by_name(search):
+    roots = _roots((1, 1),)
+    raw = SubspaceSpec([FunctionalNF(roots, parts={Fraction(1): Poly([1])})])
+    with pytest.raises(DomainError, match="^spec must be normalized first$"):
+        search(raw)
 
 
 def test_sign_difference_kernel_is_not_mz():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mzspaces.errors import DependentFunctionalsError
-from mzspaces.functionals import FunctionalNF, dependency_relation, largest_ideal_exponents
+from mzspaces.functionals import FunctionalNF, dependency_relation
 from mzspaces.mzdecide import SubspaceSpec, normalize, smallest_zero_sum_subset
 from mzspaces.upoly import Poly, RootData
 
@@ -103,9 +103,12 @@ def specs(draw, planted):
 
 def _moment_relation(fns):
     """What `normalize` computed before: the dependency of the moment matrix
-    over the shrunk root data."""
-    kept = [(lam, e) for lam, e in largest_ideal_exponents(fns).items() if e > 0]
-    roots = RootData(kept)
+    over the shrunk root data, each root's multiplicity cut to the most
+    operator coefficients any functional has there, and a root without any
+    dropped."""
+    tops = [(lam, max(len(fn.operator_poly(lam).coeffs) for fn in fns))
+            for lam, _ in fns[0].roots]
+    roots = RootData([(lam, top) for lam, top in tops if top])
     shrunk = [FunctionalNF(roots, fn.zero_part, fn.parts) for fn in fns]
     return dependency_relation(shrunk, roots.degree)
 

@@ -294,9 +294,10 @@ def test_gvc_probe_rejects_bad_m_max():
 
 
 def _gvc_meter_cases():
-    """(op, p, q, m_max) on each path of the kill tests: the whole power, p
-    with two slices over the variables the operator touches, and p with
-    one (p = x3 s(x1, x2))."""
+    """(op, p, q, m_max) on each path of the kill tests: an operator that
+    touches every variable ("whole", so p is its own one slice), p with two
+    slices over the variables the operator touches, and p with one
+    (p = x3 s(x1, x2))."""
     x1, x2, x3 = (MultiPolyQ.variable(3, i) for i in range(3))
     laplace = ConstCoeffOp(MultiPolyQ(3, {(2, 0, 0): 1, (0, 2, 0): 1}))
     return {
