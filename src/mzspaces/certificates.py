@@ -10,9 +10,10 @@ so the certificate never rests on the theory that motivated the prime search.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import count
-from math import lcm, log10
+from math import lcm, lgamma, log, log10
 
 from .errors import DomainError
 from .scalars import (
@@ -74,6 +75,24 @@ def _expand_power(base, power: int):
     return unpack(pack(base, width) ** power, width, terms)
 
 
+def _value_digits(rule: str, base, d: int, power: int) -> int:
+    """A bound on the decimal digits of the numerator and of the denominator
+    of the moment of f^power (`power_moment`), read from base, the integer
+    coefficients of D*f with D = d, before anything is expanded.  With c_i
+    the coefficients of (D*f)^power, N its degree and S = sum |base|, so
+    that sum |c_i| <= S^power: the exp rule's value is sum c_i i!, at most
+    S^power N!, over D^power, and the unit rule's is sum c_i L/(i+1), at
+    most S^power L, over L D^power, where L = lcm(1..N+1) is below
+    e^(1.03883 (N+1)) (Rosser and Schoenfeld)."""
+    top = power * (len(base) - 1)
+    if rule == "exp":
+        extra, den = lgamma(top + 1) / log(10), power * log10(d)
+    else:
+        extra = 1.03883 * (top + 1) / log(10)
+        den = power * log10(d) + extra
+    return int(max(power * log10(sum(map(abs, base))) + extra, den)) + 1
+
+
 def _decimal(n: int) -> str:
     """n >= 1 in decimal or, past the interpreter's integer-to-string limit,
     as "10^k or more", k + 1 its digit count."""
@@ -117,10 +136,12 @@ def _first_certificate(rule: str, f: Poly, m_min: int) -> PAdicCertificate:
     is prime and divides neither the common denominator D of f nor the
     numerator of its t^k coefficient, k = deg f for the unit rule and the
     order of f at 0 for the factorial rule; there the valuation is known
-    (see the two entry points).  The size of (D*f)^m grows with m and the
-    caps come first at every m, so the walk ends within MAX_EXPANSION_TERMS
-    steps and needs no bound of its own.  The value is expanded exactly, and
-    the certificate re-checks its valuation."""
+    (see the two entry points).  The size of (D*f)^m and the bound on the
+    value's digits (`_value_digits`) grow with m and are checked first at
+    every m, the bound against the interpreter's integer-to-string limit, so
+    the walk ends within MAX_EXPANSION_TERMS steps and needs no bound of its
+    own, and a value too long to print is never computed.  The value is
+    expanded exactly, and the certificate re-checks its valuation."""
     require_rational(f.coeffs, "certificate search")
     if f.is_zero or f.degree < 1:
         raise DomainError("certificates need degree >= 1")
@@ -135,6 +156,7 @@ def _first_certificate(rule: str, f: Poly, m_min: int) -> PAdicCertificate:
         )
     d, base = clear_denominators(f.coeffs)
     guard = d * base[k]  # p divides it iff p divides D or the numerator of f's t^k coefficient
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     for m in count(m_min):
         terms, bits = expansion_size(base, m)
         if terms > MAX_EXPANSION_TERMS or terms * bits > MAX_EXPANSION_BITS:
@@ -143,6 +165,10 @@ def _first_certificate(rule: str, f: Poly, m_min: int) -> PAdicCertificate:
                 f"coefficients of up to {_decimal(bits)} bits, {_decimal(terms * bits)} bits "
                 f"in all, over the cap of {MAX_EXPANSION_TERMS} coefficients and "
                 f"{MAX_EXPANSION_BITS} bits")
+        if limit and (digits := _value_digits(rule, base, d, m)) > limit:
+            raise DomainError(
+                f"at m = {_decimal(m)} the value may have {_decimal(digits)} digits, over the "
+                f"cap of {limit} digits, the interpreter's limit for integer-to-string conversion")
         p = k * m + 1
         if is_prime(p) and guard % p:
             valuation = -1 if rule == "unit" else 0

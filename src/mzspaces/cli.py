@@ -46,13 +46,14 @@ _IMAGEP_MAX_DEGREE = 24
 # functional with 16 roots a/b, |a| <= 5, b <= 3 (multiplicity 3), and about
 # 0.4 s with 8 roots of multiplicity 6.  `idempotents --all` prints 2^r
 # polynomials; at r = 12 that is 0.95 s and 1.1 MB, and each further root
-# doubles both.  The oracle
-# walks all 2^r subsets of the roots, one big-integer addition each; at its
-# cap (mzdecide.DEFAULT_MAX_SUBSET_ROOTS, 20 roots) a spec with no balanced
-# subset and 3 functionals takes 0.2-0.4 s, and the help text says so.  The
-# root search of `--modulus` and `charPoly` (upoly.rational_roots) takes
-# 0.25-0.27 s at its digit cap and 0.65-1.25 s at its candidates-times-degree
-# cap (19200 candidates at degree 6, 10240 at degree 12, 2048 at degree 117).
+# doubles both.  The oracle adds each subset sum of one half of the roots to
+# each of the other half, one big-integer addition for each of the 2^r
+# subsets; at its cap (mzdecide.DEFAULT_MAX_SUBSET_ROOTS, 20 roots) a spec
+# with no balanced subset and 3 functionals takes 0.08-0.1 s, and the help
+# text says so.  The root search of `--modulus` and `charPoly`
+# (upoly.rational_roots) takes 0.25-0.27 s at its digit cap and 0.65-1.25 s
+# at its candidates-times-degree cap (19200 candidates at degree 6, 10240 at
+# degree 12, 2048 at degree 117).
 _TRACE_MAX_DIMENSION = 48
 _GVC_MAX_M = 40
 _MOMENTS_MAX_COUNT = 1500
@@ -63,14 +64,17 @@ _IDEMPOTENTS_MAX_ROOTS = 12
 _ECHO_LIMIT = 40
 _PATH_ECHO_LIMIT = 256
 _JSON_WHITESPACE = " \t\n\r"
-_ORACLE_COST = ("at most 20 roots; about 0.4 s at 20 roots with 3 functionals, and about 1 s at "
+_ORACLE_COST = ("at most 20 roots; about 0.1 s at 20 roots with 3 functionals, and about 1 s at "
                 "degree 800, 8 roots of multiplicity 100")
 _DECIDE_COST = ("At most 20 roots after normalizing; about 0.04 s at 20 simple roots with 3 "
                 "functionals, and about 0.4 s with a planted witness at degree 800, 8 roots of "
                 "multiplicity 100.")
-# certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time.
+# certificates.MAX_EXPANSION_TERMS and MAX_EXPANSION_BITS, with their time, and
+# the bound on the value's digits that certificates._first_certificate checks.
 _CERTIFY_COST = ("From --m-min up, (D*f)^m, D the common denominator of f, may have at most 12000 "
-                 "coefficients and 4000000 bits in all (else exit 2); up to about 1 s at the caps.")
+                 "coefficients and 4000000 bits in all, and a bound on the digits of the value "
+                 "may not pass the interpreter's integer-to-string limit (4300 digits by "
+                 "default) (else exit 2); up to about 1 s at the caps.")
 # Measured at p = 5, n = 3 and total degree 23-24 on a 2-vCPU host.  theorem
 # forms f^p and f^(p^2) by Frobenius, so its product g f^(p^2) f has at most
 # |g| |f|^2 terms, and its time follows that count.
@@ -283,18 +287,16 @@ def functional_to_json(fn: FunctionalNF):
 def functional_from_json(data, roots: RootData, where: str = "functional") -> FunctionalNF:
     """{"P0": [...], "parts": {root: [...]}}; either may be left out, a present
     P0 must be an array, present parts an object with no two keys of the same
-    root ("1/2" and "2/4"), and where names any other key or a repeated root."""
+    root ("1/2" and "2/4"); every rejection starts with where."""
     from .functionals import FunctionalNF
 
     if not isinstance(data, dict):
-        raise DomainError("functional JSON must be an object with P0 and parts")
+        raise DomainError(f"{where} must be an object with P0 and parts")
     _check_keys(data, ("P0", "parts"), where)
-    zero_part = poly_from_json(data.get("P0", []), "functional P0")
+    zero_part = poly_from_json(data.get("P0", []), f"{where}.P0")
     raw_parts = data.get("parts", {})
     if not isinstance(raw_parts, dict):
-        raise DomainError(
-            "functional parts must be an object mapping roots to operator coefficients"
-        )
+        raise DomainError(f"{where}.parts must be an object mapping roots to operator coefficients")
     parts = {}
     for key, coeffs in raw_parts.items():
         lam = parse_rational(key)
@@ -494,7 +496,7 @@ def _cmd_moments(args):
             raise DomainError(
                 f"the default --count, deg f = {count}, exceeds the cap {_MOMENTS_MAX_COUNT}")
         fn_data = {key: data[key] for key in ("P0", "parts") if key in data}
-        values = to_moments(functional_from_json(fn_data, roots), count)
+        values = to_moments(functional_from_json(fn_data, roots, "--input"), count)
         return {"values": [format_rational(v) for v in values]}
     raise DomainError("input must carry either moment values or a functional")
 

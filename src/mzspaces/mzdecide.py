@@ -4,15 +4,16 @@ Mathieu-Zhao subspace of k[t], with checkable witnesses on rejection.
 The decision criterion: the kernel is Mathieu-Zhao exactly when every
 nonempty subset of the roots has some functional whose operator constant
 terms do not sum to zero over the subset.  `decide_mz` reads the constant
-terms once, as one column per root with one entry per functional, and looks
-for a nonempty set of columns summing to the zero vector by meet in the
-middle (Horowitz-Sahni): it tabulates the subset sums of each half of the
-columns and matches every left sum against the negated right sums, so r
-roots and d functionals cost O(d * 2^(r/2)) instead of O(d * 2^r).  Of all
-balanced subsets the witness is the smallest, and among those the
-lexicographically first in root order.  A balanced subset yields an
-idempotent g in the kernel together with a multiplier b whose product b*g
-escapes it, which certifies that the kernel is not Mathieu-Zhao.
+terms once, as one column per root with one entry per functional, packs each
+column into one integer (`_packed`), and looks for a nonempty set of columns
+summing to zero by meet in the middle (Horowitz-Sahni): the subset sums of
+each half form one list indexed by bitmask (`_subset_sums`), and every left
+sum is looked up among the negated right sums, so r roots and d functionals
+cost O(d * 2^(r/2)) instead of O(d * 2^r).  Of all balanced subsets the
+witness is the smallest, and among those the lexicographically first in root
+order.  A balanced subset yields an idempotent g in the kernel together with
+a multiplier b whose product b*g escapes it, which certifies that the kernel
+is not Mathieu-Zhao.
 
 The multiplier is read off the closed form: L(t^n e_lam) = P_lam(n) lam^n,
 or n! [P_0]_n at the root 0, for every n, since the operator at mu reads
@@ -28,17 +29,16 @@ over S of L(t^j e_i).  The oracle tabulates each functional's moments
 L(t^n), n < 2 deg f - 1, as integers, and builds each root idempotent on
 integers from binomial series (`quotient.integer_idempotent`); then
 L(t^j g) = sum_n g_n M[n + j] is one integer dot product and no shift is
-reduced mod f.  It computes L_k(e_i) once per root and functional, packs
-each root's values into one integer (`scalars.pack`), and walks all 2^r
-subsets in Gray-code order, one big-integer addition per subset; only a
-subset whose sum vanishes (an idempotent in the kernel) gets the full check
-that all its shifts t^j e_S, j < deg f, stay in the kernel.  Only the root
-idempotents are kept on the spec and shared by `decide --oracle`; the moment
-tables are the oracle's own.  The walk stays exponential in r, so the oracle
-has the subset search's root cap, DEFAULT_MAX_SUBSET_ROOTS (about 0.2-0.4 s
-at r = 20 with 3 functionals on a 2-vCPU host).
-Its test reference, `selftest.oracle_by_enumeration`, enumerates every
-idempotent and reduces every shift mod f.
+reduced mod f.  It packs L_k(e_i) as `decide_mz` packs its columns and adds
+every left subset sum to every right one, one big-integer addition per
+subset; only a subset whose sum vanishes (an idempotent in the kernel) gets
+the full check that all its shifts t^j e_S, j < deg f, stay in the kernel.
+Only the root idempotents are kept on the spec and shared by
+`decide --oracle`; the moment tables are the oracle's own.  The scan stays
+exponential in r, so the oracle has the subset search's root cap,
+DEFAULT_MAX_SUBSET_ROOTS (about 0.1 s at r = 20 with 3 functionals on a
+2-vCPU host).  Its test reference, `selftest.oracle_by_enumeration`,
+enumerates every idempotent and reduces every shift mod f.
 
 `normalize` cuts each root's multiplicity to 1 + the top operator degree
 any functional has there, the exponent of the root in the largest ideal
@@ -61,7 +61,7 @@ from .errors import DependentFunctionalsError, DomainError
 from .functionals import FunctionalNF, integer_moments
 from .linalg import left_dependency
 from .quotient import integer_idempotent
-from .scalars import Rational, digit_width, pack
+from .scalars import Rational, clear_denominators, digit_width, pack
 from .upoly import Poly, RootData, split_integer_form
 
 DEFAULT_MAX_SUBSET_ROOTS = 20
@@ -146,38 +146,47 @@ def _coefficient_rows(functionals, roots: RootData):
             for fn in functionals]
 
 
-def _subset_sums(columns, offset: int, dim: int):
-    """(index tuple, sum vector) for every subset of the columns, the empty
-    one included; indices are shifted by offset, each tuple in increasing order."""
-    out = [((), (0,) * dim)]
-    for i, column in enumerate(columns, offset):
-        out += [(idx + (i,), tuple(a + b for a, b in zip(total, column)))
-                for idx, total in out]
-    return out
+def _packed(rows):
+    """One integer per row (`scalars.pack`), at a width that holds each
+    column's sum of absolute values, so a sum of packed rows is 0 exactly
+    when the rows it adds sum to the zero vector."""
+    width = digit_width(max(sum(map(abs, column)) for column in zip(*rows)))
+    return [pack(row, width) for row in rows]
+
+
+def _subset_sums(values):
+    """sums[mask] is the sum of values[i] over the bits i of mask."""
+    sums = [0]
+    for value in values:
+        sums += [total + value for total in sums]
+    return sums
+
+
+def _rank(mask):
+    """Smaller sets first, then, with column k at bit n - 1 - k, the
+    lexicographically first of a size, which has the larger mask."""
+    return mask.bit_count(), -mask
 
 
 def smallest_zero_sum_subset(columns):
     """Indices of a nonempty set of columns (equal-length vectors) summing to
     the zero vector: the smallest such set, the lexicographically first of
     its size; None when there is none.  Meet in the middle over the two
-    halves of the columns."""
+    halves of the columns, each column packed into one integer."""
     if not columns:
         return None
-    dim = len(columns[0])
-    half = len(columns) // 2
-    right = {}
-    for idx, total in _subset_sums(columns[half:], half, dim):
-        firsts = right.setdefault(total, {})
-        size = len(idx)
-        if size not in firsts or idx < firsts[size]:
-            firsts[size] = idx
-    best = None
-    for idx, total in _subset_sums(columns[:half], 0, dim):
-        for tail in right.get(tuple(-v for v in total), {}).values():
-            found = idx + tail
-            if found and (best is None or (len(found), found) < (len(best), best)):
-                best = found
-    return best
+    n = len(columns)
+    cleared = zip(*(clear_denominators(row)[1] for row in zip(*columns)))
+    packed = _packed(list(cleared))[::-1]  # column k at bit n - 1 - k
+    low = n - n // 2
+    sums = _subset_sums(packed[:low])
+    # Worst mask first, so each sum keeps its best nonempty right set.
+    right = {sums[mask]: mask for mask in sorted(range(1, len(sums)), key=_rank, reverse=True)}
+    # A nonempty left set of sum 0 stands alone; any other takes its best right partner.
+    found = [mask << low | tail for mask, total in enumerate(_subset_sums(packed[low:]))
+             if (tail := 0 if mask and total == 0 else right.get(-total)) is not None]
+    best = min(found, key=_rank, default=None)
+    return None if best is None else tuple(k for k in range(n) if best >> (n - 1 - k) & 1)
 
 
 def _idempotent_vectors(spec: SubspaceSpec, subset):
@@ -219,9 +228,7 @@ def decide_mz(spec: SubspaceSpec) -> MZVerdict:
         for fn in spec.functionals]
     j = next((n for n in range(degree) if any(table[n] for table in tables)), None)
     if j is None:
-        raise AssertionError(
-            "normalized spec must admit a multiplier for a kernel idempotent"
-        )
+        raise AssertionError("normalized spec must admit a multiplier for a kernel idempotent")
     den, vectors = _idempotent_vectors(spec, subset_roots)
     witness = Poly(tuple(Rational(sum(column), den) for column in zip(*vectors)))
     return MZVerdict(False, subset_roots, witness, Poly.monomial(j))
@@ -231,11 +238,9 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
     """Independent re-decision by linearity: every idempotent of the
     quotient ring is a sum of root idempotents e_i, so L(t^j e_S) is the sum
     over S of L(t^j e_i).  The values L_k(e_i) are computed once per root
-    and functional and packed into one integer per root (`scalars.pack`),
-    at a width that holds the sum of |L_k(e_i)| over all roots, so a packed
-    subset sum is 0 exactly when its values are; a Gray-code walk over the
-    subsets then costs one addition per subset.  A subset whose
-    sum vanishes is an idempotent in the kernel, and it must keep all its
+    and functional and packed into one integer per root (`_packed`), and
+    each left subset sum is added to each right one.  A subset whose sum
+    vanishes is an idempotent in the kernel, and it must keep all its
     shifts t^j e_S, j < deg f, in the kernel."""
     _require_decidable(spec, "oracle")
     degree = spec.roots.degree
@@ -248,22 +253,14 @@ def oracle_decide_mz(spec: SubspaceSpec) -> bool:
         return [sum(c * m for c, m in zip(g, table[shift:])) for table in tables]
 
     _, vectors = _idempotent_vectors(spec, spec.roots.roots)
-    rows = [values(e, 0) for e in vectors]
-    width = digit_width(max(sum(map(abs, column)) for column in zip(*rows)))
-    packed = [pack(row, width) for row in rows]
-    total = 0
-    chosen = 0
-    for step in range(1, 1 << len(vectors)):
-        bit = step & -step
-        k = bit.bit_length() - 1
-        if chosen & bit:
-            total -= packed[k]
-        else:
-            total += packed[k]
-        chosen ^= bit
-        if total == 0:
-            g = [sum(column) for column in
-                 zip(*(e for i, e in enumerate(vectors) if chosen >> i & 1))]
-            if any(any(values(g, j)) for j in range(degree)):
-                return False
+    packed = _packed([values(e, 0) for e in vectors])
+    low = len(packed) // 2
+    right = _subset_sums(packed[low:])
+    for mask, total in enumerate(_subset_sums(packed[:low])):
+        for high, other in enumerate(right):
+            if total + other == 0 and (mask or high):
+                chosen = mask | high << low
+                g = [sum(col) for col in zip(*(e for i, e in enumerate(vectors) if chosen >> i & 1))]
+                if any(any(values(g, j)) for j in range(degree)):
+                    return False
     return True

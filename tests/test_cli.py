@@ -771,8 +771,8 @@ def test_an_exponent_array_of_the_wrong_length_is_named(capsys, argv, message):
     ("decide", f"At most {DEFAULT_MAX_SUBSET_ROOTS} roots after normalizing"),
     ("decide", "about 0.04 s at 20 simple roots with 3 functionals"),
     ("decide", "about 0.4 s with a planted witness at degree 800"),
-    ("decide", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
-    ("oracle", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.4 s"),
+    ("decide", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.1 s"),
+    ("oracle", f"at most {DEFAULT_MAX_SUBSET_ROOTS} roots; about 0.1 s"),
     ("decide", "about 1 s at degree 800, 8 roots of multiplicity 100"),
     ("oracle", "about 1 s at degree 800, 8 roots of multiplicity 100"),
     ("imagep", f"one of {', '.join(map(str, cli._IMAGEP_PRIMES))}"),
@@ -782,6 +782,7 @@ def test_an_exponent_array_of_the_wrong_length_is_named(capsys, argv, message):
     ("imagep", f"|g|*|f|^2 at most {cli._THEOREM_MAX_PRODUCT}"),
     ("certify", f"at most {certificates.MAX_EXPANSION_TERMS} coefficients and "
                 f"{certificates.MAX_EXPANSION_BITS} bits"),
+    ("certify", "may not pass the interpreter's integer-to-string limit"),
     ("laurent", "linear in the number of terms"),
 ])
 def test_probe_caps_are_stated_in_help(capsys, command, text):
@@ -867,6 +868,47 @@ def test_functional_parts_name_each_root_once(capsys):
     assert code == 2
     assert out["error"] == {"kind": "domain",
                             "message": "functionals[0].parts: repeated root 1/2 at key '2/4'"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--input", '{"P0": ["1"], "parts": {"0": ["1"]}, "roots": [["0", 2]]}'],
+     "--input.parts: the operator at the root 0 goes in P0"),
+    (["moments", "--input", '{"P0": "1", "roots": [["1", 1]]}'],
+     "--input.P0 must be an array of rationals"),
+    (["moments", "--input", '{"parts": ["1"], "roots": [["1", 1]]}'],
+     "--input.parts must be an object mapping roots to operator coefficients"),
+    (["decide", "--spec", '{"roots": [["1", 1]], "functionals": [{}, "x"]}'],
+     "functionals[1] must be an object with P0 and parts"),
+    (["decide", "--spec", '{"roots": [["1", 1]], "functionals": [{"P0": {}}]}'],
+     "functionals[0].P0 must be an array of rationals"),
+])
+def test_functional_errors_name_where_the_functional_sits(capsys, argv, message):
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out["error"] == {"kind": "domain", "message": message}
+
+
+def _no_power_moment(*_args):
+    raise AssertionError("power_moment ran on a value too long to print")
+
+
+# Both values would pass the size caps and then exceed 4300 digits when
+# printed; the bound on their digits rejects them before anything expands.
+@pytest.mark.parametrize("rule, poly, m_min", [
+    ("exp", ["0", "1", "1"], 996),
+    ("unit", ["1"] + ["0"] * 98 + ["1", "1"], 110),
+])
+def test_certify_rejects_a_value_too_long_to_print_before_computing_it(
+        capsys, monkeypatch, rule, poly, m_min):
+    monkeypatch.setattr(certificates, "power_moment", _no_power_moment)
+    code, out, _ = _run(capsys, ["certify", "--rule", rule, "--poly", json.dumps(poly),
+                                 "--m-min", str(m_min)])
+    assert code == 2
+    assert out["error"]["kind"] == "domain"
+    assert out["error"]["message"].startswith(f"at m = {m_min} the value may have ")
+    assert out["error"]["message"].endswith(
+        f"digits, over the cap of {sys.get_int_max_str_digits()} digits, the interpreter's "
+        "limit for integer-to-string conversion")
 
 
 # With a plain dict, the last value of a repeated key would win unseen: laurent

@@ -1,22 +1,28 @@
 """Property tests of the fast decision paths against their slow references:
-the meet-in-the-middle subset search against a brute-force scan, and the
-coefficient-space dependency check in `normalize` against the moment matrix."""
+the packed meet-in-the-middle subset search against a brute-force scan and
+a meet in the middle over index tuples, the oracle's packed scan against
+`selftest.oracle_by_enumeration`, and the coefficient-space dependency check
+in `normalize` against the moment matrix."""
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mzspaces.errors import DependentFunctionalsError
 from mzspaces.functionals import FunctionalNF, dependency_relation
-from mzspaces.mzdecide import SubspaceSpec, normalize, smallest_zero_sum_subset
+from mzspaces.mzdecide import (SubspaceSpec, decide_mz, normalize, oracle_decide_mz,
+                               smallest_zero_sum_subset)
+from mzspaces.selftest import oracle_by_enumeration
 from mzspaces.upoly import Poly, RootData
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+WIDE = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
 
 
 def _brute_force(columns):
@@ -29,19 +35,50 @@ def _brute_force(columns):
     return None
 
 
+def _tuple_meet_in_the_middle(columns):
+    """The search over index tuples and rational sum vectors that the packed
+    bitmask search replaced: every right sum keeps its lexicographically first
+    index tuple of each size, and every left tuple is tried with all of them."""
+    if not columns:
+        return None
+    dim = len(columns[0])
+    half = len(columns) // 2
+
+    def subset_sums(part, offset):
+        out = [((), (0,) * dim)]
+        for i, column in enumerate(part, offset):
+            out += [(idx + (i,), tuple(a + b for a, b in zip(total, column)))
+                    for idx, total in out]
+        return out
+
+    right = {}
+    for idx, total in subset_sums(columns[half:], half):
+        firsts = right.setdefault(total, {})
+        if len(idx) not in firsts or idx < firsts[len(idx)]:
+            firsts[len(idx)] = idx
+    best = None
+    for idx, total in subset_sums(columns[:half], 0):
+        for tail in right.get(tuple(-v for v in total), {}).values():
+            found = idx + tail
+            if found and (best is None or (len(found), found) < (len(best), best)):
+                best = found
+    return best
+
+
 @st.composite
-def column_sets(draw):
-    """1-10 columns of 1-3 small rationals, some replaced by an all-zero
-    column, a repeat of an earlier column or the negation of one."""
+def column_sets(draw, counts=(1, 10), entries=SMALL):
+    """1-10 columns (or counts) of 1-3 small rationals (or entries), some
+    replaced by an all-zero column, a repeat of an earlier column or the
+    negation of one."""
     dim = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 10))
+    count = draw(st.integers(*counts))
     columns = []
     for i in range(count):
         kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "negate")))
         if kind == "zero":
             columns.append((Fraction(0),) * dim)
         elif kind == "fresh" or i == 0:
-            columns.append(tuple(draw(SMALL) for _ in range(dim)))
+            columns.append(tuple(draw(entries) for _ in range(dim)))
         else:
             earlier = columns[draw(st.integers(0, i - 1))]
             columns.append(earlier if kind == "repeat" else tuple(-v for v in earlier))
@@ -55,6 +92,41 @@ def column_sets(draw):
 @example([(Fraction(c),) for c in (-5, 100, 1000, 10000, 1, 2, 3, 4)])
 def test_meet_in_the_middle_matches_brute_force(columns):
     assert smallest_zero_sum_subset(columns) == _brute_force(columns)
+
+
+# 11-20 columns, past the reach of _brute_force: narrow entries balance
+# often, and wide ones need packing digits of more than 100 bits.
+@SETTINGS
+@given(st.one_of(column_sets((11, 20), SMALL), column_sets((11, 20), WIDE)))
+@example([(Fraction(c),) for c in (-5, 100, 1000, 10000, 1, 2, 3, 4, 7, 11, 13)])
+def test_packed_search_matches_tuple_meet_in_the_middle(columns):
+    assert smallest_zero_sum_subset(columns) == _tuple_meet_in_the_middle(columns)
+
+
+def _one_functional_spec(constants):
+    """Simple roots 1..r, one functional whose operator at root i is the
+    constant constants[i - 1]."""
+    roots = RootData([(lam, 1) for lam in range(1, len(constants) + 1)])
+    parts = {lam: Poly([c]) for lam, c in zip(roots.roots, constants)}
+    return normalize(SubspaceSpec([FunctionalNF(roots, Poly(), parts)]))
+
+
+@pytest.mark.parametrize("r", range(2, 10))
+@pytest.mark.parametrize("balanced", ["ends", "all"])
+def test_oracle_finds_a_set_that_crosses_the_half_split(r, balanced):
+    """The only balanced set has roots in both halves of the oracle's scan:
+    the first and last roots (1 and -1 among powers of 10), or all of them
+    (powers of 2 and minus their sum)."""
+    if balanced == "ends":
+        constants, subset = [1] + [10**i for i in range(1, r - 1)] + [-1], (0, r - 1)
+    else:
+        constants, subset = [2**i for i in range(r - 1)] + [1 - 2**(r - 1)], tuple(range(r))
+    spec = _one_functional_spec(constants)
+    assert decide_mz(spec).witness_subset == tuple(spec.roots.roots[i] for i in subset)
+    assert oracle_decide_mz(spec) is oracle_by_enumeration(spec) is False
+    constants[-1] -= 1  # no set is balanced now
+    spec = _one_functional_spec(constants)
+    assert oracle_decide_mz(spec) is oracle_by_enumeration(spec) is True
 
 
 ROOT_POOL = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2)})
